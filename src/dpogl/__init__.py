@@ -7,15 +7,14 @@ a propagation-delay bound and a degradation-aware refinement of it, both in
 the Renyi framework with conversion to (eps, delta)-DP.
 """
 
-from .accountant import (DEFAULT_ALPHA_GRID, VARIANTS, LsiState,
-                         admissible_adversaries, degradation_mu,
+from .accountant import (DEFAULT_ALPHA_GRID, VARIANTS, AccountingPreconditionError,
+                         LsiState, admissible_adversaries, degradation_mu,
                          delivered_block_count, dp_matrix_from_curves,
                          delay_curve_matrix, lsi_recursion, pair_alpha_coefficients,
-                         per_step_rdp, privacy_matrix, privacy_matrix_dp,
-                         propagation_oracle, pwp_bounds, pwp_rows_from_curves,
-                         rdp_to_dp, thm1_pair_bound, thm1_pair_counts,
-                         thm1_plus_pair_bound, thm2_curve_matrix,
-                         thm2_pair_bound, thm2_pair_curve)
+                         per_step_rdp, propagation_oracle_counts,
+                         pwp_rows_from_curves, rdp_to_dp, thm1_pair_bound,
+                         thm1_pair_counts, thm2_curve_matrix, thm2_pair_bound,
+                         thm2_pair_curve)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .harness import ConfigError, ExperimentConfig, run_experiment
@@ -29,12 +28,11 @@ from .trainer import (EpochMetrics, HyperParams, TrainingResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ALPHA_GRID", "VARIANTS", "LsiState", "admissible_adversaries",
-    "degradation_mu", "delivered_block_count", "dp_matrix_from_curves",
-    "delay_curve_matrix", "lsi_recursion", "pair_alpha_coefficients",
-    "per_step_rdp", "privacy_matrix", "privacy_matrix_dp",
-    "propagation_oracle", "pwp_bounds", "pwp_rows_from_curves", "rdp_to_dp",
-    "thm1_pair_bound", "thm1_pair_counts", "thm1_plus_pair_bound",
+    "DEFAULT_ALPHA_GRID", "VARIANTS", "AccountingPreconditionError", "LsiState",
+    "admissible_adversaries", "degradation_mu", "delivered_block_count",
+    "dp_matrix_from_curves", "delay_curve_matrix", "lsi_recursion",
+    "pair_alpha_coefficients", "per_step_rdp", "propagation_oracle_counts",
+    "pwp_rows_from_curves", "rdp_to_dp", "thm1_pair_bound", "thm1_pair_counts",
     "thm2_curve_matrix", "thm2_pair_bound", "thm2_pair_curve",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",
     "stratified_split", "worker_labels",

@@ -6,6 +6,14 @@ observes through epoch t.  Leakage from a source group reaches an observer
 only after enough inter-group epochs have passed to cover the group distance,
 so bounds grow with t in delivered S-epoch blocks.
 
+Both algorithms share one path, parameterised by the mechanism window W
+(``HyperParams.mechanism_window``: 1 for dpogl, S for dpogl_plus).  A
+delivered S-epoch block carries S / W mechanisms, and the smoothing (LSI)
+recursion fires one mechanism per W-epoch window.  The pipeline assembles
+(N, N, G) curve tensors over an order grid (``delay_curve_matrix`` or
+``thm2_curve_matrix``) and reduces them to DP heatmaps and per-worker
+envelopes; ``thm1_pair_bound`` and ``rdp_to_dp`` are the scalar references.
+
 Two delay-count variants are provided.  ``examples_consistent`` (default)
 counts ``floor((t-1)/S) - rho + 1`` delivered blocks gated by ``>=`` and
 reproduces the worked golden examples; ``as_printed`` uses the strict gate
@@ -16,13 +24,12 @@ unrolled reachability) is exposed for cross-validation of the closed forms.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import GroupStructure, build_adjacency, distance_matrix, is_string
-from .trainer import HyperParams, is_intergroup_epoch
+from .trainer import HyperParams, is_intergroup_epoch, mechanism_window
 
 # Spaced so consecutive (alpha - 1) ratios stay below ~1.46: the conversion
 # optimum then lands within 2% of the continuous minimum for any linear curve.
@@ -34,9 +41,10 @@ DEFAULT_ALPHA_GRID = (
 VARIANTS = ("examples_consistent", "as_printed")
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 1:
-        raise ValueError("RDP order alpha must exceed 1")
+class AccountingPreconditionError(ValueError):
+    """A documented precondition of a bound does not hold: sigma = 0, partial
+    participation or an infinite clip for the smoothing recursion, or a
+    structure that is not a string for the degradation bound."""
 
 
 def _check_variant(variant: str) -> None:
@@ -51,9 +59,11 @@ def per_step_rdp(alpha: float, sigma: float, participation: float = 1.0,
     ``sampled``: Poisson-sampled Gaussian closed form 2 * pi^2 * alpha / sigma^2.
     ``full``: plain Gaussian alpha / (2 * sigma^2); requires participation 1.
     """
-    _check_alpha(alpha)
+    if not alpha > 1:
+        raise ValueError("RDP order alpha must exceed 1")
     if not sigma > 0:
-        raise ValueError("accounting requires a positive noise multiplier")
+        raise AccountingPreconditionError(
+            "accounting requires a positive noise multiplier")
     if mode == "sampled":
         if not 0 < participation <= 1:
             raise ValueError("participation must lie in (0, 1]")
@@ -99,13 +109,14 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
                      algorithm: str = "dpogl") -> dict[int, int]:
     """Delivered per-source-group mechanism counts for the pair (n, i).
 
-    For ``dpogl`` a shared source group contributes t-1 mechanisms and a
-    cross source group S mechanisms per delivered block; ``dpogl_plus``
-    fires one interval mechanism per block and has no shared-group bound
-    (shared sources raise).
+    A cross source group contributes S / W mechanisms per delivered block
+    (S for dpogl, one interval mechanism for dpogl_plus).  A shared source
+    group contributes t-1 mechanisms under dpogl; dpogl_plus applies raw
+    updates inside its windows, has no shared-group bound, and raises.
     """
     if n == i:
         raise ValueError("a worker is trusted with its own data; need n != i")
+    per_block = period // mechanism_window(algorithm, period)
     dist = distance_matrix(build_adjacency(structure))
     counts: dict[int, int] = {}
     groups_i = structure.groups_of_worker[i]
@@ -116,35 +127,25 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
                 raise ValueError("dpogl_plus defines no bound for in-group pairs")
             counts[m_src] = t - 1
         else:
-            blocks = delivered_block_count(t, period, rho, variant)
-            counts[m_src] = blocks * (period if algorithm == "dpogl" else 1)
+            counts[m_src] = per_block * delivered_block_count(t, period, rho,
+                                                             variant)
     return counts
 
 
 def thm1_pair_bound(structure: GroupStructure, hp: HyperParams, alpha: float,
                     n: int, i: int, t: int,
-                    variant: str = "examples_consistent") -> float:
-    """DP-OGL pairwise RDP bound at order alpha through epoch t."""
-    counts = thm1_pair_counts(structure, hp.inter_group_period, n, i, t, variant,
-                              algorithm="dpogl")
-    total = 0.0
-    for m_src, count in counts.items():
-        eps = per_step_rdp(alpha, float(hp.sigma[m_src]),
-                           float(hp.participation[m_src]), mode="sampled")
-        total += eps * count
-    return total
+                    variant: str = "examples_consistent") -> float | None:
+    """Delay-only pairwise RDP bound at order alpha through epoch t.
 
-
-def thm1_plus_pair_bound(structure: GroupStructure, hp: HyperParams, alpha: float,
-                         n: int, i: int, t: int,
-                         variant: str = "examples_consistent") -> float | None:
-    """DP-OGL+ pairwise bound; None marks a trusted (in-group) pair."""
+    None marks a pair that shares a group under dpogl_plus (trusted).
+    """
     if n == i:
         raise ValueError("a worker is trusted with its own data; need n != i")
-    if set(structure.groups_of_worker[n]) & set(structure.groups_of_worker[i]):
+    if (hp.algorithm == "dpogl_plus"
+            and set(structure.groups_of_worker[n]) & set(structure.groups_of_worker[i])):
         return None
     counts = thm1_pair_counts(structure, hp.inter_group_period, n, i, t, variant,
-                              algorithm="dpogl_plus")
+                              hp.algorithm)
     total = 0.0
     for m_src, count in counts.items():
         eps = per_step_rdp(alpha, float(hp.sigma[m_src]),
@@ -210,12 +211,6 @@ def propagation_oracle_counts(structure: GroupStructure, period: int, t: int,
     return counts
 
 
-def propagation_oracle(structure: GroupStructure, period: int, t: int,
-                       n: int, i: int, algorithm: str = "dpogl") -> int:
-    """Total delivered mechanism count, in units of the per-group budget."""
-    return sum(propagation_oracle_counts(structure, period, t, n, i, algorithm).values())
-
-
 # ---------------------------------------------------------------------------
 # log-Sobolev recursion (full participation) and degradation factors
 
@@ -226,8 +221,9 @@ class LsiState:
     All arrays store reciprocals (0 encodes a deterministic point mass), so
     every recursion step is a plain addition.  ``inv_b[t]`` refers to the
     model at epoch t; per-epoch arrays are indexed 1..horizon with slot 0
-    unused.  For ``dpogl_plus`` the mechanism quantities ``inv_e``/``inv_hbar``
-    are per completed S-epoch window (window q covers epochs q*S+1 .. (q+1)*S).
+    unused.  The mechanism quantities ``inv_e``/``inv_hbar`` are filled at the
+    epochs where a mechanism fires, the last epoch of each W-epoch window
+    (every epoch for dpogl, multiples of S for dpogl_plus), and are 0 elsewhere.
     """
 
     algorithm: str
@@ -236,17 +232,19 @@ class LsiState:
     inv_b: np.ndarray     # (horizon + 2, M)
     inv_a: np.ndarray     # (horizon + 1, M, N), nonzero only for members
     inv_h: np.ndarray     # (horizon + 1, M, N)
-    inv_e: np.ndarray     # dpogl: (horizon + 1, M); plus: (windows, M)
-    inv_hbar: np.ndarray  # dpogl: (horizon + 1, M); plus: (windows, M)
+    inv_e: np.ndarray     # (horizon + 1, M)
+    inv_hbar: np.ndarray  # (horizon + 1, M)
 
 
 def _lsi_preconditions(hp: HyperParams) -> None:
     if not np.all(hp.participation == 1.0):
-        raise ValueError("the LSI recursion is defined for full participation only")
+        raise AccountingPreconditionError(
+            "the LSI recursion is defined for full participation only")
     if not np.all(np.isfinite(hp.clip)):
-        raise ValueError("the LSI recursion needs finite clip norms")
+        raise AccountingPreconditionError("the LSI recursion needs finite clip norms")
     if not np.all(hp.sigma > 0):
-        raise ValueError("the LSI recursion needs positive noise multipliers")
+        raise AccountingPreconditionError(
+            "the LSI recursion needs positive noise multipliers")
 
 
 def _member_mask(structure: GroupStructure) -> np.ndarray:
@@ -270,85 +268,51 @@ def _merge_inv_a(structure: GroupStructure, inv_b_t: np.ndarray, epoch: int,
     return inv_a
 
 
-def lsi_recursion_dpogl(structure: GroupStructure, hp: HyperParams, beta: float,
-                        horizon: int) -> LsiState:
-    """Track per-epoch LSI reciprocals for DP-OGL up to ``horizon`` epochs."""
+def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
+                  horizon: int) -> LsiState:
+    """Track per-epoch LSI reciprocals up to ``horizon`` epochs.
+
+    Inside a W-epoch window the model takes raw updates; at the window's
+    last epoch the mechanism adds W c^2 sigma^2 of noise over the whole
+    window, and the next window starts from its output.
+    """
     _lsi_preconditions(hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     M, N = structure.num_groups, structure.num_workers
-    S = hp.inter_group_period
+    S, W = hp.inter_group_period, hp.mechanism_window
     mask = _member_mask(structure)
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
-    noise_var = (hp.clip * hp.sigma) ** 2
+    mechanism_var = W * (hp.clip * hp.sigma) ** 2
     spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
     inv_b = np.zeros((horizon + 2, M))
     inv_a = np.zeros((horizon + 1, M, N))
     inv_h = np.zeros((horizon + 1, M, N))
     inv_e = np.zeros((horizon + 1, M))
     inv_hbar = np.zeros((horizon + 1, M))
-    for t in range(1, horizon + 1):
-        inv_b[t] = inv_b[t - 1] + sizes ** 2 * inv_e[t - 1]  # pi = 1
-        inv_a[t] = _merge_inv_a(structure, inv_b[t], t, S, mask)
-        inv_h[t] = spread * inv_a[t]
-        member_sum = inv_h[t].sum(axis=1)  # non-members hold zeros
-        inv_e[t] = noise_var + member_sum
-        inv_hbar[t] = inv_b[t] + sizes ** 2 * member_sum
-    inv_b[horizon + 1] = inv_b[horizon] + sizes ** 2 * inv_e[horizon]
-    return LsiState("dpogl", horizon, S, inv_b, inv_a, inv_h, inv_e, inv_hbar)
-
-
-def lsi_recursion_dpoglplus(structure: GroupStructure, hp: HyperParams, beta: float,
-                            horizon: int) -> LsiState:
-    """LSI reciprocals for dpogl_plus; mechanism terms are per S-epoch window."""
-    _lsi_preconditions(hp)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    M, N = structure.num_groups, structure.num_workers
-    S = hp.inter_group_period
-    mask = _member_mask(structure)
-    sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
-    interval_var = S * (hp.clip * hp.sigma) ** 2
-    spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
-    windows = horizon // S
-    inv_b = np.zeros((horizon + 2, M))
-    inv_a = np.zeros((horizon + 1, M, N))
-    inv_h = np.zeros((horizon + 1, M, N))
-    inv_e = np.zeros((max(windows, 1), M)) if windows else np.zeros((0, M))
-    inv_hbar = np.zeros_like(inv_e)
     window_h_sum = np.zeros(M)  # running sum of member inv_h over the open window
     for t in range(1, horizon + 2):
-        if t == 1:
-            inv_b[t] = 0.0
-        elif is_intergroup_epoch(t, S):
-            q = (t - 1) // S  # window q-1 just completed
-            inv_b[t] = inv_b[t - S] + sizes ** 2 * inv_e[q - 1]
-        else:
+        window_start = (t - 1) % W == 0
+        if not window_start:
             inv_b[t] = inv_b[t - 1] + sizes ** 2 * inv_h[t - 1].sum(axis=1)
+        elif t > 1:  # the previous window's mechanism fired at epoch t - 1
+            inv_b[t] = inv_b[t - W] + sizes ** 2 * inv_e[t - 1]
         if t > horizon:
             break
-        if is_intergroup_epoch(t, S):
+        if window_start:
             window_h_sum = np.zeros(M)
         inv_a[t] = _merge_inv_a(structure, inv_b[t], t, S, mask)
         inv_h[t] = spread * inv_a[t]
-        window_h_sum = window_h_sum + inv_h[t].sum(axis=1)
-        if t % S == 0:  # window (t//S - 1) completes at this epoch
-            q = t // S - 1
-            inv_e[q] = interval_var + window_h_sum
-            inv_hbar[q] = inv_b[t - S + 1] + sizes ** 2 * window_h_sum
-    return LsiState("dpogl_plus", horizon, S, inv_b, inv_a, inv_h, inv_e, inv_hbar)
-
-
-def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
-                  horizon: int) -> LsiState:
-    if hp.algorithm == "dpogl":
-        return lsi_recursion_dpogl(structure, hp, beta, horizon)
-    return lsi_recursion_dpoglplus(structure, hp, beta, horizon)
+        window_h_sum = window_h_sum + inv_h[t].sum(axis=1)  # non-members hold zeros
+        if t % W == 0:  # the window's mechanism fires
+            inv_e[t] = mechanism_var + window_h_sum
+            inv_hbar[t] = inv_b[t - W + 1] + sizes ** 2 * window_h_sum
+    return LsiState(hp.algorithm, horizon, S, inv_b, inv_a, inv_h, inv_e, inv_hbar)
 
 
 def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int,
                    targeted_groups) -> float | np.ndarray:
-    """Degradation factor mu = alpha / (alpha + hbar * c^2 sigma^2) for
+    """Degradation factor mu = alpha / (alpha + hbar * W c^2 sigma^2) for
     leakage transiting ``group``'s mechanism at ``epoch``.
 
     ``hbar`` is the accumulated constant of the pre-noise aggregate (0 while
@@ -358,21 +322,17 @@ def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int
     """
     if group in set(targeted_groups):
         return np.ones_like(np.asarray(alpha, dtype=float)) if np.ndim(alpha) else 1.0
-    S = lsi.inter_group_period
-    if lsi.algorithm == "dpogl":
-        if not 1 <= epoch <= lsi.horizon:
-            raise ValueError("epoch outside the computed LSI horizon")
-        hbar = float(lsi.inv_hbar[epoch, group])
-        var = float((hp.clip[group] * hp.sigma[group]) ** 2)
-    else:
-        if epoch <= S or not is_intergroup_epoch(epoch, S):
-            raise ValueError("dpogl_plus degradation is defined at mechanism-model "
-                             "epochs w*S + 1 with w >= 1")
-        window = (epoch - 1) // S - 1
-        if window >= lsi.inv_hbar.shape[0]:
-            raise ValueError("epoch outside the computed LSI horizon")
-        hbar = float(lsi.inv_hbar[window, group])
-        var = float(S * (hp.clip[group] * hp.sigma[group]) ** 2)
+    W = hp.mechanism_window
+    # The crossing-epoch convention differs by algorithm: dpogl reads the
+    # mechanism that fires at crossing epoch e, dpogl_plus the window that
+    # fired at e - 1.  Both are kept because unifying them changes the
+    # degradation artifacts.
+    fired = epoch - 1 if lsi.algorithm == "dpogl_plus" else epoch
+    if not 1 <= fired <= lsi.horizon or fired % W:
+        raise ValueError("no mechanism of the computed LSI horizon fires at "
+                         f"epoch {fired}")
+    hbar = float(lsi.inv_hbar[fired, group])
+    var = float(W * (hp.clip[group] * hp.sigma[group]) ** 2)
     alpha_arr = np.asarray(alpha, dtype=float)
     if np.any(alpha_arr <= 1):
         raise ValueError("RDP order alpha must exceed 1")
@@ -383,33 +343,16 @@ def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int
 # ---------------------------------------------------------------------------
 # string-topology bound with degradation
 
-def _string_path(adj: np.ndarray, src: int, dst: int) -> list[int]:
-    parent: dict[int, int | None] = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        for v in np.nonzero(adj[u])[0]:
-            if v != u and v not in parent:
-                parent[int(v)] = u
-                queue.append(int(v))
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
 def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
                     n: int, i: int, t: int, alphas,
                     variant: str = "examples_consistent",
                     lsi: LsiState | None = None) -> np.ndarray | None:
     """Degradation-aware RDP bound over an array of orders; strings only.
 
-    Per delivered block w from source group m', the contribution is the
-    full-participation budget (times S for dpogl) attenuated by one mu factor
-    per path group past the source, each evaluated at its crossing epoch
-    S*(w + j - 1) + 1.  Returns None for trusted pairs under dpogl_plus.
+    Per delivered block w from source group m', the contribution is S / W
+    full-participation budgets attenuated by one mu factor per path group
+    past the source, each evaluated at its crossing epoch S*(w + j - 1) + 1.
+    Returns None for trusted pairs under dpogl_plus.
     """
     _check_variant(variant)
     if n == i:
@@ -417,20 +360,20 @@ def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
     if t < 1:
         raise ValueError("t must be >= 1")
     if not is_string(structure):
-        raise ValueError("the degradation bound requires a string structure")
+        raise AccountingPreconditionError(
+            "the degradation bound requires a string structure")
     _lsi_preconditions(hp)
     alphas = np.asarray(alphas, dtype=float)
     if np.any(alphas <= 1):
         raise ValueError("RDP order alpha must exceed 1")
     S = hp.inter_group_period
-    plus = hp.algorithm == "dpogl_plus"
+    per_block = S // hp.mechanism_window
     groups_n = set(structure.groups_of_worker[n])
     groups_i = list(structure.groups_of_worker[i])
     shared = groups_n & set(groups_i)
-    if plus and shared:
+    if hp.algorithm == "dpogl_plus" and shared:
         return None
-    adj = build_adjacency(structure)
-    dist = distance_matrix(adj)
+    dist = distance_matrix(build_adjacency(structure))
     if lsi is None:
         lsi = lsi_recursion(structure, hp, beta, t)
     elif (lsi.algorithm != hp.algorithm or lsi.horizon < t
@@ -447,7 +390,12 @@ def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
             continue
         rho = int(rho)
         m_dst = min((m for m in groups_i if dist[m_src, m] == rho))
-        path = _string_path(adj, m_src, m_dst)
+        # On a string the shortest path is unique: it holds the groups whose
+        # distances from source and destination sum to rho, and hop j is the
+        # one at distance j from the source.
+        from_src, to_dst = dist[m_src].tolist(), dist[m_dst].tolist()
+        on_path = [g for g in range(len(from_src)) if from_src[g] + to_dst[g] == rho]
+        path = sorted(on_path, key=from_src.__getitem__)
         blocks = delivered_block_count(t, S, rho, variant)
         for w in range(1, blocks + 1):
             factor = np.ones_like(alphas)
@@ -455,7 +403,7 @@ def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
                 crossing_epoch = S * (w + j - 1) + 1
                 factor = factor * degradation_mu(lsi, hp, alphas, path[j],
                                                  crossing_epoch, groups_n)
-            total = total + (1 if plus else S) * eps * factor
+            total = total + per_block * eps * factor
     return total
 
 
@@ -521,11 +469,18 @@ def admissible_adversaries(structure: GroupStructure, threat_model: str,
     raise ValueError("threat_model must be 'tm1' or 'tm2'")
 
 
-def _count_and_masks(structure: GroupStructure, hp: HyperParams, t: int,
-                     variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (M, N) delivered counts plus membership/trust masks."""
+def pair_alpha_coefficients(structure: GroupStructure, hp: HyperParams, t: int,
+                            variant: str = "examples_consistent") -> np.ndarray:
+    """(N, N) coefficients K with eps_rdp(alpha) = alpha * K; NaN undefined.
+
+    Row n is the targeted worker, column i the observer.  Cells are undefined
+    on the diagonal and, under tm2 (which dpogl_plus requires), for in-group
+    pairs.
+    """
     _check_variant(variant)
     S = hp.inter_group_period
+    weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
+                        for s, p in zip(hp.sigma, hp.participation)])
     dist = distance_matrix(build_adjacency(structure))
     rt = _gtoh_row(structure, dist)  # (M, N) source-group -> worker distance
     k = (t - 1) // S
@@ -535,110 +490,15 @@ def _count_and_masks(structure: GroupStructure, hp: HyperParams, t: int,
         else:
             blocks = np.maximum(0.0, k - rt)
     blocks[np.isinf(rt)] = 0.0
-    if hp.algorithm == "dpogl":
-        counts = S * blocks
-        counts[rt == 0] = t - 1
-    else:
-        counts = blocks
-        counts[rt == 0] = 0.0  # masked out as trusted below
+    counts = (S // hp.mechanism_window) * blocks
+    counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
     members = _member_mask(structure)
-    shared_pair = (members.T.astype(int) @ (rt == 0).astype(int)) > 0  # (N, N)
-    return counts, members, shared_pair
-
-
-def privacy_matrix(structure: GroupStructure, hp: HyperParams, alpha: float,
-                   t: int, variant: str = "examples_consistent") -> np.ndarray:
-    """(N, N) RDP bounds at order alpha; NaN marks trusted/undefined cells.
-
-    Row n is the targeted worker, column i the observer.  Cells are undefined
-    on the diagonal, for in-group pairs under tm2, and for in-group pairs
-    under dpogl_plus always.
-    """
-    _check_alpha(alpha)
-    weights = np.array([per_step_rdp(alpha, float(s), float(p), "sampled")
-                        for s, p in zip(hp.sigma, hp.participation)])
-    counts, members, shared_pair = _count_and_masks(structure, hp, t, variant)
     matrix = (members.T * weights) @ counts
-    if hp.threat_model == "tm2" or hp.algorithm == "dpogl_plus":
+    if hp.threat_model == "tm2":
+        shared_pair = (members.T.astype(int) @ (rt == 0).astype(int)) > 0  # (N, N)
         matrix[shared_pair] = np.nan
     np.fill_diagonal(matrix, np.nan)
     return matrix
-
-
-def pair_alpha_coefficients(structure: GroupStructure, hp: HyperParams, t: int,
-                            variant: str = "examples_consistent") -> np.ndarray:
-    """(N, N) coefficients K with eps_rdp(alpha) = alpha * K; NaN undefined."""
-    weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
-                        for s, p in zip(hp.sigma, hp.participation)])
-    counts, members, shared_pair = _count_and_masks(structure, hp, t, variant)
-    matrix = (members.T * weights) @ counts
-    if hp.threat_model == "tm2" or hp.algorithm == "dpogl_plus":
-        matrix[shared_pair] = np.nan
-    np.fill_diagonal(matrix, np.nan)
-    return matrix
-
-
-def privacy_matrix_dp(structure: GroupStructure, hp: HyperParams, t: int,
-                      delta: float, alpha_grid=DEFAULT_ALPHA_GRID,
-                      variant: str = "examples_consistent") -> np.ndarray:
-    """(N, N) converted (eps, delta)-DP bounds; exact 0 where no path exists.
-
-    Pairs with zero delivered leakage have identical output distributions, so
-    they are reported as 0 rather than fed through the penalty formula.
-    """
-    _check_delta(delta)
-    grid = _check_grid(alpha_grid)
-    K = pair_alpha_coefficients(structure, hp, t, variant)
-    penalty = math.log(1.0 / delta)
-    best = np.full_like(K, np.inf)
-    for a in grid:
-        candidate = a * K + penalty / (a - 1.0)
-        better = candidate < best
-        best[better] = candidate[better]
-    best[K == 0] = 0.0
-    best[np.isnan(K)] = np.nan
-    return best
-
-
-def pwp_alpha_coefficient(structure: GroupStructure, hp: HyperParams, t: int,
-                          variant: str = "examples_consistent"
-                          ) -> list[float | None]:
-    """Per-worker worst-case coefficient K_n = max over admissible observers.
-
-    None where the threat model leaves no admissible observer.
-    """
-    K = pair_alpha_coefficients(structure, hp, t, variant)
-    out: list[float | None] = []
-    for n in range(structure.num_workers):
-        adversaries = admissible_adversaries(structure, hp.threat_model, n)
-        if not adversaries:
-            out.append(None)
-            continue
-        out.append(float(max(K[n, i] for i in adversaries)))
-    return out
-
-
-def pwp_bounds(structure: GroupStructure, hp: HyperParams, t: int, delta: float,
-               alpha_grid=DEFAULT_ALPHA_GRID,
-               variant: str = "examples_consistent"
-               ) -> list[tuple[int, float, float, float]]:
-    """Per-worker (worker, eps_rdp, alpha_star, eps_dp) rows at epoch t.
-
-    Workers without an admissible observer are omitted.  Workers whose
-    leakage coefficient is exactly 0 report 0 for both epsilons (identical
-    distributions); alpha_star is then the penalty minimizer.
-    """
-    grid = [float(a) for a in alpha_grid]
-    rows = []
-    for n, coeff in enumerate(pwp_alpha_coefficient(structure, hp, t, variant)):
-        if coeff is None:
-            continue
-        eps_dp, alpha_star = rdp_to_dp([a * coeff for a in grid], delta, grid)
-        if coeff == 0.0:
-            rows.append((n, 0.0, alpha_star, 0.0))
-        else:
-            rows.append((n, alpha_star * coeff, alpha_star, eps_dp))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +510,8 @@ def thm2_curve_matrix(structure: GroupStructure, hp: HyperParams, beta: float,
                       lsi: LsiState | None = None) -> np.ndarray:
     """(N, N, G) degradation-aware curves over the grid; NaN marks trusted.
 
-    Cells are NaN on the diagonal, for in-group pairs under tm2, and for
-    in-group pairs under dpogl_plus regardless of the threat model.
+    Cells are NaN on the diagonal and, under tm2 (which dpogl_plus
+    requires), for in-group pairs.
     """
     alphas = np.array(_check_grid(alpha_grid))
     if lsi is None:
@@ -666,10 +526,8 @@ def thm2_curve_matrix(structure: GroupStructure, hp: HyperParams, beta: float,
                 continue
             if hp.threat_model == "tm2" and shared_pair[n, i]:
                 continue
-            curve = thm2_pair_curve(structure, hp, beta, n, i, t, alphas,
-                                    variant, lsi)
-            if curve is not None:
-                curves[n, i] = curve
+            curves[n, i] = thm2_pair_curve(structure, hp, beta, n, i, t, alphas,
+                                           variant, lsi)
     return curves
 
 

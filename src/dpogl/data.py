@@ -49,11 +49,13 @@ def make_synthetic(num_classes: int, dims: int, per_class: int, seed: int) -> Da
 
 
 def load_csv(path: str, num_classes: int | None = None) -> Dataset:
-    """Read rows of ``f1,...,fu,label`` into a Dataset."""
+    """Read rows of ``f1,...,fu,label`` into a Dataset; features must be finite."""
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.shape[1] < 2:
         raise ValueError("CSV rows need at least one feature column plus a label")
     feats = raw[:, :-1].astype(np.float64)
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features must be finite (no nan or inf)")
     labels_f = raw[:, -1]
     labels = labels_f.astype(np.int64)
     if not np.array_equal(labels_f, labels):

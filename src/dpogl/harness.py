@@ -9,10 +9,10 @@ A run writes, inside the configured output directory:
 
 Floats are serialized with 17 significant digits and the manifest carries no
 timestamps, so rerunning the same config reproduces every file byte for byte.
-Accountant precondition failures (sigma = 0, degradation bound on a topology
-that is not a string, ...) disable the accounting outputs only; training
-outputs are still emitted and the manifest records the reason under
-"accounting_error".
+Accountant precondition failures (``AccountingPreconditionError``: sigma = 0,
+degradation bound on a topology that is not a string, ...) disable the
+accounting outputs only; training outputs are still emitted and the manifest
+records the reason under "accounting_error".  Any other error propagates.
 """
 
 from __future__ import annotations
@@ -364,8 +364,9 @@ def _write_lines(path: Path, header: str, rows) -> None:
 def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
                     hp: HyperParams, train_set: Dataset, out: Path
                     ) -> list[str]:
-    """Emit pwp.csv and the heatmaps; raises ValueError on precondition
-    failures so the caller can record them without touching training output."""
+    """Emit pwp.csv and the heatmaps; raises AccountingPreconditionError on
+    precondition failures so the caller can record them without touching
+    training output."""
     grid = config.alpha_grid
     horizon = max((config.epochs, *config.heatmap_epochs))
     if config.bound == "degradation":
@@ -438,7 +439,7 @@ def run_experiment(config: ExperimentConfig, with_training: bool = True
     accounting_error = None
     try:
         outputs.extend(_run_accounting(config, structure, hp, train_set, out))
-    except ValueError as exc:
+    except accountant.AccountingPreconditionError as exc:
         accounting_error = str(exc)
     manifest = {
         "config_hash": config.config_hash(),

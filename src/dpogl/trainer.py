@@ -5,11 +5,12 @@ group keeps a model.  Epochs with ``(t - 1) % S == 0`` are inter-group
 epochs: a worker initializes local training from the mean of the models of
 all groups it belongs to, otherwise from its group's model.
 
-``dpogl`` clips each sampled worker's update and adds Gaussian noise every
-epoch.  ``dpogl_plus`` samples workers once per S-epoch window, applies raw
-(unclipped, noise-free) updates inside the window, and fires a single
-clipped-and-noised mechanism over the accumulated per-worker updates at the
-window boundary, replaying it on top of the window-start model.
+Both algorithms run one round function parameterised by the mechanism
+window W (``HyperParams.mechanism_window``).  Workers are sampled once per
+W-epoch window, apply raw (unclipped, noise-free) updates inside it, and a
+single clipped-and-noised mechanism over the accumulated per-worker updates
+fires at the window's last epoch, replayed on top of the window-start model.
+``dpogl`` is W = 1 (one mechanism per epoch); ``dpogl_plus`` is W = S.
 """
 
 from __future__ import annotations
@@ -90,10 +91,21 @@ class HyperParams:
             raise ValueError(f"threat_model must be one of {THREAT_MODELS}")
         if self.algorithm == "dpogl_plus" and self.threat_model == "tm1":
             raise ValueError("dpogl_plus has no in-group privacy bound; use threat_model='tm2'")
-        if (self.algorithm == "dpogl_plus" and self.epochs > 0
-                and self.epochs < self.inter_group_period):
+        if 0 < self.epochs < self.mechanism_window:
             raise ValueError("dpogl_plus needs epochs >= inter_group_period so that "
                              "at least one mechanism epoch occurs")
+
+    @property
+    def mechanism_window(self) -> int:
+        """W, the epochs covered by one mechanism: 1 for dpogl, S for dpogl_plus."""
+        return mechanism_window(self.algorithm, self.inter_group_period)
+
+
+def mechanism_window(algorithm: str, period: int) -> int:
+    """Window length W of ``algorithm`` at inter-group period ``period``."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    return period if algorithm == "dpogl_plus" else 1
 
 
 def is_intergroup_epoch(t: int, period: int) -> bool:
@@ -179,58 +191,38 @@ def _worker_init(structure: GroupStructure, snapshot: np.ndarray, worker: int,
     return snapshot[group].copy()
 
 
-def group_round_dpogl(structure: GroupStructure, hp: HyperParams, train: Dataset,
-                      partition: list[np.ndarray], snapshot: np.ndarray,
-                      group: int, epoch: int) -> np.ndarray:
-    """One DP-OGL epoch for one group; returns the group's next model."""
-    members = structure.members_of_group[group]
-    intergroup = is_intergroup_epoch(epoch, hp.inter_group_period)
-    sampled = poisson_sample(members, float(hp.participation[group]),
-                             derive_stream(hp.seed, "sampling", group, epoch))
-    delta_sum = np.zeros(snapshot.shape[1])
-    for n in sampled:
-        x0 = _worker_init(structure, snapshot, n, group, intergroup)
-        idx = partition[n]
-        xL = local_train(x0, train.features[idx], train.labels[idx], train.num_classes,
-                         hp, derive_stream(hp.seed, "batch", group, epoch, n))
-        delta_sum += clip_update(xL - x0, float(hp.clip[group]))
-    std = float(hp.clip[group] * hp.sigma[group]) if hp.sigma[group] > 0 else 0.0
-    delta_sum += mechanism_noise(hp.seed, group, epoch, snapshot.shape[1], std)
-    scale = float(hp.participation[group]) * len(members)
-    return snapshot[group] + delta_sum / scale
-
-
 @dataclass
-class PlusGroupState:
-    """Per-group bookkeeping for dpogl_plus across one S-epoch window."""
+class WindowState:
+    """Per-group bookkeeping across one mechanism window."""
 
-    anchor: np.ndarray                       # model at the window-start epoch
+    anchor: np.ndarray | None = None         # model at the window-start epoch
     sampled: list[int] = field(default_factory=list)
     accum: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def group_round_dpoglplus(structure: GroupStructure, hp: HyperParams, train: Dataset,
-                          partition: list[np.ndarray], snapshot: np.ndarray,
-                          state: PlusGroupState, group: int, epoch: int) -> np.ndarray:
-    """One dpogl_plus epoch for one group; mutates ``state``, returns next model.
+def group_round(structure: GroupStructure, hp: HyperParams, train: Dataset,
+                partition: list[np.ndarray], snapshot: np.ndarray,
+                state: WindowState, group: int, epoch: int) -> np.ndarray:
+    """One epoch for one group; mutates ``state``, returns the next model.
 
     Workers are sampled only at window starts and stay fixed for the window;
-    non-sampled workers are inactive for the whole window.  The clipped,
-    noised interval mechanism fires when the window completes (epoch % S == 0)
-    and is applied on top of the window-start anchor model.
+    non-sampled workers are inactive for the whole window.  The mechanism
+    (per-worker clip at sqrt(W) c, noise std sqrt(W) c sigma) fires when the
+    window completes (epoch % W == 0) and is applied on top of the
+    window-start anchor model.
     """
     members = structure.members_of_group[group]
-    S = hp.inter_group_period
+    W = hp.mechanism_window
     v = snapshot.shape[1]
-    if is_intergroup_epoch(epoch, S):  # window start
+    if (epoch - 1) % W == 0:  # window start
         state.anchor = snapshot[group].copy()
         state.sampled = poisson_sample(members, float(hp.participation[group]),
                                        derive_stream(hp.seed, "sampling", group, epoch))
         state.accum = {n: np.zeros(v) for n in state.sampled}
+    intergroup = is_intergroup_epoch(epoch, hp.inter_group_period)
     raw_sum = np.zeros(v)
     for n in state.sampled:
-        x0 = _worker_init(structure, snapshot, n, group,
-                          is_intergroup_epoch(epoch, S))
+        x0 = _worker_init(structure, snapshot, n, group, intergroup)
         idx = partition[n]
         xL = local_train(x0, train.features[idx], train.labels[idx], train.num_classes,
                          hp, derive_stream(hp.seed, "batch", group, epoch, n))
@@ -238,12 +230,12 @@ def group_round_dpoglplus(structure: GroupStructure, hp: HyperParams, train: Dat
         state.accum[n] += delta
         raw_sum += delta
     scale = float(hp.participation[group]) * len(members)
-    if epoch % S == 0:  # window complete: clipped interval mechanism
-        interval_clip = math.sqrt(S) * float(hp.clip[group])
+    if epoch % W == 0:  # window complete: clipped, noised mechanism
+        window_clip = math.sqrt(W) * float(hp.clip[group])
         delta_sum = np.zeros(v)
         for n in state.sampled:
-            delta_sum += clip_update(state.accum[n], interval_clip)
-        std = (math.sqrt(S) * float(hp.clip[group] * hp.sigma[group])
+            delta_sum += clip_update(state.accum[n], window_clip)
+        std = (math.sqrt(W) * float(hp.clip[group] * hp.sigma[group])
                if hp.sigma[group] > 0 else 0.0)
         delta_sum += mechanism_noise(hp.seed, group, epoch, v, std)
         return state.anchor + delta_sum / scale
@@ -282,18 +274,13 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     theta = np.zeros((structure.num_groups, v))
     trajectory = [theta.copy()]
     metrics: list[EpochMetrics] = []
-    plus_states = [PlusGroupState(anchor=theta[m].copy())
-                   for m in range(structure.num_groups)]
+    states = [WindowState() for _ in range(structure.num_groups)]
     for t in range(1, hp.epochs + 1):
         snapshot = theta.copy()
         new_theta = np.empty_like(theta)
         for m in range(structure.num_groups):
-            if hp.algorithm == "dpogl":
-                new_theta[m] = group_round_dpogl(structure, hp, train, partition,
-                                                 snapshot, m, t)
-            else:
-                new_theta[m] = group_round_dpoglplus(structure, hp, train, partition,
-                                                     snapshot, plus_states[m], m, t)
+            new_theta[m] = group_round(structure, hp, train, partition, snapshot,
+                                       states[m], m, t)
         theta = new_theta
         trajectory.append(theta.copy())
         metrics.append(_epoch_metrics(structure, theta, train, partition, test, t))

@@ -56,6 +56,18 @@ def _shares_group(structure: GroupStructure, n: int, i: int) -> bool:
                 & set(structure.groups_of_worker[i]))
 
 
+def _pwp_rows(structure: GroupStructure, hp: HyperParams, t: int,
+              delta: float) -> list:
+    curves = acc.delay_curve_matrix(structure, hp, t)
+    return acc.pwp_rows_from_curves(curves, structure, hp.threat_model, delta)
+
+
+def _dp_matrix(structure: GroupStructure, hp: HyperParams, t: int,
+               delta: float) -> np.ndarray:
+    return acc.dp_matrix_from_curves(acc.delay_curve_matrix(structure, hp, t),
+                                     delta)
+
+
 def test_criterion_01_single_group_linear_budget():
     start = time.monotonic()
     structure = generate_structure("GL", 4, 1)
@@ -116,15 +128,15 @@ def test_criterion_03_interval_mechanism_single_budget():
     eps_step = acc.per_step_rdp(alpha, 2.0, 1.0)
     eps_full = alpha / (2.0 * 2.0 ** 2)
 
-    assert acc.thm1_plus_pair_bound(structure, hp, alpha, 0, 2, t) == eps_step
-    assert acc.thm1_plus_pair_bound(structure, hp, alpha, 2, 0, t) == eps_step
+    assert acc.thm1_pair_bound(structure, hp, alpha, 0, 2, t) == eps_step
+    assert acc.thm1_pair_bound(structure, hp, alpha, 2, 0, t) == eps_step
     assert acc.thm2_pair_bound(structure, hp, beta, alpha, 0, 2, t) == eps_full
     assert acc.thm2_pair_bound(structure, hp, beta, alpha, 2, 0, t) == eps_full
     for n, i in ((0, 1), (1, 0), (1, 2), (2, 1)):
-        assert acc.thm1_plus_pair_bound(structure, hp, alpha, n, i, t) is None
+        assert acc.thm1_pair_bound(structure, hp, alpha, n, i, t) is None
         assert acc.thm2_pair_bound(structure, hp, beta, alpha, n, i, t) is None
 
-    mat = acc.privacy_matrix(structure, hp, alpha, t)
+    mat = acc.delay_curve_matrix(structure, hp, t, (alpha,))[:, :, 0]
     expected_trusted = np.array([[True, True, False],
                                  [True, True, True],
                                  [False, True, True]])
@@ -181,8 +193,8 @@ def test_criterion_05_interval_variant_removes_period_factor():
                         for alpha in (2.0, 3.0):
                             base = acc.thm1_pair_bound(structure, hp_base,
                                                        alpha, n, i, t)
-                            plus = acc.thm1_plus_pair_bound(structure, hp_plus,
-                                                            alpha, n, i, t)
+                            plus = acc.thm1_pair_bound(structure, hp_plus,
+                                                       alpha, n, i, t)
                             assert plus * period == base
                             checked += 1
     assert time.monotonic() - start < 30.0
@@ -357,7 +369,7 @@ def test_criterion_10_per_worker_privacy_curves():
         hp = _hp(m, inter_group_period=3, participation=0.7)
         last: dict[int, float] = {}
         for t in range(1, 13):
-            for n, _eps_rdp, _order, eps_dp in acc.pwp_bounds(
+            for n, _eps_rdp, _order, eps_dp in _pwp_rows(
                     structure, hp, t, delta):
                 assert eps_dp >= last.get(n, 0.0) - 1e-12
                 last[n] = eps_dp
@@ -369,8 +381,8 @@ def test_criterion_10_per_worker_privacy_curves():
     hp1 = _hp(1, inter_group_period=3, participation=0.7)
     hp3 = _hp(3, inter_group_period=3, participation=0.7)
     for t in range(1, 11):
-        reference = acc.pwp_bounds(single, hp1, t, delta)[0][1:]
-        for row in acc.pwp_bounds(clusters, hp3, t, delta):
+        reference = _pwp_rows(single, hp1, t, delta)[0][1:]
+        for row in _pwp_rows(clusters, hp3, t, delta):
             assert row[1:] == reference
     assert time.monotonic() - start < 10.0
     _report(10, "per-worker privacy is nondecreasing in t and cluster curves "
@@ -382,7 +394,7 @@ def test_criterion_11_heatmap_structure():
     delta = 1e-5
 
     clusters = generate_structure("CL", 6, 2)
-    mat = acc.privacy_matrix_dp(clusters, _hp(2, participation=0.7), 6, delta)
+    mat = _dp_matrix(clusters, _hp(2, participation=0.7), 6, delta)
     for n in range(6):
         for i in range(6):
             if n == i:
@@ -401,8 +413,8 @@ def test_criterion_11_heatmap_structure():
         return min(dist[a, b] for a in ring.groups_of_worker[n]
                    for b in ring.groups_of_worker[i])
 
-    mat10 = acc.privacy_matrix_dp(ring, hp10, 60, delta)
-    mat25 = acc.privacy_matrix_dp(ring, hp25, 60, delta)
+    mat10 = _dp_matrix(ring, hp10, 60, delta)
+    mat25 = _dp_matrix(ring, hp25, 60, delta)
     for n in range(12):
         cells = [(pair_distance(n, i), mat10[n, i])
                  for i in range(12) if i != n]

@@ -35,7 +35,7 @@ def test_per_step_rdp_closed_forms():
 def test_per_step_rdp_rejects_bad_inputs():
     with pytest.raises(ValueError):
         acc.per_step_rdp(1.0, 2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(acc.AccountingPreconditionError):
         acc.per_step_rdp(2.0, 0.0)
     with pytest.raises(ValueError):
         acc.per_step_rdp(2.0, 2.0, 1.5)
@@ -92,6 +92,19 @@ def test_pair_counts_basic_contract():
     assert acc.thm1_pair_counts(disconnected, 2, 0, 3, 9) == {0: 0}
 
 
+def test_thm1_pair_bound_reads_the_algorithm():
+    """dpogl_plus fires one interval mechanism per block and trusts in-group
+    pairs; the pair bound must not count it as dpogl."""
+    st = chain(2)
+    hp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2",
+                 inter_group_period=2, sigma=2.0, participation=1.0)
+    assert acc.thm1_pair_bound(st, hp, 3.0, 0, 1, 4) is None
+    assert acc.thm1_pair_bound(st, hp, 3.0, 0, 2, 4) == 1.5
+    assert acc.thm1_pair_bound(st, make_hp(2), 3.0, 0, 2, 4) == 3.0
+    with pytest.raises(ValueError):
+        acc.thm1_pair_bound(st, hp, 3.0, 1, 1, 4)
+
+
 def test_oracle_matches_closed_form_on_a_chain():
     st = chain(3)
     for S in (1, 2, 3):
@@ -137,7 +150,7 @@ def test_lsi_matches_straight_line_reimplementation():
     eta, betav, L = 1.0, 1.0, 1
     hp = make_hp(1, learning_rate=eta, local_iterations=L, clip=0.5,
                  sigma=2.0, inter_group_period=1)
-    lsi = acc.lsi_recursion_dpogl(st, hp, betav, 3)
+    lsi = acc.lsi_recursion(st, hp, betav, 3)
     spread = (1.0 + (1.0 + eta * betav) ** L) ** 2
     assert spread == 9.0
     var = (0.5 * 2.0) ** 2
@@ -163,7 +176,7 @@ def test_lsi_merge_averages_across_groups():
     the shared worker's constant adds the reciprocals of both groups."""
     st = chain(2)
     hp = make_hp(2, inter_group_period=2)
-    lsi = acc.lsi_recursion_dpogl(st, hp, 1.3, 4)
+    lsi = acc.lsi_recursion(st, hp, 1.3, 4)
     # epoch 3 is an inter-group epoch ((3-1) % 2 == 0)
     shared = 1  # worker 1 sits in both groups
     assert np.allclose(lsi.inv_a[3, 0, shared],
@@ -182,11 +195,9 @@ def test_lsi_plus_with_period_one_matches_dpogl():
                    threat_model="tm2")
     a = acc.lsi_recursion(st, hp_a, 0.9, 6)
     b = acc.lsi_recursion(st, hp_b, 0.9, 6)
-    assert np.allclose(a.inv_b[:7], b.inv_b[:7])
-    assert np.allclose(a.inv_h, b.inv_h)
-    for t in range(1, 7):
-        assert np.allclose(a.inv_e[t], b.inv_e[t - 1])
-        assert np.allclose(a.inv_hbar[t], b.inv_hbar[t - 1])
+    # at S=1 both algorithms fire one mechanism per epoch: same window W=1
+    for name in ("inv_b", "inv_a", "inv_h", "inv_e", "inv_hbar"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_lsi_plus_windows_accumulate_whole_window():
@@ -195,25 +206,26 @@ def test_lsi_plus_windows_accumulate_whole_window():
     hp = make_hp(2, inter_group_period=S, algorithm="dpogl_plus",
                  threat_model="tm2")
     lsi = acc.lsi_recursion(st, hp, 1.1, 6)
-    assert lsi.inv_e.shape == (2, 2)
+    assert lsi.inv_e.shape == (7, 2)
+    # mechanisms fire only at the last epoch of each window
+    for t in (0, 1, 2, 4, 5):
+        assert not lsi.inv_e[t].any() and not lsi.inv_hbar[t].any()
     interval_var = S * (0.5 * 2.0) ** 2
-    # window 0 covers epochs 1..3
+    # window 0 covers epochs 1..3 and fires at epoch 3
     want = interval_var + sum(lsi.inv_h[t].sum(axis=1) for t in range(1, 4))
-    assert np.allclose(lsi.inv_e[0], want)
+    assert np.allclose(lsi.inv_e[3], want)
     sizes = np.array([2.0, 2.0])
     want_hbar = lsi.inv_b[1] + sizes ** 2 * sum(
         lsi.inv_h[t].sum(axis=1) for t in range(1, 4))
-    assert np.allclose(lsi.inv_hbar[0], want_hbar)
+    assert np.allclose(lsi.inv_hbar[3], want_hbar)
 
 
 def test_lsi_preconditions():
     st = chain(2)
-    with pytest.raises(ValueError):
-        acc.lsi_recursion(st, make_hp(2, participation=0.7), 1.0, 4)
-    with pytest.raises(ValueError):
-        acc.lsi_recursion(st, make_hp(2, clip=math.inf, sigma=0.0), 1.0, 4)
-    with pytest.raises(ValueError):
-        acc.lsi_recursion(st, make_hp(2, sigma=0.0), 1.0, 4)
+    for hp in (make_hp(2, participation=0.7),
+               make_hp(2, clip=math.inf, sigma=0.0), make_hp(2, sigma=0.0)):
+        with pytest.raises(acc.AccountingPreconditionError):
+            acc.lsi_recursion(st, hp, 1.0, 4)
     with pytest.raises(ValueError):
         acc.lsi_recursion(st, make_hp(2), 1.0, 0)
 
@@ -256,9 +268,10 @@ def test_degradation_mu_plus_window_indexing():
     lsi = acc.lsi_recursion(st, hp, 1.5, 6)
     alpha = 2.5
     var = S * (0.5 * 2.0) ** 2
-    # epoch 3 = first post-mechanism model; consumes window 0
+    # epoch 3 = first post-mechanism model; consumes window 0, which fired
+    # at epoch 2
     mu = acc.degradation_mu(lsi, hp, alpha, 1, 3, ())
-    assert mu == alpha / (alpha + lsi.inv_hbar[0, 1] * var)
+    assert mu == alpha / (alpha + lsi.inv_hbar[2, 1] * var)
     for bad_epoch in (1, 2, 4):  # window start or mid-window epochs
         with pytest.raises(ValueError):
             acc.degradation_mu(lsi, hp, alpha, 1, bad_epoch, ())
@@ -273,9 +286,9 @@ def golden_string():
 
 def test_thm2_requires_strings_and_full_participation():
     hp = make_hp(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(acc.AccountingPreconditionError):
         acc.thm2_pair_bound(generate_structure("RI", 8, 4), hp, 1.0, 2.0, 0, 3, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(acc.AccountingPreconditionError):
         acc.thm2_pair_bound(golden_string(), make_hp(2, participation=0.5),
                             1.0, 2.0, 0, 2, 5)
 
@@ -389,73 +402,103 @@ def test_admissible_adversaries_by_threat_model():
 
 
 def test_privacy_matrix_agrees_with_scalar_bounds():
+    """The delay curve tensor equals the scalar pair bound at every order."""
     st = generate_structure("RI", 8, 4)
     hp = make_hp(4, participation=0.6, sigma=[1.0, 2.0, 1.5, 2.5])
-    alpha = 3.0
-    mat = acc.privacy_matrix(st, hp, alpha, 9)
+    grid = (1.5, 3.0, 8.0)
+    curves = acc.delay_curve_matrix(st, hp, 9, grid)
     for n in range(8):
-        assert math.isnan(mat[n, n])
+        assert np.isnan(curves[n, n]).all()
         for i in range(8):
             if n == i:
                 continue
-            assert mat[n, i] == pytest.approx(
-                acc.thm1_pair_bound(st, hp, alpha, n, i, 9), rel=1e-12)
+            for k, alpha in enumerate(grid):
+                assert curves[n, i, k] == pytest.approx(
+                    acc.thm1_pair_bound(st, hp, alpha, n, i, 9), rel=1e-12)
     coeff = acc.pair_alpha_coefficients(st, hp, 9)
-    valid = ~np.isnan(mat)
-    assert np.allclose(mat[valid], (alpha * coeff)[valid])
+    valid = ~np.isnan(curves)
+    assert np.allclose(curves[valid],
+                       (coeff[:, :, None] * np.array(grid))[valid])
 
 
 def test_privacy_matrix_masks_trusted_cells():
     st = golden_string()
     hp2 = make_hp(2, threat_model="tm2")
-    mat = acc.privacy_matrix(st, hp2, 2.0, 6)
+    mat = acc.delay_curve_matrix(st, hp2, 6, (2.0,))[:, :, 0]
     assert math.isnan(mat[0, 1]) and math.isnan(mat[1, 2])
     assert not math.isnan(mat[0, 2])
     hpp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2")
-    matp = acc.privacy_matrix(st, hpp, 2.0, 6)
+    matp = acc.delay_curve_matrix(st, hpp, 6, (2.0,))[:, :, 0]
     assert math.isnan(matp[0, 1])
     assert matp[0, 2] == pytest.approx(
-        acc.thm1_plus_pair_bound(st, hpp, 2.0, 0, 2, 6), rel=1e-12)
+        acc.thm1_pair_bound(st, hpp, 2.0, 0, 2, 6), rel=1e-12)
 
 
 def test_privacy_matrix_dp_zeros_and_conversion():
     st = generate_structure("CL", 6, 2)
     hp = make_hp(2, participation=0.7)
-    dp = acc.privacy_matrix_dp(st, hp, 8, 1e-5)
+    dp = acc.dp_matrix_from_curves(acc.delay_curve_matrix(st, hp, 8), 1e-5)
     # disjoint clusters never exchange anything
     assert dp[0, 5] == 0.0 and dp[3, 1] == 0.0
-    K = acc.pair_alpha_coefficients(st, hp, 8)
-    eps, _ = acc.rdp_to_dp(lambda a: K[0, 1] * a, 1e-5)
+    eps, _ = acc.rdp_to_dp(lambda a: acc.thm1_pair_bound(st, hp, a, 0, 1, 8), 1e-5)
     assert dp[0, 1] == pytest.approx(eps, rel=1e-12)
     assert math.isnan(dp[2, 2])
 
 
+def _scalar_pwp_row(st, hp, n, t, delta, grid=acc.DEFAULT_ALPHA_GRID):
+    """Per-worker envelope and conversion from the scalar references."""
+    adversaries = acc.admissible_adversaries(st, hp.threat_model, n)
+    curve = [max(acc.thm1_pair_bound(st, hp, a, n, i, t) for i in adversaries)
+             for a in grid]
+    return curve, acc.rdp_to_dp(curve, delta, grid)
+
+
 def test_pwp_bounds_and_curve_assembly_agree():
+    """Curve-path rows and heatmap cells match the scalar pair bounds pushed
+    through rdp_to_dp."""
     st = generate_structure("RI", 8, 4)
     hp = make_hp(4, participation=0.9, sigma=1.8)
     t, delta = 13, 1e-6
-    rows_coeff = acc.pwp_bounds(st, hp, t, delta)
+    grid = list(acc.DEFAULT_ALPHA_GRID)
     curves = acc.delay_curve_matrix(st, hp, t)
-    rows_curve = acc.pwp_rows_from_curves(curves, st, hp.threat_model, delta)
-    assert rows_coeff == rows_curve
-    dp_fast = acc.privacy_matrix_dp(st, hp, t, delta)
-    dp_generic = acc.dp_matrix_from_curves(curves, delta)
-    assert np.allclose(dp_fast, dp_generic, equal_nan=True)
+    rows = acc.pwp_rows_from_curves(curves, st, hp.threat_model, delta)
+    assert [r[0] for r in rows] == list(range(8))
+    for n, eps_rdp, alpha_star, eps_dp in rows:
+        curve, (want_dp, want_alpha) = _scalar_pwp_row(st, hp, n, t, delta)
+        assert alpha_star == want_alpha
+        assert eps_dp == pytest.approx(want_dp, rel=1e-12)
+        assert eps_rdp == pytest.approx(curve[grid.index(alpha_star)], rel=1e-12)
+    dp = acc.dp_matrix_from_curves(curves, delta)
+    for n in range(8):
+        for i in range(8):
+            if n == i:
+                continue
+            want, _ = acc.rdp_to_dp(
+                lambda a: acc.thm1_pair_bound(st, hp, a, n, i, t), delta)
+            assert dp[n, i] == pytest.approx(want, rel=1e-12)
 
 
 def test_pwp_bounds_contract():
     st = golden_string()
     hp = make_hp(2, participation=0.7)
-    rows = acc.pwp_bounds(st, hp, 1, 1e-5)
+
+    def rows_at(structure, params, t):
+        curves = acc.delay_curve_matrix(structure, params, t)
+        return acc.pwp_rows_from_curves(curves, structure, params.threat_model, 1e-5)
+
+    rows = rows_at(st, hp, 1)
     assert [r[0] for r in rows] == [0, 1, 2]
     for _, eps_rdp, alpha_star, eps_dp in rows:
         assert eps_rdp == 0.0 and eps_dp == 0.0
         assert alpha_star == acc.DEFAULT_ALPHA_GRID[-1]
-    later = acc.pwp_bounds(st, hp, 9, 1e-5)
+    later = rows_at(st, hp, 9)
     assert all(r[3] > 0 for r in later)
+    for n, eps_rdp, _, eps_dp in later:
+        _, (want_dp, _) = _scalar_pwp_row(st, hp, n, 9, 1e-5)
+        assert eps_dp == pytest.approx(want_dp, rel=1e-12)
     # a worker whose whole world is trusted has no defined bound
     gl = generate_structure("GL", 4, 1)
-    assert acc.pwp_bounds(gl, make_hp(1, threat_model="tm2"), 9, 1e-5) == []
+    assert rows_at(gl, make_hp(1, threat_model="tm2"), 9) == []
 
 
 def test_thm2_curve_matrix_matches_pairwise_calls():

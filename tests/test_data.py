@@ -47,6 +47,10 @@ def test_load_csv_round_trip(tmp_path):
     bad.write_text("1.0,0.5\n")  # fractional label
     with pytest.raises(ValueError):
         load_csv(str(bad))
+    for token in ("nan", "inf", "-inf"):
+        bad.write_text(f"0.5,1.5,0\n{token},2.0,1\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_csv(str(bad))
 
 
 def test_stratified_split_is_per_class_and_exact():

@@ -177,8 +177,10 @@ def test_pwp_csv_matches_accountant(tmp_path):
         by_epoch.setdefault(int(t), []).append(
             (int(n), float(eps_rdp), float(alpha_star), float(eps_dp)))
     for t in range(1, config.epochs + 1):
-        want = acc.pwp_bounds(structure, hp, t, config.delta,
-                              config.alpha_grid, config.variant)
+        curves = acc.delay_curve_matrix(structure, hp, t, config.alpha_grid,
+                                        config.variant)
+        want = acc.pwp_rows_from_curves(curves, structure, hp.threat_model,
+                                        config.delta, config.alpha_grid)
         assert by_epoch[t] == want  # 17 significant digits round-trip
 
 
@@ -218,6 +220,19 @@ def test_accounting_failure_keeps_training_outputs(tmp_path):
     manifest2 = run_experiment(noiseless)
     assert "noise" in manifest2["accounting_error"]
     assert manifest2["outputs"] == ["metrics.csv"]
+
+
+def test_accounting_invariant_violations_propagate(tmp_path, monkeypatch):
+    """Only documented preconditions become an accounting_error; any other
+    ValueError inside accounting is a fault and escapes run_experiment."""
+    assert issubclass(acc.AccountingPreconditionError, ValueError)
+
+    def broken(*args, **kwargs):
+        raise ValueError("undefined pair among admissible observers")
+
+    monkeypatch.setattr(acc, "pwp_rows_from_curves", broken)
+    with pytest.raises(ValueError, match="undefined pair"):
+        run_experiment(make_config(tmp_path), with_training=False)
 
 
 def test_degradation_bound_pipeline_on_a_string(tmp_path):

@@ -1,5 +1,6 @@
 """Training loop semantics: merges, clipping, sampling, epoch mechanics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from dpogl import models
 from dpogl.data import Dataset, make_synthetic
 from dpogl.rng import derive_stream
 from dpogl.topology import GroupStructure, generate_structure
-from dpogl.trainer import (HyperParams, PlusGroupState, clip_update,
-                           group_round_dpogl, group_round_dpoglplus,
+from dpogl.trainer import (HyperParams, WindowState, clip_update, group_round,
                            is_intergroup_epoch, local_train, mechanism_noise,
                            personalize, poisson_sample, run_training,
                            worker_merge)
@@ -40,6 +40,16 @@ def test_hyperparams_broadcast_and_validate():
     with pytest.raises(ValueError):
         simple_hp(algorithm="dpogl_plus", threat_model="tm2", epochs=1,
                   inter_group_period=2)
+
+
+def test_mechanism_window_is_derived_not_configured():
+    assert simple_hp(inter_group_period=3).mechanism_window == 1
+    plus = simple_hp(algorithm="dpogl_plus", threat_model="tm2",
+                     inter_group_period=3, epochs=6)
+    assert plus.mechanism_window == 3
+    assert "mechanism_window" not in {f.name for f in dataclasses.fields(HyperParams)}
+    with pytest.raises(AttributeError):
+        plus.mechanism_window = 1
 
 
 def test_is_intergroup_epoch_pattern():
@@ -134,7 +144,7 @@ def test_group_round_dpogl_matches_manual_composition():
     snapshot = rng_state.standard_normal((2, v))
     partition = [np.arange(0, 8), np.arange(8, 16), np.arange(16, 24)]
     epoch, group = 3, 1  # (3-1) % 2 == 0: inter-group epoch
-    got = group_round_dpogl(st, hp, ds, partition, snapshot, group, epoch)
+    got = group_round(st, hp, ds, partition, snapshot, WindowState(), group, epoch)
 
     sampled = poisson_sample(st.members_of_group[group], 0.8,
                              derive_stream(21, "sampling", group, epoch))
@@ -159,9 +169,9 @@ def test_group_round_dpoglplus_window_mechanism():
     v = models.param_dim(2, 2)
     partition = [np.arange(0, 8), np.arange(8, 16), np.arange(16, 24)]
     theta = np.zeros((2, v))
-    state = PlusGroupState(anchor=theta[0].copy())
+    state = WindowState()
     # epoch 1 opens the window: raw (unclipped, noise-free) update
-    out1 = group_round_dpoglplus(st, hp, ds, partition, theta, state, 0, 1)
+    out1 = group_round(st, hp, ds, partition, theta, state, 0, 1)
     anchor = theta[0].copy()
     assert np.array_equal(state.anchor, anchor)
     raw = np.zeros(v)
@@ -177,7 +187,7 @@ def test_group_round_dpoglplus_window_mechanism():
     snapshot2 = theta.copy()
     snapshot2[0] = out1
     accum_before = {n: a.copy() for n, a in state.accum.items()}
-    out2 = group_round_dpoglplus(st, hp, ds, partition, snapshot2, state, 0, 2)
+    out2 = group_round(st, hp, ds, partition, snapshot2, state, 0, 2)
     delta_sum = np.zeros(v)
     for n in state.sampled:
         x0 = snapshot2[0].copy()  # epoch 2 is not an inter-group epoch
