@@ -13,8 +13,8 @@ from .accountant import (DEFAULT_ALPHA_GRID, VARIANTS, AccountingPreconditionErr
                          delay_curve_matrix, lsi_recursion, pair_alpha_coefficients,
                          per_step_rdp, propagation_oracle_counts,
                          pwp_rows_from_curves, rdp_to_dp, thm1_pair_bound,
-                         thm1_pair_counts, thm2_curve_matrix, thm2_pair_bound,
-                         thm2_pair_curve)
+                         thm1_pair_counts, thm2_curve_matrix, thm2_curve_sweep,
+                         thm2_pair_bound, thm2_pair_curve)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .harness import ConfigError, ExperimentConfig, run_experiment
@@ -33,7 +33,7 @@ __all__ = [
     "dp_matrix_from_curves", "delay_curve_matrix", "lsi_recursion",
     "pair_alpha_coefficients", "per_step_rdp", "propagation_oracle_counts",
     "pwp_rows_from_curves", "rdp_to_dp", "thm1_pair_bound", "thm1_pair_counts",
-    "thm2_curve_matrix", "thm2_pair_bound", "thm2_pair_curve",
+    "thm2_curve_matrix", "thm2_curve_sweep", "thm2_pair_bound", "thm2_pair_curve",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",
     "stratified_split", "worker_labels",
     "ConfigError", "ExperimentConfig", "run_experiment",

@@ -11,8 +11,20 @@ Both algorithms share one path, parameterised by the mechanism window W
 delivered S-epoch block carries S / W mechanisms, and the smoothing (LSI)
 recursion fires one mechanism per W-epoch window.  The pipeline assembles
 (N, N, G) curve tensors over an order grid (``delay_curve_matrix`` or
-``thm2_curve_matrix``) and reduces them to DP heatmaps and per-worker
+``thm2_curve_sweep``) and reduces them to DP heatmaps and per-worker
 envelopes; ``thm1_pair_bound`` and ``rdp_to_dp`` are the scalar references.
+
+Cost model.  Structure facts (distances, masks, the string test) are cached
+on the ``GroupStructure`` and computed once per structure.  The degradation
+bound of a pair (n, i) depends only on its class: n's groups and, for each,
+the nearest group of i.  ``thm2_curve_sweep`` checks the preconditions once,
+builds one per-run table of mu factors indexed by (firing epoch, group), and
+computes each class's attenuated block budgets once for all epochs up to the
+horizon.  An epoch's (N, N, G) tensor is then a sum over the blocks
+delivered by that epoch, vectorised across classes, and a gather: the cost
+grows with classes x blocks plus epochs x blocks x classes, not with
+pairs x epochs x structure rebuilds, and memory with classes x blocks.
+``thm2_pair_curve`` evaluates a one-class sweep.
 
 Two delay-count variants are provided.  ``examples_consistent`` (default)
 counts ``floor((t-1)/S) - rho + 1`` delivered blocks gated by ``>=`` and
@@ -23,12 +35,13 @@ unrolled reachability) is exposed for cross-validation of the closed forms.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import GroupStructure, build_adjacency, distance_matrix, is_string
+from .topology import GroupStructure, build_adjacency
 from .trainer import HyperParams, is_intergroup_epoch, mechanism_window
 
 # Spaced so consecutive (alpha - 1) ratios stay below ~1.46: the conversion
@@ -94,16 +107,6 @@ def delivered_block_count(t: int, period: int, rho: float, variant: str) -> int:
 # ---------------------------------------------------------------------------
 # closed-form pair bounds (Gaussian-mechanism composition with delay)
 
-def _gtoh_row(structure: GroupStructure, dist: np.ndarray) -> np.ndarray:
-    """(M, N) distances from each group to each worker's nearest group."""
-    M, N = structure.num_groups, structure.num_workers
-    out = np.full((M, N), math.inf)
-    for i in range(N):
-        for m_src in range(M):
-            out[m_src, i] = min(dist[m_src, m] for m in structure.groups_of_worker[i])
-    return out
-
-
 def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
                      t: int, variant: str = "examples_consistent",
                      algorithm: str = "dpogl") -> dict[int, int]:
@@ -117,11 +120,9 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
     if n == i:
         raise ValueError("a worker is trusted with its own data; need n != i")
     per_block = period // mechanism_window(algorithm, period)
-    dist = distance_matrix(build_adjacency(structure))
     counts: dict[int, int] = {}
-    groups_i = structure.groups_of_worker[i]
     for m_src in structure.groups_of_worker[n]:
-        rho = min(dist[m_src, m] for m in groups_i)
+        rho = structure.worker_distances[m_src, i]
         if rho == 0:
             if algorithm == "dpogl_plus":
                 raise ValueError("dpogl_plus defines no bound for in-group pairs")
@@ -247,13 +248,6 @@ def _lsi_preconditions(hp: HyperParams) -> None:
             "the LSI recursion needs positive noise multipliers")
 
 
-def _member_mask(structure: GroupStructure) -> np.ndarray:
-    mask = np.zeros((structure.num_groups, structure.num_workers), dtype=bool)
-    for m, members in enumerate(structure.members_of_group):
-        mask[m, list(members)] = True
-    return mask
-
-
 def _merge_inv_a(structure: GroupStructure, inv_b_t: np.ndarray, epoch: int,
                  period: int, mask: np.ndarray) -> np.ndarray:
     M, N = mask.shape
@@ -281,7 +275,7 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
         raise ValueError("horizon must be >= 1")
     M, N = structure.num_groups, structure.num_workers
     S, W = hp.inter_group_period, hp.mechanism_window
-    mask = _member_mask(structure)
+    mask = structure.member_mask
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
     mechanism_var = W * (hp.clip * hp.sigma) ** 2
     spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
@@ -310,6 +304,28 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     return LsiState(hp.algorithm, horizon, S, inv_b, inv_a, inv_h, inv_e, inv_hbar)
 
 
+def _fired_epochs(lsi: LsiState, W: int, crossing):
+    """Epoch(s) whose mechanism a crossing at epoch ``crossing`` reads."""
+    # The crossing-epoch convention differs by algorithm: dpogl reads the
+    # mechanism that fires at crossing epoch e, dpogl_plus the window that
+    # fired at e - 1.  Both are kept because unifying them changes the
+    # degradation artifacts.
+    fired = crossing - 1 if lsi.algorithm == "dpogl_plus" else crossing
+    bad = (fired < 1) | (fired > lsi.horizon) | (fired % W != 0)
+    if np.any(bad):
+        raise ValueError("no mechanism of the computed LSI horizon fires at "
+                         f"epoch {np.asarray(fired)[bad].min()}")
+    return fired
+
+
+def _mechanism_var(hp: HyperParams, group: int) -> float:
+    return float(hp.mechanism_window * (hp.clip[group] * hp.sigma[group]) ** 2)
+
+
+def _mu(alpha, hbar, var):
+    return alpha / (alpha + hbar * var)
+
+
 def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int,
                    targeted_groups) -> float | np.ndarray:
     """Degradation factor mu = alpha / (alpha + hbar * W c^2 sigma^2) for
@@ -322,26 +338,166 @@ def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int
     """
     if group in set(targeted_groups):
         return np.ones_like(np.asarray(alpha, dtype=float)) if np.ndim(alpha) else 1.0
-    W = hp.mechanism_window
-    # The crossing-epoch convention differs by algorithm: dpogl reads the
-    # mechanism that fires at crossing epoch e, dpogl_plus the window that
-    # fired at e - 1.  Both are kept because unifying them changes the
-    # degradation artifacts.
-    fired = epoch - 1 if lsi.algorithm == "dpogl_plus" else epoch
-    if not 1 <= fired <= lsi.horizon or fired % W:
-        raise ValueError("no mechanism of the computed LSI horizon fires at "
-                         f"epoch {fired}")
+    fired = _fired_epochs(lsi, hp.mechanism_window, epoch)
     hbar = float(lsi.inv_hbar[fired, group])
-    var = float(W * (hp.clip[group] * hp.sigma[group]) ** 2)
     alpha_arr = np.asarray(alpha, dtype=float)
     if np.any(alpha_arr <= 1):
         raise ValueError("RDP order alpha must exceed 1")
-    mu = alpha_arr / (alpha_arr + hbar * var)
+    mu = _mu(alpha_arr, hbar, _mechanism_var(hp, group))
     return mu if alpha_arr.ndim else float(mu)
 
 
 # ---------------------------------------------------------------------------
 # string-topology bound with degradation
+
+def _thm2_setup(structure: GroupStructure, hp: HyperParams, beta: float,
+                horizon: int, alphas, variant: str, lsi: LsiState | None
+                ) -> tuple[np.ndarray, LsiState, np.ndarray]:
+    """Check the degradation bound's preconditions once and build what every
+    pair class shares: the orders, the smoothing state and the
+    (horizon_lsi + 1, M, G) table of mu factors indexed by (firing epoch,
+    group); rows where no mechanism fires are never read."""
+    _check_variant(variant)
+    alphas = np.asarray(alphas, dtype=float)
+    if np.any(alphas <= 1):
+        raise ValueError("RDP order alpha must exceed 1")
+    _lsi_preconditions(hp)
+    if not structure.is_string:
+        raise AccountingPreconditionError(
+            "the degradation bound requires a string structure")
+    if lsi is None:
+        lsi = lsi_recursion(structure, hp, beta, horizon)
+    elif (lsi.algorithm != hp.algorithm or lsi.horizon < horizon
+          or lsi.inter_group_period != hp.inter_group_period):
+        raise ValueError("precomputed smoothing state does not cover this query")
+    var = np.array([_mechanism_var(hp, g) for g in range(structure.num_groups)])
+    mu = _mu(alphas, lsi.inv_hbar[:, :, None], var[:, None])
+    return alphas, lsi, mu
+
+
+def _nearest_groups(dist: np.ndarray, groups_n, groups_i) -> tuple:
+    """For each group of n in sorted order, the nearest group of i (lowest
+    index on ties; the group itself when shared), or None if unreachable."""
+    nearest = []
+    for m_src in sorted(groups_n):
+        rho = min(dist[m_src, m] for m in groups_i)
+        nearest.append(None if math.isinf(rho) else
+                       min(m for m in groups_i if dist[m_src, m] == rho))
+    return tuple(nearest)
+
+
+def _thm2_class_blocks(structure: GroupStructure, hp: HyperParams,
+                       groups_n: tuple[int, ...], destinations: tuple,
+                       horizon: int, alphas: np.ndarray, variant: str,
+                       lsi: LsiState, mu: np.ndarray) -> list | None:
+    """The terms of the degradation bound of every pair (n, i) in one class:
+    n's groups are ``groups_n`` and ``destinations`` are i's groups nearest
+    to them (``_nearest_groups``).  None for trusted pairs under dpogl_plus.
+
+    One entry per source group of n, in sorted order: (per-epoch budget of a
+    shared source or None, (B,) first epoch at which each delivered block
+    arrives by ``horizon``, (B, G) attenuated budget of each block).  Per
+    delivered block w from source group m', the contribution is S / W
+    full-participation budgets attenuated by one mu factor per path group
+    past the source, each evaluated at its crossing epoch S*(w + j - 1) + 1;
+    hop factors are multiplied in j order.
+    """
+    S = hp.inter_group_period
+    per_block = S // hp.mechanism_window
+    sources = sorted(groups_n)
+    if hp.algorithm == "dpogl_plus" and any(
+            m_src == m_dst for m_src, m_dst in zip(sources, destinations)):
+        return None  # n and i share a group
+    dist = structure.distances
+    no_blocks = (np.zeros(0, dtype=int), np.zeros((0, alphas.size)))
+    entries = []
+    for m_src, m_dst in zip(sources, destinations):
+        eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)  # full-participation budget
+        if m_src == m_dst:  # shared group: every mechanism is observed
+            entries.append((eps, *no_blocks))
+            continue
+        if m_dst is None:
+            entries.append((None, *no_blocks))
+            continue
+        rho = int(dist[m_src, m_dst])
+        # On a string the shortest path is unique: it holds the groups whose
+        # distances from source and destination sum to rho, and hop j is the
+        # one at distance j from the source.
+        from_src, to_dst = dist[m_src].tolist(), dist[m_dst].tolist()
+        on_path = [g for g in range(len(from_src)) if from_src[g] + to_dst[g] == rho]
+        path = sorted(on_path, key=from_src.__getitem__)
+        # Counts change only where an S-epoch block starts, at epochs S*q + 1.
+        starts = range(1, horizon + 1, S)
+        blocks = [delivered_block_count(t, S, rho, variant) for t in starts]
+        w = np.arange(1, blocks[-1] + 1)
+        factor = np.ones((w.size, alphas.size))
+        for j in range(1, rho + 1):
+            if path[j] in groups_n:
+                continue  # the targeted worker's groups do not attenuate
+            fired = _fired_epochs(lsi, hp.mechanism_window, S * (w + j - 1) + 1)
+            factor = factor * mu[fired, path[j]]
+        # block w is delivered from the first epoch whose count reaches w
+        arrivals = np.array([starts[bisect.bisect_left(blocks, b)] for b in w],
+                            dtype=int)
+        entries.append((None, arrivals, per_block * eps * factor))
+    return entries
+
+
+@dataclass(frozen=True, eq=False)
+class Thm2Sweep:
+    """Degradation-aware curves of pair classes, evaluated at any epoch
+    1..horizon from per-class block terms.
+
+    Slot k of class c is the k-th source group of the class's targeted
+    worker.  Padding entries hold zero budgets and never-delivered blocks.
+    """
+
+    horizon: int
+    classes: np.ndarray  # (N, N) class of each pair; -1 marks undefined cells
+    shared: np.ndarray   # (C, K, G) per-epoch budget of a shared source, else 0
+    first: np.ndarray    # (C, K, B) epoch from which block b + 1 is delivered
+    terms: np.ndarray    # (C, K, B, G) attenuated budget of that block
+
+    @classmethod
+    def pack(cls, horizon: int, classes: np.ndarray, entries: list,
+             num_orders: int) -> "Thm2Sweep":
+        """Pack per-class lists of ``_thm2_class_blocks`` entries."""
+        C = len(entries)
+        K = max((len(e) for e in entries), default=0)
+        B = max((arrivals.size for e in entries for _, arrivals, _ in e),
+                default=0)
+        shared = np.zeros((C, K, num_orders))
+        first = np.full((C, K, B), horizon + 1)
+        terms = np.zeros((C, K, B, num_orders))
+        for c, entry in enumerate(entries):
+            for k, (eps, arrivals, budgets) in enumerate(entry):
+                if eps is not None:
+                    shared[c, k] = eps
+                first[c, k, :arrivals.size] = arrivals
+                terms[c, k, :arrivals.size] = budgets
+        return cls(horizon, classes, shared, first, terms)
+
+    def at(self, t: int) -> np.ndarray:
+        """(N, N, G) curve tensor at epoch t; NaN marks trusted cells.
+
+        Each cell takes the steps of a straight per-pair sum: sources in
+        sorted order, blocks in delivery order.  Padding adds exact zeros,
+        which leave every (nonnegative) partial sum unchanged.
+        """
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"epoch {t} is outside the sweep's 1..{self.horizon}")
+        C, K, B = self.first.shape
+        total = np.zeros((C + 1, self.shared.shape[-1]))
+        for k in range(K):
+            total[:C] += self.shared[:, k] * (t - 1)
+            for b in range(B):
+                delivered = np.flatnonzero(self.first[:, k, b] <= t)
+                if not delivered.size:
+                    break  # later blocks arrive later still
+                total[delivered] += self.terms[delivered, k, b]
+        total[C] = np.nan  # class -1: undefined cells
+        return total[self.classes]
+
 
 def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
                     n: int, i: int, t: int, alphas,
@@ -349,62 +505,23 @@ def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
                     lsi: LsiState | None = None) -> np.ndarray | None:
     """Degradation-aware RDP bound over an array of orders; strings only.
 
-    Per delivered block w from source group m', the contribution is S / W
-    full-participation budgets attenuated by one mu factor per path group
-    past the source, each evaluated at its crossing epoch S*(w + j - 1) + 1.
+    The pair's class evaluated at epoch t (see ``thm2_curve_sweep``).
     Returns None for trusted pairs under dpogl_plus.
     """
-    _check_variant(variant)
     if n == i:
         raise ValueError("need n != i")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not is_string(structure):
-        raise AccountingPreconditionError(
-            "the degradation bound requires a string structure")
-    _lsi_preconditions(hp)
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 1):
-        raise ValueError("RDP order alpha must exceed 1")
-    S = hp.inter_group_period
-    per_block = S // hp.mechanism_window
-    groups_n = set(structure.groups_of_worker[n])
-    groups_i = list(structure.groups_of_worker[i])
-    shared = groups_n & set(groups_i)
-    if hp.algorithm == "dpogl_plus" and shared:
+    alphas, lsi, mu = _thm2_setup(structure, hp, beta, t, alphas, variant, lsi)
+    groups_n = structure.groups_of_worker[n]
+    destinations = _nearest_groups(structure.distances, groups_n,
+                                   structure.groups_of_worker[i])
+    entry = _thm2_class_blocks(structure, hp, groups_n, destinations, t,
+                               alphas, variant, lsi, mu)
+    if entry is None:
         return None
-    dist = distance_matrix(build_adjacency(structure))
-    if lsi is None:
-        lsi = lsi_recursion(structure, hp, beta, t)
-    elif (lsi.algorithm != hp.algorithm or lsi.horizon < t
-          or lsi.inter_group_period != hp.inter_group_period):
-        raise ValueError("precomputed smoothing state does not cover this query")
-    total = np.zeros_like(alphas)
-    for m_src in sorted(groups_n):
-        eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)  # full-participation budget
-        if m_src in shared:
-            total += eps * (t - 1)
-            continue
-        rho = min(dist[m_src, m] for m in groups_i)
-        if math.isinf(rho):
-            continue
-        rho = int(rho)
-        m_dst = min((m for m in groups_i if dist[m_src, m] == rho))
-        # On a string the shortest path is unique: it holds the groups whose
-        # distances from source and destination sum to rho, and hop j is the
-        # one at distance j from the source.
-        from_src, to_dst = dist[m_src].tolist(), dist[m_dst].tolist()
-        on_path = [g for g in range(len(from_src)) if from_src[g] + to_dst[g] == rho]
-        path = sorted(on_path, key=from_src.__getitem__)
-        blocks = delivered_block_count(t, S, rho, variant)
-        for w in range(1, blocks + 1):
-            factor = np.ones_like(alphas)
-            for j in range(1, rho + 1):
-                crossing_epoch = S * (w + j - 1) + 1
-                factor = factor * degradation_mu(lsi, hp, alphas, path[j],
-                                                 crossing_epoch, groups_n)
-            total = total + per_block * eps * factor
-    return total
+    return Thm2Sweep.pack(t, np.zeros((1, 1), dtype=int), [entry],
+                          alphas.size).at(t)[0, 0]
 
 
 def thm2_pair_bound(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -458,15 +575,17 @@ def rdp_to_dp(curve, delta: float, alpha_grid=DEFAULT_ALPHA_GRID
 # ---------------------------------------------------------------------------
 # matrix / per-worker assembly
 
+def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
+    try:
+        return structure.admissible_observers[threat_model]
+    except KeyError:
+        raise ValueError("threat_model must be 'tm1' or 'tm2'") from None
+
+
 def admissible_adversaries(structure: GroupStructure, threat_model: str,
                            n: int) -> list[int]:
     """Workers allowed to act as the honest-but-curious observer against n."""
-    if threat_model == "tm1":
-        return [i for i in range(structure.num_workers) if i != n]
-    if threat_model == "tm2":
-        trusted = structure.neighborhood(n)
-        return [i for i in range(structure.num_workers) if i not in trusted]
-    raise ValueError("threat_model must be 'tm1' or 'tm2'")
+    return np.flatnonzero(_observer_mask(structure, threat_model)[n]).tolist()
 
 
 def pair_alpha_coefficients(structure: GroupStructure, hp: HyperParams, t: int,
@@ -481,8 +600,7 @@ def pair_alpha_coefficients(structure: GroupStructure, hp: HyperParams, t: int,
     S = hp.inter_group_period
     weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
                         for s, p in zip(hp.sigma, hp.participation)])
-    dist = distance_matrix(build_adjacency(structure))
-    rt = _gtoh_row(structure, dist)  # (M, N) source-group -> worker distance
+    rt = structure.worker_distances  # (M, N) source-group -> worker distance
     k = (t - 1) // S
     with np.errstate(invalid="ignore"):
         if variant == "examples_consistent":
@@ -492,43 +610,56 @@ def pair_alpha_coefficients(structure: GroupStructure, hp: HyperParams, t: int,
     blocks[np.isinf(rt)] = 0.0
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
-    members = _member_mask(structure)
-    matrix = (members.T * weights) @ counts
-    if hp.threat_model == "tm2":
-        shared_pair = (members.T.astype(int) @ (rt == 0).astype(int)) > 0  # (N, N)
-        matrix[shared_pair] = np.nan
-    np.fill_diagonal(matrix, np.nan)
+    matrix = (structure.member_mask.T * weights) @ counts
+    matrix[~_observer_mask(structure, hp.threat_model)] = np.nan
     return matrix
 
 
 # ---------------------------------------------------------------------------
 # curve-tensor assembly (shared by the delay and degradation reports)
 
+def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
+                     horizon: int, alpha_grid=DEFAULT_ALPHA_GRID,
+                     variant: str = "examples_consistent",
+                     lsi: LsiState | None = None) -> Thm2Sweep:
+    """Degradation-aware curves of every pair at any epoch 1..horizon.
+
+    Preconditions are checked once.  Pairs are grouped by class (n's groups
+    and the nearest group of i to each); each class's block budgets are
+    computed once for all epochs.  ``at(t)`` gives epoch t's (N, N, G)
+    tensor.  Cells are NaN on the diagonal and, under tm2 (which dpogl_plus
+    requires), for in-group pairs.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    alphas, lsi, mu = _thm2_setup(structure, hp, beta, horizon,
+                                  _check_grid(alpha_grid), variant, lsi)
+    groups = structure.groups_of_worker
+    defined = structure.admissible_observers[hp.threat_model]
+    classes = np.full(defined.shape, -1)
+    class_index: dict[tuple, int] = {}
+    entries = []
+    for n, i in zip(*np.nonzero(defined)):
+        key = (groups[n], _nearest_groups(structure.distances, groups[n],
+                                          groups[i]))
+        if key not in class_index:
+            entry = _thm2_class_blocks(structure, hp, *key, horizon, alphas,
+                                       variant, lsi, mu)
+            class_index[key] = -1 if entry is None else len(entries)
+            if entry is not None:
+                entries.append(entry)
+        classes[n, i] = class_index[key]
+    return Thm2Sweep.pack(horizon, classes, entries, alphas.size)
+
+
 def thm2_curve_matrix(structure: GroupStructure, hp: HyperParams, beta: float,
                       t: int, alpha_grid=DEFAULT_ALPHA_GRID,
                       variant: str = "examples_consistent",
                       lsi: LsiState | None = None) -> np.ndarray:
-    """(N, N, G) degradation-aware curves over the grid; NaN marks trusted.
-
-    Cells are NaN on the diagonal and, under tm2 (which dpogl_plus
-    requires), for in-group pairs.
-    """
-    alphas = np.array(_check_grid(alpha_grid))
-    if lsi is None:
-        lsi = lsi_recursion(structure, hp, beta, t)
-    N = structure.num_workers
-    members = _member_mask(structure)
-    shared_pair = (members.T.astype(int) @ members.astype(int)) > 0
-    curves = np.full((N, N, alphas.size), np.nan)
-    for n in range(N):
-        for i in range(N):
-            if i == n:
-                continue
-            if hp.threat_model == "tm2" and shared_pair[n, i]:
-                continue
-            curves[n, i] = thm2_pair_curve(structure, hp, beta, n, i, t, alphas,
-                                           variant, lsi)
-    return curves
+    """(N, N, G) degradation-aware curves over the grid at epoch t; NaN
+    marks trusted.  One epoch of ``thm2_curve_sweep``."""
+    return thm2_curve_sweep(structure, hp, beta, t, alpha_grid, variant,
+                            lsi).at(t)
 
 
 def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
@@ -572,19 +703,20 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
     penalty = math.log(1.0 / delta) / (grid - 1.0)
+    mask = _observer_mask(structure, threat_model)
+    envelopes = np.max(curves, axis=1, where=mask[:, :, None], initial=-np.inf)
+    observed = mask.any(axis=1)
+    if np.isnan(envelopes[observed]).any():
+        raise ValueError("undefined pair among admissible observers")
+    candidates = envelopes + penalty
+    best = np.argmin(candidates, axis=1)
+    silent = np.all(envelopes == 0.0, axis=1)
     rows = []
-    for n in range(structure.num_workers):
-        adversaries = admissible_adversaries(structure, threat_model, n)
-        if not adversaries:
-            continue
-        envelope = np.max(curves[n, adversaries, :], axis=0)
-        if np.isnan(envelope).any():
-            raise ValueError("undefined pair among admissible observers")
-        candidate = envelope + penalty
-        j = int(np.argmin(candidate))
-        if np.all(envelope == 0.0):
+    for n in np.flatnonzero(observed).tolist():
+        j = best[n]
+        if silent[n]:
             rows.append((n, 0.0, float(grid[j]), 0.0))
         else:
-            rows.append((n, float(envelope[j]), float(grid[j]),
-                         float(candidate[j])))
+            rows.append((n, float(envelopes[n, j]), float(grid[j]),
+                         float(candidates[n, j])))
     return rows

@@ -21,8 +21,7 @@ from pathlib import Path
 
 from .accountant import VARIANTS
 from .harness import ConfigError, ExperimentConfig, run_experiment
-from .topology import (GroupStructure, build_adjacency, distance_matrix,
-                       gtoh_distance)
+from .topology import GroupStructure
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +97,7 @@ def _cmd_distances(args) -> int:
         structure = GroupStructure.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"structure: {exc}") from exc
-    dist = distance_matrix(build_adjacency(structure))
+    dist, to_worker = structure.distances, structure.worker_distances
     M, N = structure.num_groups, structure.num_workers
 
     def cell(x: float) -> str:
@@ -111,8 +110,7 @@ def _cmd_distances(args) -> int:
     print("group-to-worker distance")
     print("m," + ",".join(str(n) for n in range(N)))
     for m in range(M):
-        print(f"{m}," + ",".join(cell(gtoh_distance(structure, m, n, dist))
-                                 for n in range(N)))
+        print(f"{m}," + ",".join(cell(to_worker[m, n]) for n in range(N)))
     return 0
 
 

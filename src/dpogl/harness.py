@@ -369,14 +369,12 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
     training output."""
     grid = config.alpha_grid
     horizon = max((config.epochs, *config.heatmap_epochs))
-    if config.bound == "degradation":
+    if horizon < 1:
+        curves_at = None  # no epoch to report
+    elif config.bound == "degradation":
         beta = smoothness_bound(train_set.features)
-        lsi = (accountant.lsi_recursion(structure, hp, beta, horizon)
-               if horizon >= 1 else None)
-
-        def curves_at(t: int) -> np.ndarray:
-            return accountant.thm2_curve_matrix(structure, hp, beta, t, grid,
-                                                config.variant, lsi)
+        curves_at = accountant.thm2_curve_sweep(structure, hp, beta, horizon,
+                                                grid, config.variant).at
     else:
         def curves_at(t: int) -> np.ndarray:
             return accountant.delay_curve_matrix(structure, hp, t, grid,
@@ -384,19 +382,27 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
 
     written: list[str] = []
     pwp_rows = []
+    heatmaps = {}  # epoch -> (N, N) DP matrix
     for t in range(1, config.epochs + 1):
+        curves = curves_at(t)
         for worker, eps_rdp, alpha_star, eps_dp in \
-                accountant.pwp_rows_from_curves(curves_at(t), structure,
+                accountant.pwp_rows_from_curves(curves, structure,
                                                 config.threat_model,
                                                 config.delta, grid):
             pwp_rows.append(f"{t},{worker},{_fmt(eps_rdp)},"
                             f"{_fmt(alpha_star)},{_fmt(eps_dp)}")
+        if t in config.heatmap_epochs:
+            heatmaps[t] = accountant.dp_matrix_from_curves(curves, config.delta,
+                                                           grid)
+        del curves  # free this epoch's (N, N, G) tensor before the next one
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
                  pwp_rows)
     written.append("pwp.csv")
     for t in config.heatmap_epochs:
-        matrix = accountant.dp_matrix_from_curves(curves_at(t), config.delta,
-                                                  grid)
+        matrix = heatmaps.get(t)
+        if matrix is None:  # beyond the training horizon
+            matrix = accountant.dp_matrix_from_curves(curves_at(t),
+                                                      config.delta, grid)
         rows = []
         for n in range(structure.num_workers):
             for i in range(structure.num_workers):

@@ -13,6 +13,8 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +29,10 @@ class GroupStructure:
 
     ``members_of_group[m]`` holds the sorted worker ids of group m.  Every
     group is nonempty and every worker belongs to at least one group.
+
+    Structure facts (adjacency, distances, masks, the string test) are
+    computed on first use and cached on the instance as read-only arrays,
+    so every consumer of one structure shares one computation.
     """
 
     num_workers: int
@@ -61,6 +67,60 @@ class GroupStructure:
     def num_groups(self) -> int:
         return len(self.members_of_group)
 
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """(M, M) boolean group adjacency; see ``build_adjacency``."""
+        return _read_only(build_adjacency(self))
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(M, M) group hop distances; see ``distance_matrix``."""
+        return _read_only(distance_matrix(self.adjacency))
+
+    @cached_property
+    def member_mask(self) -> np.ndarray:
+        """(M, N) boolean: worker n is a member of group m."""
+        mask = np.zeros((self.num_groups, self.num_workers), dtype=bool)
+        for m, members in enumerate(self.members_of_group):
+            mask[m, list(members)] = True
+        return _read_only(mask)
+
+    @cached_property
+    def worker_distances(self) -> np.ndarray:
+        """(M, N) distance from each group to the nearest group of each
+        worker (0 for the worker's own groups)."""
+        dist = self.distances
+        return _read_only(np.array(
+            [dist[:, list(groups)].min(axis=1)
+             for groups in self.groups_of_worker]).T)
+
+    @cached_property
+    def is_string(self) -> bool:
+        """True when the structure is an open chain; see ``is_string``."""
+        if any(len(groups) > 2 for groups in self.groups_of_worker):
+            return False
+        M = self.num_groups
+        if M == 1:
+            return True  # vacuous band
+        off = self.adjacency.copy()
+        np.fill_diagonal(off, False)
+        degrees = off.sum(axis=1)
+        edges = int(off.sum()) // 2
+        if edges != M - 1 or degrees.max(initial=0) > 2:
+            return False
+        return not np.isinf(self.distances).any()
+
+    @cached_property
+    def admissible_observers(self) -> MappingProxyType:
+        """Threat model -> (N, N) boolean mask whose row n marks the workers
+        allowed to observe worker n: ``tm1`` every other worker, ``tm2`` only
+        workers that share no group with n."""
+        members = self.member_mask.astype(float)  # shared-group counts
+        return MappingProxyType({
+            "tm1": _read_only(~np.eye(self.num_workers, dtype=bool)),
+            "tm2": _read_only((members.T @ members) == 0),
+        })
+
     def neighborhood(self, worker: int) -> frozenset[int]:
         """All workers sharing at least one group with ``worker`` (inclusive)."""
         out: set[int] = set()
@@ -88,6 +148,11 @@ class GroupStructure:
         if "M" in payload and int(payload["M"]) != structure.num_groups:
             raise ValueError("M does not match the number of listed groups")
         return structure
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_adjacency(structure: GroupStructure) -> np.ndarray:
@@ -124,14 +189,15 @@ def distance_matrix(adjacency: np.ndarray) -> np.ndarray:
 
 
 def group_distance(structure: GroupStructure, m: int, m_prime: int) -> float:
-    return float(distance_matrix(build_adjacency(structure))[m, m_prime])
+    return float(structure.distances[m, m_prime])
 
 
 def gtoh_distance(structure: GroupStructure, source_group: int, worker: int,
                   dist: np.ndarray | None = None) -> float:
-    """Distance from a source group to the nearest group of ``worker``."""
+    """Distance from a source group to the nearest group of ``worker``;
+    ``dist`` overrides the structure's own group distances."""
     if dist is None:
-        dist = distance_matrix(build_adjacency(structure))
+        dist = structure.distances
     return float(min(dist[source_group, m] for m in structure.groups_of_worker[worker]))
 
 
@@ -143,19 +209,7 @@ def is_string(structure: GroupStructure) -> bool:
     when (b) holds: the graph must be connected with M-1 edges and maximum
     degree 2, which is checked directly (no ordering search needed).
     """
-    if any(len(groups) > 2 for groups in structure.groups_of_worker):
-        return False
-    M = structure.num_groups
-    if M == 1:
-        return True  # vacuous band
-    adj = build_adjacency(structure)
-    off = adj.copy()
-    np.fill_diagonal(off, False)
-    degrees = off.sum(axis=1)
-    edges = int(off.sum()) // 2
-    if edges != M - 1 or degrees.max(initial=0) > 2:
-        return False
-    return not np.isinf(distance_matrix(adj)).any()
+    return structure.is_string
 
 
 def _contiguous_segments(num_workers: int, num_groups: int) -> list[list[int]]:

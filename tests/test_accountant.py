@@ -1,12 +1,14 @@
 """Accountant unit tests: budgets, delays, LSI recursion, conversions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from dpogl import accountant as acc
-from dpogl.topology import GroupStructure, generate_structure
+from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
+                            generate_structure)
 from dpogl.trainer import HyperParams
 
 
@@ -501,19 +503,117 @@ def test_pwp_bounds_contract():
     assert rows_at(gl, make_hp(1, threat_model="tm2"), 9) == []
 
 
+def _thm2_reference(st, hp, lsi, n, i, t, alphas, variant):
+    """Straight-line degradation bound of one pair at one epoch: the loop
+    the pair-class sweep replaced, built on ``degradation_mu``."""
+    S = hp.inter_group_period
+    per_block = S // hp.mechanism_window
+    dist = distance_matrix(build_adjacency(st))
+    groups_n = set(st.groups_of_worker[n])
+    groups_i = list(st.groups_of_worker[i])
+    shared = groups_n & set(groups_i)
+    total = np.zeros_like(alphas)
+    for m_src in sorted(groups_n):
+        eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)
+        if m_src in shared:
+            total += eps * (t - 1)
+            continue
+        rho = int(min(dist[m_src, m] for m in groups_i))
+        m_dst = min(m for m in groups_i if dist[m_src, m] == rho)
+        path = sorted((g for g in range(st.num_groups)
+                       if dist[m_src, g] + dist[m_dst, g] == rho),
+                      key=lambda g: dist[m_src, g])
+        for w in range(1, acc.delivered_block_count(t, S, rho, variant) + 1):
+            factor = np.ones_like(alphas)
+            for j in range(1, rho + 1):
+                factor = factor * acc.degradation_mu(
+                    lsi, hp, alphas, path[j], S * (w + j - 1) + 1, groups_n)
+            total = total + per_block * eps * factor
+    return total
+
+
+SHARED_SETS_STRING = GroupStructure(10, [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7, 8, 9]])
+
+
 def test_thm2_curve_matrix_matches_pairwise_calls():
-    st = golden_string()
-    hp = make_hp(2)
-    grid = (2.0, 3.0, 6.0)
-    curves = acc.thm2_curve_matrix(st, hp, 1.4, 7, grid)
-    assert curves.shape == (3, 3, 3)
-    for n in range(3):
-        assert np.isnan(curves[n, n]).all()
-        for i in range(3):
-            if n == i:
-                continue
-            want = acc.thm2_pair_curve(st, hp, 1.4, n, i, 7, np.array(grid))
-            assert np.allclose(curves[n, i], want)
-    hp2 = make_hp(2, threat_model="tm2")
-    masked = acc.thm2_curve_matrix(st, hp2, 1.4, 7, grid)
-    assert np.isnan(masked[0, 1]).all() and not np.isnan(masked[0, 2]).any()
+    """Every epoch of the pair-class sweep, including epochs past the
+    training horizon, is bitwise equal to the per-pair curve and to the
+    straight-line reference; undefined cells are NaN."""
+    cases = [
+        (golden_string(), {}),
+        (golden_string(), {"threat_model": "tm2"}),
+        (SHARED_SETS_STRING, {}),  # several workers share one group set
+        (SHARED_SETS_STRING, {"algorithm": "dpogl_plus", "threat_model": "tm2"}),
+        (chain(4), {"algorithm": "dpogl_plus", "threat_model": "tm2",
+                    "inter_group_period": 3, "sigma": [1.0, 2.0, 1.5, 2.5]}),
+    ]
+    for (structure, overrides), variant in itertools.product(cases, acc.VARIANTS):
+        _check_sweep_against_pairs(structure, make_hp(structure.num_groups,
+                                                      **overrides), variant)
+
+
+def _check_sweep_against_pairs(structure, hp, variant):
+    grid = (1.5, 2.0, 3.0, 6.0, 40.0)
+    alphas = np.array(grid)
+    beta = 1.4
+    horizon = hp.epochs + 5  # a heatmap epoch may lie past the horizon T
+    sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid, variant)
+    lsi = acc.lsi_recursion(structure, hp, beta, horizon)
+    N = structure.num_workers
+    admissible = [[i in acc.admissible_adversaries(structure, hp.threat_model, n)
+                   for i in range(N)] for n in range(N)]
+    for t in (1, 2, 5, hp.epochs, horizon):
+        curves = acc.thm2_curve_matrix(structure, hp, beta, t, grid, variant)
+        assert curves.shape == (N, N, len(grid))
+        assert np.array_equal(curves, sweep.at(t), equal_nan=True)
+        for n in range(N):
+            for i in range(N):
+                if not admissible[n][i]:
+                    assert np.isnan(curves[n, i]).all()
+                    continue
+                pair = acc.thm2_pair_curve(structure, hp, beta, n, i, t, alphas,
+                                           variant, lsi)
+                assert np.array_equal(curves[n, i], pair)
+                assert np.array_equal(
+                    curves[n, i],
+                    _thm2_reference(structure, hp, lsi, n, i, t, alphas, variant))
+    with pytest.raises(ValueError):
+        sweep.at(horizon + 1)
+
+
+def test_thm2_sweep_checks_preconditions_once():
+    hp = make_hp(4)
+    with pytest.raises(acc.AccountingPreconditionError, match="string"):
+        acc.thm2_curve_sweep(generate_structure("RI", 8, 4), hp, 1.0, 5)
+    with pytest.raises(acc.AccountingPreconditionError):
+        acc.thm2_curve_sweep(chain(2), make_hp(2, participation=0.5), 1.0, 5)
+    short = acc.lsi_recursion(chain(2), make_hp(2), 1.0, 3)
+    with pytest.raises(ValueError, match="does not cover"):
+        acc.thm2_curve_sweep(chain(2), make_hp(2), 1.0, 5, lsi=short)
+
+
+def test_pwp_envelope_over_admissible_observers():
+    st = golden_string()  # worker 1 shares a group with everyone
+    grid = (2.0, 4.0, 8.0)
+    curves = np.arange(27, dtype=float).reshape(3, 3, 3)
+    np.einsum("nng->ng", curves)[:] = np.nan  # the diagonal is undefined
+    rows = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
+    penalty = math.log(1e5) / (np.array(grid) - 1.0)
+    for n, eps_rdp, alpha_star, eps_dp in rows:
+        envelope = np.max(curves[n, acc.admissible_adversaries(st, "tm1", n)],
+                          axis=0)
+        j = int(np.argmin(envelope + penalty))
+        assert (eps_rdp, alpha_star, eps_dp) == (
+            envelope[j], grid[j], envelope[j] + penalty[j])
+    # under tm2 the in-group cells may be undefined; worker 1 has no
+    # admissible observer and is omitted
+    curves[0, 1] = curves[1, 0] = curves[1, 2] = curves[2, 1] = np.nan
+    rows = acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
+    assert [r[0] for r in rows] == [0, 2]
+    assert rows[0][1] == curves[0, 2, [0, 1, 2]][grid.index(rows[0][2])]
+    # an undefined cell among admissible observers is a fault
+    curves[0, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="undefined pair among admissible observers"):
+        acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
+    with pytest.raises(ValueError):
+        acc.pwp_rows_from_curves(curves, st, "tm3", 1e-5, grid)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpogl import accountant as acc
+from dpogl import topology
 from dpogl.cli import main as cli_main
 from dpogl.harness import ConfigError, ExperimentConfig, run_experiment
 from dpogl.topology import generate_structure
@@ -247,6 +248,26 @@ def test_degradation_bound_pipeline_on_a_string(tmp_path):
     values = {tuple(r.split(",")[:2]): r.split(",")[2] for r in heat}
     assert values[("0", "1")] != "trusted"
     assert float(values[("0", "2")]) <= float(values[("0", "1")])
+
+
+def test_structure_facts_are_computed_once_per_run(tmp_path, monkeypatch):
+    """The whole degradation pipeline shares one distance computation."""
+    calls = []
+    real = topology.distance_matrix
+
+    def counting(adjacency):
+        calls.append(adjacency.shape)
+        return real(adjacency)
+
+    monkeypatch.setattr(topology, "distance_matrix", counting)
+    config = make_config(
+        tmp_path, bound="degradation", participation=1.0, epochs=6, clip=0.5,
+        structure={"num_workers": 10,
+                   "members_of_group": [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7, 8, 9]]},
+        heatmap_epochs=[4, 9])
+    manifest = run_experiment(config, with_training=False)
+    assert manifest["accounting_error"] is None
+    assert calls == [(3, 3)]
 
 
 def test_lb_structure_from_partition_labels(tmp_path):

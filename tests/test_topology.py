@@ -129,3 +129,27 @@ def test_is_string_rejects_branching_rings_and_busy_workers():
     # 4-cycle closed through worker 4 even though every worker is in <= 2 groups
     cycle = GroupStructure(5, [[0, 1], [1, 2, 4], [2, 3], [3, 4]])
     assert not is_string(cycle)
+
+
+def test_structure_facts_match_the_functions_and_are_read_only():
+    st = GroupStructure(10, [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7, 8, 9]])
+    dist = distance_matrix(build_adjacency(st))
+    assert np.array_equal(st.adjacency, build_adjacency(st))
+    assert np.array_equal(st.distances, dist)
+    assert st.distances is st.distances  # computed once, then cached
+    assert st.is_string and not generate_structure("RI", 6, 3).is_string
+    for m in range(st.num_groups):
+        assert st.member_mask[m].tolist() == [w in st.members_of_group[m]
+                                             for w in range(10)]
+        for w in range(10):
+            assert st.worker_distances[m, w] == gtoh_distance(st, m, w, dist)
+    tm1, tm2 = st.admissible_observers["tm1"], st.admissible_observers["tm2"]
+    for n in range(10):
+        assert tm1[n].tolist() == [i != n for i in range(10)]
+        assert tm2[n].tolist() == [i not in st.neighborhood(n) for i in range(10)]
+    for fact in (st.adjacency, st.distances, st.member_mask,
+                 st.worker_distances, tm1, tm2):
+        with pytest.raises(ValueError):
+            fact[0, 0] = fact[0, 1]
+    with pytest.raises(TypeError):
+        st.admissible_observers["tm1"] = tm2
