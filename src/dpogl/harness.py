@@ -30,7 +30,7 @@ from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .models import smoothness_bound
 from .topology import STRUCTURE_KINDS, GroupStructure, generate_structure
-from .trainer import HyperParams, run_training
+from .trainer import ALGORITHMS, THREAT_MODELS, HyperParams, run_training
 
 
 class ConfigError(ValueError):
@@ -248,9 +248,9 @@ class ExperimentConfig:
         config = cls(
             seed=_as_int(_pluck(raw, "seed", 0), "seed"),
             algorithm=_as_choice(_pluck(raw, "algorithm", "dpogl"),
-                                 "algorithm", ("dpogl", "dpogl_plus")),
+                                 "algorithm", ALGORITHMS),
             threat_model=_as_choice(_pluck(raw, "threat_model", "tm1"),
-                                    "threat_model", ("tm1", "tm2")),
+                                    "threat_model", THREAT_MODELS),
             epochs=_as_int(_pluck(raw, "epochs"), "epochs", minimum=0),
             inter_group_period=_as_int(_pluck(raw, "inter_group_period", 10),
                                        "inter_group_period", minimum=1),
@@ -282,18 +282,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return config
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
 
     def num_groups(self) -> int:
         if "members_of_group" in self.structure:

@@ -96,7 +96,14 @@ class GroupStructure:
 
     @cached_property
     def is_string(self) -> bool:
-        """True when the structure is an open chain; see ``is_string``."""
+        """True when the structure is an open chain under some group ordering.
+
+        Requires (a) every worker in at most two groups and (b) the
+        off-diagonal adjacency graph to be a simple path.  A valid band
+        ordering exists exactly when (b) holds: the graph must be connected
+        with M-1 edges and maximum degree 2, which is checked directly (no
+        ordering search needed).
+        """
         if any(len(groups) > 2 for groups in self.groups_of_worker):
             return False
         M = self.num_groups
@@ -139,15 +146,25 @@ class GroupStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "GroupStructure":
+        """Parse ``to_json`` output; ``N``, ``M`` and worker ids must be JSON
+        integers."""
         payload = json.loads(text)
         structure = cls(
-            num_workers=int(payload["N"]),
-            members_of_group=tuple(tuple(g) for g in payload["members_of_group"]),
+            num_workers=_json_int(payload["N"], "N"),
+            members_of_group=tuple(
+                tuple(_json_int(w, f"group {m} worker id") for w in g)
+                for m, g in enumerate(payload["members_of_group"])),
             kind=payload.get("kind"),
         )
-        if "M" in payload and int(payload["M"]) != structure.num_groups:
+        if "M" in payload and _json_int(payload["M"], "M") != structure.num_groups:
             raise ValueError("M does not match the number of listed groups")
         return structure
+
+
+def _json_int(value, label: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{label} must be an integer, not {value!r}")
+    return value
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -186,30 +203,6 @@ def distance_matrix(adjacency: np.ndarray) -> np.ndarray:
                     dist[src, v] = dist[src, u] + 1
                     queue.append(v)
     return dist
-
-
-def group_distance(structure: GroupStructure, m: int, m_prime: int) -> float:
-    return float(structure.distances[m, m_prime])
-
-
-def gtoh_distance(structure: GroupStructure, source_group: int, worker: int,
-                  dist: np.ndarray | None = None) -> float:
-    """Distance from a source group to the nearest group of ``worker``;
-    ``dist`` overrides the structure's own group distances."""
-    if dist is None:
-        dist = structure.distances
-    return float(min(dist[source_group, m] for m in structure.groups_of_worker[worker]))
-
-
-def is_string(structure: GroupStructure) -> bool:
-    """True when the structure is an open chain under some group ordering.
-
-    Requires (a) every worker in at most two groups and (b) the off-diagonal
-    adjacency graph to be a simple path.  A valid band ordering exists exactly
-    when (b) holds: the graph must be connected with M-1 edges and maximum
-    degree 2, which is checked directly (no ordering search needed).
-    """
-    return structure.is_string
 
 
 def _contiguous_segments(num_workers: int, num_groups: int) -> list[list[int]]:

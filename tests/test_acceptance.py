@@ -106,7 +106,8 @@ def test_criterion_02_string_delay_and_degradation():
     assert 0.0 < mu <= 1.0
     assert mu < 1.0  # noise has entered the crossing group by epoch 3
 
-    bounds = {(n, i): acc.thm2_pair_bound(structure, hp, beta, alpha, n, i, t)
+    curves = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
+    bounds = {(n, i): curves[n, i, 0]
               for n in range(3) for i in range(3) if n != i}
     assert bounds[(0, 1)] == 3 * eps_full
     assert bounds[(2, 1)] == 3 * eps_full
@@ -130,11 +131,12 @@ def test_criterion_03_interval_mechanism_single_budget():
 
     assert acc.thm1_pair_bound(structure, hp, alpha, 0, 2, t) == eps_step
     assert acc.thm1_pair_bound(structure, hp, alpha, 2, 0, t) == eps_step
-    assert acc.thm2_pair_bound(structure, hp, beta, alpha, 0, 2, t) == eps_full
-    assert acc.thm2_pair_bound(structure, hp, beta, alpha, 2, 0, t) == eps_full
+    degraded = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
+    assert degraded[0, 2, 0] == eps_full
+    assert degraded[2, 0, 0] == eps_full
     for n, i in ((0, 1), (1, 0), (1, 2), (2, 1)):
         assert acc.thm1_pair_bound(structure, hp, alpha, n, i, t) is None
-        assert acc.thm2_pair_bound(structure, hp, beta, alpha, n, i, t) is None
+        assert math.isnan(degraded[n, i, 0])
 
     mat = acc.delay_curve_matrix(structure, hp, t, (alpha,))[:, :, 0]
     expected_trusted = np.array([[True, True, False],
@@ -223,14 +225,13 @@ def test_criterion_06_degradation_never_exceeds_delay_bound():
             for epoch in range(1, t + 1):
                 mu = acc.degradation_mu(lsi, hp, alpha, g, epoch, ())
                 assert 0.0 < mu <= 1.0
+        curves = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
         for n in range(m + 1):
             for i in range(m + 1):
                 if n == i:
                     continue
-                curve = acc.thm2_pair_curve(structure, hp, beta, n, i, t,
-                                            np.array([alpha]), lsi=lsi)
                 base = acc.thm1_pair_bound(structure, hp, alpha, n, i, t)
-                assert float(curve[0]) <= base + 1e-12
+                assert float(curves[n, i, 0]) <= base + 1e-12
                 pairs_checked += 1
     assert time.monotonic() - start < 30.0
     _report(6, f"degradation bound stays below the delay bound on "

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dpogl import accountant as acc
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
@@ -289,10 +291,10 @@ def golden_string():
 def test_thm2_requires_strings_and_full_participation():
     hp = make_hp(4)
     with pytest.raises(acc.AccountingPreconditionError):
-        acc.thm2_pair_bound(generate_structure("RI", 8, 4), hp, 1.0, 2.0, 0, 3, 5)
+        acc.thm2_curve_sweep(generate_structure("RI", 8, 4), hp, 1.0, 5, (2.0,))
     with pytest.raises(acc.AccountingPreconditionError):
-        acc.thm2_pair_bound(golden_string(), make_hp(2, participation=0.5),
-                            1.0, 2.0, 0, 2, 5)
+        acc.thm2_curve_sweep(golden_string(), make_hp(2, participation=0.5),
+                             1.0, 5, (2.0,))
 
 
 def test_thm2_shared_group_terms():
@@ -300,30 +302,14 @@ def test_thm2_shared_group_terms():
     hp = make_hp(2)
     alpha = 4.0
     eps_full = alpha / (2 * 2.0 ** 2)
+    sweep = acc.thm2_curve_sweep(st, hp, 1.0, 9, (alpha,))
     # worker 0 only has group 0, shared with observer 1: pure composition
     for t in (1, 2, 5):
-        assert acc.thm2_pair_bound(st, hp, 1.0, alpha, 0, 1, t) == pytest.approx(
-            (t - 1) * eps_full, abs=1e-12)
+        assert sweep.at(t)[0, 1, 0] == pytest.approx((t - 1) * eps_full,
+                                                     abs=1e-12)
     # worker 1 also leaks through group 1, which crosses into group 0
-    b = acc.thm2_pair_bound(st, hp, 1.0, alpha, 1, 0, 9)
+    b = sweep.at(9)[1, 0, 0]
     assert b > (9 - 1) * eps_full
-
-
-def test_thm2_curve_reuses_precomputed_state():
-    st = golden_string()
-    hp = make_hp(2)
-    alphas = np.array([2.0, 3.0, 8.0])
-    lsi = acc.lsi_recursion(st, hp, 1.2, 9)
-    fresh = acc.thm2_pair_curve(st, hp, 1.2, 0, 2, 7, alphas)
-    reused = acc.thm2_pair_curve(st, hp, 1.2, 0, 2, 7, alphas, lsi=lsi)
-    assert np.array_equal(fresh, reused)
-    short = acc.lsi_recursion(st, hp, 1.2, 3)
-    with pytest.raises(ValueError):
-        acc.thm2_pair_curve(st, hp, 1.2, 0, 2, 7, alphas, lsi=short)
-    other = acc.lsi_recursion(st, make_hp(2, algorithm="dpogl_plus",
-                                          threat_model="tm2"), 1.2, 9)
-    with pytest.raises(ValueError):
-        acc.thm2_pair_curve(st, hp, 1.2, 0, 2, 7, alphas, lsi=other)
 
 
 def test_thm2_never_exceeds_thm1_at_full_participation():
@@ -337,11 +323,12 @@ def test_thm2_never_exceeds_thm1_at_full_participation():
         beta = float(rng.uniform(0.2, 3.0))
         alpha = float(rng.uniform(1.5, 16.0))
         t = int(rng.integers(1, 14))
+        curves = acc.thm2_curve_sweep(st, hp, beta, t, (alpha,)).at(t)
         for n in range(st.num_workers):
             for i in range(st.num_workers):
                 if n == i:
                     continue
-                t2 = acc.thm2_pair_bound(st, hp, beta, alpha, n, i, t)
+                t2 = curves[n, i, 0]
                 t1 = acc.thm1_pair_bound(st, hp, alpha, n, i, t)
                 assert t2 <= t1 + 1e-12, (M, t, n, i)
 
@@ -349,8 +336,9 @@ def test_thm2_never_exceeds_thm1_at_full_participation():
 def test_thm2_plus_trusted_pairs_and_budget_units():
     st = golden_string()
     hp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2")
-    assert acc.thm2_pair_bound(st, hp, 1.0, 3.0, 0, 1, 5) is None
-    v = acc.thm2_pair_bound(st, hp, 1.0, 3.0, 0, 2, 4)
+    sweep = acc.thm2_curve_sweep(st, hp, 1.0, 5, (3.0,))
+    assert math.isnan(sweep.at(5)[0, 1, 0])
+    v = sweep.at(4)[0, 2, 0]
     # one delivered window at t=4 (S=2), first crossing undegraded
     assert v == pytest.approx(3.0 / (2 * 4.0), abs=1e-15)
 
@@ -362,7 +350,7 @@ def test_rdp_to_dp_prefers_interior_order():
     delta = 1e-5
     K = 0.01
     grid = acc.DEFAULT_ALPHA_GRID
-    eps, alpha_star = acc.rdp_to_dp(lambda a: K * a, delta)
+    eps, alpha_star = acc.rdp_to_dp([K * a for a in grid], delta)
     manual = min(K * a + math.log(1 / delta) / (a - 1) for a in grid)
     assert eps == pytest.approx(manual, rel=1e-15)
     assert alpha_star in grid
@@ -394,33 +382,79 @@ def test_rdp_to_dp_edge_cases():
 # ---------------------------------------------------------------------------
 # matrix and per-worker assembly
 
+def admissible_adversaries(st, threat_model, n):
+    return np.flatnonzero(st.admissible_observers[threat_model][n]).tolist()
+
+
 def test_admissible_adversaries_by_threat_model():
     st = golden_string()
-    assert acc.admissible_adversaries(st, "tm1", 0) == [1, 2]
-    assert acc.admissible_adversaries(st, "tm2", 0) == [2]
-    assert acc.admissible_adversaries(st, "tm2", 1) == []
+    assert admissible_adversaries(st, "tm1", 0) == [1, 2]
+    assert admissible_adversaries(st, "tm2", 0) == [2]
+    assert admissible_adversaries(st, "tm2", 1) == []
     with pytest.raises(ValueError):
-        acc.admissible_adversaries(st, "tm3", 0)
+        acc.pwp_rows_from_curves(np.zeros((3, 3, 1)), st, "tm3", 1e-5, (2.0,))
 
 
 def test_privacy_matrix_agrees_with_scalar_bounds():
-    """The delay curve tensor equals the scalar pair bound at every order."""
+    """The delay curve tensor equals the scalar pair bound at every order,
+    under both block-count variants."""
     st = generate_structure("RI", 8, 4)
     hp = make_hp(4, participation=0.6, sigma=[1.0, 2.0, 1.5, 2.5])
     grid = (1.5, 3.0, 8.0)
-    curves = acc.delay_curve_matrix(st, hp, 9, grid)
-    for n in range(8):
-        assert np.isnan(curves[n, n]).all()
-        for i in range(8):
-            if n == i:
-                continue
-            for k, alpha in enumerate(grid):
-                assert curves[n, i, k] == pytest.approx(
-                    acc.thm1_pair_bound(st, hp, alpha, n, i, 9), rel=1e-12)
-    coeff = acc.pair_alpha_coefficients(st, hp, 9)
-    valid = ~np.isnan(curves)
-    assert np.allclose(curves[valid],
-                       (coeff[:, :, None] * np.array(grid))[valid])
+    for variant in acc.VARIANTS:
+        curves = acc.delay_curve_matrix(st, hp, 9, grid, variant)
+        for n in range(8):
+            assert np.isnan(curves[n, n]).all()
+            for i in range(8):
+                if n == i:
+                    continue
+                for k, alpha in enumerate(grid):
+                    assert curves[n, i, k] == pytest.approx(
+                        acc.thm1_pair_bound(st, hp, alpha, n, i, 9, variant),
+                        rel=1e-12)
+
+
+@hs.composite
+def overlapping_cases(draw):
+    """A random structure whose workers each join 1 to 3 groups (so some
+    sit in three groups and some parts may be disconnected), with per-group
+    noise and participation, an algorithm, a threat model and an epoch."""
+    N, M = draw(hs.integers(2, 8)), draw(hs.integers(1, 5))
+    joined = [draw(hs.sets(hs.integers(0, M - 1), min_size=1,
+                           max_size=min(3, M))) for _ in range(N)]
+    used = sorted(set().union(*joined))  # groups nobody joined are dropped
+    structure = GroupStructure(N, [[w for w in range(N) if g in joined[w]]
+                                   for g in used])
+    M = len(used)
+    algorithm, threat_model = draw(hs.sampled_from(
+        [("dpogl", "tm1"), ("dpogl", "tm2"), ("dpogl_plus", "tm2")]))
+    S, t = draw(hs.integers(1, 3)), draw(hs.integers(1, 12))
+    hp = make_hp(M, epochs=max(t, S), inter_group_period=S,
+                 algorithm=algorithm, threat_model=threat_model,
+                 sigma=draw(hs.lists(hs.floats(0.5, 4.0), min_size=M,
+                                     max_size=M)),
+                 participation=draw(hs.lists(hs.floats(0.05, 1.0),
+                                             min_size=M, max_size=M)))
+    return structure, hp, t
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(overlapping_cases())
+def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
+    """Every delay cell is the oracle's delivered counts times the per-step
+    budget; NaN marks exactly the pairs outside the threat model."""
+    structure, hp, t = case
+    grid = (1.5, 3.0, 8.0)
+    curves = acc.delay_curve_matrix(structure, hp, t, grid)
+    admissible = structure.admissible_observers[hp.threat_model]
+    assert np.array_equal(np.isnan(curves),
+                          np.repeat(~admissible[:, :, None], len(grid), axis=2))
+    for n, i in zip(*np.nonzero(admissible)):
+        counts = acc.propagation_oracle_counts(
+            structure, hp.inter_group_period, t, n, i, hp.algorithm)
+        want = [sum(count * acc.per_step_rdp(a, hp.sigma[m], hp.participation[m])
+                    for m, count in counts.items()) for a in grid]
+        np.testing.assert_allclose(curves[n, i], want, rtol=1e-12, atol=0)
 
 
 def test_privacy_matrix_masks_trusted_cells():
@@ -442,14 +476,15 @@ def test_privacy_matrix_dp_zeros_and_conversion():
     dp = acc.dp_matrix_from_curves(acc.delay_curve_matrix(st, hp, 8), 1e-5)
     # disjoint clusters never exchange anything
     assert dp[0, 5] == 0.0 and dp[3, 1] == 0.0
-    eps, _ = acc.rdp_to_dp(lambda a: acc.thm1_pair_bound(st, hp, a, 0, 1, 8), 1e-5)
+    eps, _ = acc.rdp_to_dp([acc.thm1_pair_bound(st, hp, a, 0, 1, 8)
+                            for a in acc.DEFAULT_ALPHA_GRID], 1e-5)
     assert dp[0, 1] == pytest.approx(eps, rel=1e-12)
     assert math.isnan(dp[2, 2])
 
 
 def _scalar_pwp_row(st, hp, n, t, delta, grid=acc.DEFAULT_ALPHA_GRID):
     """Per-worker envelope and conversion from the scalar references."""
-    adversaries = acc.admissible_adversaries(st, hp.threat_model, n)
+    adversaries = admissible_adversaries(st, hp.threat_model, n)
     curve = [max(acc.thm1_pair_bound(st, hp, a, n, i, t) for i in adversaries)
              for a in grid]
     return curve, acc.rdp_to_dp(curve, delta, grid)
@@ -476,7 +511,7 @@ def test_pwp_bounds_and_curve_assembly_agree():
             if n == i:
                 continue
             want, _ = acc.rdp_to_dp(
-                lambda a: acc.thm1_pair_bound(st, hp, a, n, i, t), delta)
+                [acc.thm1_pair_bound(st, hp, a, n, i, t) for a in grid], delta)
             assert dp[n, i] == pytest.approx(want, rel=1e-12)
 
 
@@ -537,8 +572,8 @@ SHARED_SETS_STRING = GroupStructure(10, [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7, 8, 9
 
 def test_thm2_curve_matrix_matches_pairwise_calls():
     """Every epoch of the pair-class sweep, including epochs past the
-    training horizon, is bitwise equal to the per-pair curve and to the
-    straight-line reference; undefined cells are NaN."""
+    training horizon, is bitwise equal to a sweep that ends at that epoch
+    and to the straight-line reference; undefined cells are NaN."""
     cases = [
         (golden_string(), {}),
         (golden_string(), {"threat_model": "tm2"}),
@@ -560,20 +595,17 @@ def _check_sweep_against_pairs(structure, hp, variant):
     sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid, variant)
     lsi = acc.lsi_recursion(structure, hp, beta, horizon)
     N = structure.num_workers
-    admissible = [[i in acc.admissible_adversaries(structure, hp.threat_model, n)
-                   for i in range(N)] for n in range(N)]
+    admissible = structure.admissible_observers[hp.threat_model]
     for t in (1, 2, 5, hp.epochs, horizon):
-        curves = acc.thm2_curve_matrix(structure, hp, beta, t, grid, variant)
+        curves = acc.thm2_curve_sweep(structure, hp, beta, t, grid,
+                                      variant).at(t)
         assert curves.shape == (N, N, len(grid))
         assert np.array_equal(curves, sweep.at(t), equal_nan=True)
         for n in range(N):
             for i in range(N):
-                if not admissible[n][i]:
+                if not admissible[n, i]:
                     assert np.isnan(curves[n, i]).all()
                     continue
-                pair = acc.thm2_pair_curve(structure, hp, beta, n, i, t, alphas,
-                                           variant, lsi)
-                assert np.array_equal(curves[n, i], pair)
                 assert np.array_equal(
                     curves[n, i],
                     _thm2_reference(structure, hp, lsi, n, i, t, alphas, variant))
@@ -587,9 +619,6 @@ def test_thm2_sweep_checks_preconditions_once():
         acc.thm2_curve_sweep(generate_structure("RI", 8, 4), hp, 1.0, 5)
     with pytest.raises(acc.AccountingPreconditionError):
         acc.thm2_curve_sweep(chain(2), make_hp(2, participation=0.5), 1.0, 5)
-    short = acc.lsi_recursion(chain(2), make_hp(2), 1.0, 3)
-    with pytest.raises(ValueError, match="does not cover"):
-        acc.thm2_curve_sweep(chain(2), make_hp(2), 1.0, 5, lsi=short)
 
 
 def test_pwp_envelope_over_admissible_observers():
@@ -600,7 +629,7 @@ def test_pwp_envelope_over_admissible_observers():
     rows = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
     penalty = math.log(1e5) / (np.array(grid) - 1.0)
     for n, eps_rdp, alpha_star, eps_dp in rows:
-        envelope = np.max(curves[n, acc.admissible_adversaries(st, "tm1", n)],
+        envelope = np.max(curves[n, admissible_adversaries(st, "tm1", n)],
                           axis=0)
         j = int(np.argmin(envelope + penalty))
         assert (eps_rdp, alpha_star, eps_dp) == (

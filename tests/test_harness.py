@@ -373,3 +373,9 @@ def test_cli_distances(tmp_path, capsys):
     broken.write_text(json.dumps({"N": 3, "M": 2,
                                   "members_of_group": [[0, 1]]}))
     assert cli_main(["distances", str(broken)]) == 2
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"N": 3.7,
+                                      "members_of_group": [[0, 1], [1, 2]]}))
+    capsys.readouterr()
+    assert cli_main(["distances", str(fractional)]) == 2
+    assert "config error" in capsys.readouterr().err

@@ -1,13 +1,13 @@
 """Group structures, adjacency/distance computations, and generators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
-                            generate_structure, group_distance, gtoh_distance,
-                            is_string)
+                            generate_structure)
 
 
 def chain(num_groups):
@@ -46,6 +46,14 @@ def test_json_round_trip():
     bad = st.to_json().replace('"M": 4', '"M": 5')
     with pytest.raises(ValueError):
         GroupStructure.from_json(bad)
+    # N, M and worker ids must be JSON integers: no truncation, no coercion
+    for payload in ({"N": 3.7, "members_of_group": [[0, 1], [1, 2]]},
+                    {"N": 3, "M": 2.0, "members_of_group": [[0, 1], [1, 2]]},
+                    {"N": 3, "members_of_group": [[0, 1.9], [1, 2]]},
+                    {"N": 3, "members_of_group": [[0, True], [1, 2]]},
+                    {"N": 3, "members_of_group": [[0, "1"], [1, 2]]}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GroupStructure.from_json(json.dumps(payload))
 
 
 def test_adjacency_and_distances_on_a_chain():
@@ -56,18 +64,18 @@ def test_adjacency_and_distances_on_a_chain():
                             [False, True, True]]
     dist = distance_matrix(adj)
     assert dist.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-    assert group_distance(st, 0, 2) == 2
+    assert st.distances[0, 2] == 2
     # worker 3 belongs only to group 2
-    assert gtoh_distance(st, 0, 3) == 2
+    assert st.worker_distances[0, 3] == 2
     # worker 1 sits in groups 0 and 1: nearest group wins
-    assert gtoh_distance(st, 2, 1) == 1
+    assert st.worker_distances[2, 1] == 1
 
 
 def test_disconnected_groups_have_infinite_distance():
     st = GroupStructure(4, [[0, 1], [2, 3]])
     dist = distance_matrix(build_adjacency(st))
     assert math.isinf(dist[0, 1])
-    assert math.isinf(gtoh_distance(st, 0, 3))
+    assert math.isinf(st.worker_distances[0, 3])
 
 
 def test_generate_gl():
@@ -92,7 +100,7 @@ def test_generate_ri_ring():
     assert st.members_of_group == ((0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 6, 7))
     dist = distance_matrix(build_adjacency(st))
     assert dist[0, 2] == 2 and dist[0, 1] == 1 and dist[0, 3] == 1
-    assert not is_string(st)  # closed ring of 4 groups is a cycle
+    assert not st.is_string  # closed ring of 4 groups is a cycle
     single = generate_structure("RI", 5, 1)
     assert single.members_of_group == ((0, 1, 2, 3, 4),)
 
@@ -114,21 +122,21 @@ def test_generate_rejects_unknown_kind():
 
 def test_is_string_accepts_chains_of_any_length():
     for m in range(1, 7):
-        assert is_string(chain(m))
+        assert chain(m).is_string
     # two groups closing a 2-cycle still form a single-edge path
-    assert is_string(GroupStructure(2, [[0, 1], [0, 1]]))
+    assert GroupStructure(2, [[0, 1], [0, 1]]).is_string
 
 
 def test_is_string_rejects_branching_rings_and_busy_workers():
     # worker 1 sits in three groups, which also makes them pairwise adjacent
     star = GroupStructure(4, [[0, 1], [1, 2], [1, 3]])
-    assert not is_string(star)
-    assert not is_string(generate_structure("RI", 6, 3))
+    assert not star.is_string
+    assert not generate_structure("RI", 6, 3).is_string
     disconnected = GroupStructure(4, [[0, 1], [2, 3]])
-    assert not is_string(disconnected)
+    assert not disconnected.is_string
     # 4-cycle closed through worker 4 even though every worker is in <= 2 groups
     cycle = GroupStructure(5, [[0, 1], [1, 2, 4], [2, 3], [3, 4]])
-    assert not is_string(cycle)
+    assert not cycle.is_string
 
 
 def test_structure_facts_match_the_functions_and_are_read_only():
@@ -142,7 +150,8 @@ def test_structure_facts_match_the_functions_and_are_read_only():
         assert st.member_mask[m].tolist() == [w in st.members_of_group[m]
                                              for w in range(10)]
         for w in range(10):
-            assert st.worker_distances[m, w] == gtoh_distance(st, m, w, dist)
+            assert st.worker_distances[m, w] == min(
+                dist[m, g] for g in st.groups_of_worker[w])
     tm1, tm2 = st.admissible_observers["tm1"], st.admissible_observers["tm2"]
     for n in range(10):
         assert tm1[n].tolist() == [i != n for i in range(10)]
