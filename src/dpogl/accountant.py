@@ -10,17 +10,19 @@ Both algorithms share one path, parameterised by the mechanism window W
 (``HyperParams.mechanism_window``: 1 for dpogl, S for dpogl_plus).  A
 delivered S-epoch block carries S / W mechanisms, and the smoothing (LSI)
 recursion fires one mechanism per W-epoch window.  The pipeline has one
-path per bound, each giving (N, N, G) curve tensors over an order grid:
-``delay_curve_matrix`` and ``thm2_curve_sweep``; it reduces them to DP
+path per bound: ``delay_curve_matrix`` gives (N, N) delay coefficients K,
+whose curves alpha * K are linear in the order, and ``thm2_curve_sweep``
+(N, N, G) curve tensors over an order grid; it reduces either form to DP
 heatmaps and per-worker envelopes.  Independent references check both
 paths: ``thm1_pair_bound``/``thm1_pair_counts``, the epoch-unrolled
 ``propagation_oracle_counts``, ``degradation_mu`` and ``rdp_to_dp``.
 
 Cost model.  Structure facts (distances, masks, the string test) are cached
-on the ``GroupStructure`` and computed once per structure.  The degradation
-bound of a pair (n, i) depends only on its class: n's groups and, for each,
-the nearest group of i.  ``thm2_curve_sweep`` checks the preconditions once,
-builds one per-run table of mu factors indexed by (firing epoch, group), and
+on the ``GroupStructure`` and computed once per structure.  A delay epoch
+costs one (N, M) @ (M, N) product, O(N * M * N), and no (N, N, G) tensor:
+the reductions read K directly.  The degradation bound of a pair (n, i)
+depends only on its class: n's groups and, for each, the nearest group of
+i.  ``thm2_curve_sweep`` checks the preconditions once, builds one per-run table of mu factors indexed by (firing epoch, group), and
 computes each class's attenuated block budgets once for all epochs up to the
 horizon.  An epoch's (N, N, G) tensor is then a sum over the blocks
 delivered by that epoch, vectorised across classes, and a gather: the cost
@@ -500,23 +502,6 @@ def rdp_to_dp(curve, delta: float, alpha_grid=DEFAULT_ALPHA_GRID
     return best_eps, float(best_alpha)
 
 
-def _dp_reduce(curves: np.ndarray, delta: float, grid: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Over the last axis of ``curves``: the index of the order minimizing
-    eps_rdp(alpha) + log(1/delta)/(alpha - 1), and that minimum.
-
-    Identically-zero curves convert to an exact 0 (the pair's views are
-    identically distributed); NaN curves convert to NaN.
-    """
-    candidates = curves + math.log(1.0 / delta) / (grid - 1.0)
-    # The minimum before the argmin: the other order kept about 14 MB more
-    # freed heap resident (peak RSS) on a 256-worker ring.
-    eps = np.min(candidates, axis=-1)
-    best = np.argmin(candidates, axis=-1)
-    eps[np.all(curves == 0.0, axis=-1)] = 0.0
-    return best, eps
-
-
 # ---------------------------------------------------------------------------
 # curve tensors (one path per bound) and their reductions
 
@@ -528,16 +513,15 @@ def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
 
 
 def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
-                       alpha_grid=DEFAULT_ALPHA_GRID,
                        variant: str = "examples_consistent") -> np.ndarray:
-    """(N, N, G) delay-only curves alpha * K over the grid; NaN marks trusted.
+    """(N, N) delay coefficients K at epoch t: the curve of pair (n, i) is
+    alpha * K[n, i].  NaN marks trusted cells.
 
     Row n is the targeted worker, column i the observer.  K[n, i] sums n's
-    groups' delivered mechanism counts times their per-order budgets.  Cells
-    are undefined on the diagonal and, under tm2 (which dpogl_plus
-    requires), for in-group pairs.
+    groups' delivered mechanism counts times their per-step budgets over
+    alpha.  Cells are undefined on the diagonal and, under tm2 (which
+    dpogl_plus requires), for in-group pairs.
     """
-    alphas = np.array(_check_grid(alpha_grid))
     _check_variant(variant)
     S = hp.inter_group_period
     weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
@@ -552,7 +536,7 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
     K = (structure.member_mask.T * weights) @ counts
     K[~_observer_mask(structure, hp.threat_model)] = np.nan
-    return K[:, :, None] * alphas[None, None, :]
+    return K
 
 
 def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -597,37 +581,58 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
 
 def dp_matrix_from_curves(curves: np.ndarray, delta: float,
                           alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
-    """(N, N) DP conversion of a per-pair curve tensor.
+    """(N, N) DP conversion of per-pair curves: an (N, N, G) tensor or the
+    delay coefficients K, one order at a time on (N, N) temporaries.
 
     Identically-zero curves convert to an exact 0; NaN cells stay NaN.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
-    if curves.shape[-1] != grid.size:
+    if curves.ndim == 3 and curves.shape[-1] != grid.size:
         raise ValueError("curve tensor must align with the alpha grid")
-    defined = ~np.isnan(curves)
-    if np.any(defined & ~np.isfinite(curves)) or np.any(curves[defined] < 0):
+    # The largest curve value is max(K) * max(alpha) for K; NaN is skipped.
+    top = np.fmax.reduce(curves, axis=None, initial=0.0)
+    if (np.isinf(top * grid.max() if curves.ndim == 2 else top)
+            or np.fmin.reduce(curves, axis=None, initial=0.0) < 0):
         raise ValueError("RDP curve values must be finite and nonnegative")
-    return _dp_reduce(curves, delta, grid)[1]
+    penalty = math.log(1.0 / delta) / (grid - 1.0)
+    eps = np.full(curves.shape[:2], np.inf)
+    zero = np.ones(curves.shape[:2], dtype=bool)
+    for g, alpha in enumerate(grid):
+        curve = curves * alpha if curves.ndim == 2 else curves[..., g]
+        np.minimum(eps, curve + penalty[g], out=eps)  # NaN propagates
+        zero &= curve == 0.0
+    eps[zero] = 0.0
+    return eps
 
 
 def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
                          threat_model: str, delta: float,
                          alpha_grid=DEFAULT_ALPHA_GRID
                          ) -> list[tuple[int, float, float, float]]:
-    """Per-worker (worker, eps_rdp, alpha_star, eps_dp) from a curve tensor.
+    """Per-worker (worker, eps_rdp, alpha_star, eps_dp) from per-pair curves:
+    an (N, N, G) tensor or the delay coefficients K.
 
     Each worker's curve is the pointwise envelope over its admissible
     observers; workers with no admissible observer are omitted.
+    Identically-zero envelopes convert to an exact 0.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
     mask = _observer_mask(structure, threat_model)
-    envelopes = np.max(curves, axis=1, where=mask[:, :, None], initial=-np.inf)
+    # For K the envelope of the curves alpha * K is max(K) * alpha bit for
+    # bit, because rounding alpha * x is monotone in x.
+    envelopes = np.max(curves, axis=1, initial=-np.inf,
+                       where=mask if curves.ndim == 2 else mask[:, :, None])
+    if curves.ndim == 2:
+        envelopes = envelopes[:, None] * grid
     observed = mask.any(axis=1)
     if np.isnan(envelopes[observed]).any():
         raise ValueError("undefined pair among admissible observers")
-    best, eps = _dp_reduce(envelopes, delta, grid)
+    candidates = envelopes + math.log(1.0 / delta) / (grid - 1.0)
+    eps = np.min(candidates, axis=-1)
+    best = np.argmin(candidates, axis=-1)
+    eps[np.all(envelopes == 0.0, axis=-1)] = 0.0
     rows = np.flatnonzero(observed)
     j = best[rows]
     return list(zip(rows.tolist(), envelopes[rows, j].tolist(),

@@ -363,9 +363,9 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
         beta = smoothness_bound(train_set.features)
         curves_at = accountant.thm2_curve_sweep(structure, hp, beta, horizon,
                                                 grid, config.variant).at
-    else:
+    else:  # (N, N) coefficients K standing for the linear curves alpha * K
         def curves_at(t: int) -> np.ndarray:
-            return accountant.delay_curve_matrix(structure, hp, t, grid,
+            return accountant.delay_curve_matrix(structure, hp, t,
                                                  config.variant)
 
     written: list[str] = []
@@ -377,12 +377,11 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
                 accountant.pwp_rows_from_curves(curves, structure,
                                                 config.threat_model,
                                                 config.delta, grid):
-            pwp_rows.append(f"{t},{worker},{_fmt(eps_rdp)},"
-                            f"{_fmt(alpha_star)},{_fmt(eps_dp)}")
+            pwp_rows.append(f"{t},{worker},{eps_rdp:.17g},{alpha_star:.17g},"
+                            f"{eps_dp:.17g}")
         if t in config.heatmap_epochs:
             heatmaps[t] = accountant.dp_matrix_from_curves(curves, config.delta,
                                                            grid)
-        del curves  # free this epoch's (N, N, G) tensor before the next one
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
                  pwp_rows)
     written.append("pwp.csv")
@@ -391,16 +390,12 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
         if matrix is None:  # beyond the training horizon
             matrix = accountant.dp_matrix_from_curves(curves_at(t),
                                                       config.delta, grid)
-        rows = []
-        for n in range(structure.num_workers):
-            for i in range(structure.num_workers):
-                if i == n:
-                    continue
-                cell = matrix[n, i]
-                value = "trusted" if math.isnan(cell) else _fmt(cell)
-                rows.append(f"{n},{i},{value}")
         name = f"heatmap_epoch_{t}.csv"
-        _write_lines(out / name, "n,i,eps", rows)
+        # c != c marks NaN; the rows are freed before the next heatmap's
+        _write_lines(out / name, "n,i,eps",
+                     [f"{n},{i},{'trusted' if c != c else format(c, '.17g')}"
+                      for n, cells in enumerate(matrix.tolist())
+                      for i, c in enumerate(cells) if i != n])
         written.append(name)
     return written
 

@@ -138,7 +138,7 @@ def test_criterion_03_interval_mechanism_single_budget():
         assert acc.thm1_pair_bound(structure, hp, alpha, n, i, t) is None
         assert math.isnan(degraded[n, i, 0])
 
-    mat = acc.delay_curve_matrix(structure, hp, t, (alpha,))[:, :, 0]
+    mat = alpha * acc.delay_curve_matrix(structure, hp, t)
     expected_trusted = np.array([[True, True, False],
                                  [True, True, True],
                                  [False, True, True]])

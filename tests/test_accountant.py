@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,13 +397,13 @@ def test_admissible_adversaries_by_threat_model():
 
 
 def test_privacy_matrix_agrees_with_scalar_bounds():
-    """The delay curve tensor equals the scalar pair bound at every order,
-    under both block-count variants."""
+    """The delay curves alpha * K equal the scalar pair bound at every
+    order, under both block-count variants."""
     st = generate_structure("RI", 8, 4)
     hp = make_hp(4, participation=0.6, sigma=[1.0, 2.0, 1.5, 2.5])
     grid = (1.5, 3.0, 8.0)
     for variant in acc.VARIANTS:
-        curves = acc.delay_curve_matrix(st, hp, 9, grid, variant)
+        curves = acc.delay_curve_matrix(st, hp, 9, variant)[..., None] * grid
         for n in range(8):
             assert np.isnan(curves[n, n]).all()
             for i in range(8):
@@ -445,7 +446,7 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
     budget; NaN marks exactly the pairs outside the threat model."""
     structure, hp, t = case
     grid = (1.5, 3.0, 8.0)
-    curves = acc.delay_curve_matrix(structure, hp, t, grid)
+    curves = acc.delay_curve_matrix(structure, hp, t)[..., None] * np.array(grid)
     admissible = structure.admissible_observers[hp.threat_model]
     assert np.array_equal(np.isnan(curves),
                           np.repeat(~admissible[:, :, None], len(grid), axis=2))
@@ -460,11 +461,11 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
 def test_privacy_matrix_masks_trusted_cells():
     st = golden_string()
     hp2 = make_hp(2, threat_model="tm2")
-    mat = acc.delay_curve_matrix(st, hp2, 6, (2.0,))[:, :, 0]
+    mat = 2.0 * acc.delay_curve_matrix(st, hp2, 6)
     assert math.isnan(mat[0, 1]) and math.isnan(mat[1, 2])
     assert not math.isnan(mat[0, 2])
     hpp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2")
-    matp = acc.delay_curve_matrix(st, hpp, 6, (2.0,))[:, :, 0]
+    matp = 2.0 * acc.delay_curve_matrix(st, hpp, 6)
     assert math.isnan(matp[0, 1])
     assert matp[0, 2] == pytest.approx(
         acc.thm1_pair_bound(st, hpp, 2.0, 0, 2, 6), rel=1e-12)
@@ -646,3 +647,142 @@ def test_pwp_envelope_over_admissible_observers():
         acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
     with pytest.raises(ValueError):
         acc.pwp_rows_from_curves(curves, st, "tm3", 1e-5, grid)
+
+
+# ---------------------------------------------------------------------------
+# reductions of the delay coefficients K against the tensor reductions
+
+def _tensor_pwp_reference(curves, mask, delta, grid):
+    """Per-worker rows from an (N, N, G) tensor: the envelope and conversion
+    that the coefficient path replaced."""
+    grid = np.array(grid)
+    envelopes = np.max(curves, axis=1, where=mask[:, :, None], initial=-np.inf)
+    observed = mask.any(axis=1)
+    if np.isnan(envelopes[observed]).any():
+        raise ValueError("undefined pair among admissible observers")
+    candidates = envelopes + math.log(1.0 / delta) / (grid - 1.0)
+    eps = np.min(candidates, axis=-1)
+    best = np.argmin(candidates, axis=-1)
+    eps[np.all(envelopes == 0.0, axis=-1)] = 0.0
+    rows = np.flatnonzero(observed)
+    j = best[rows]
+    return list(zip(rows.tolist(), envelopes[rows, j].tolist(),
+                    grid[j].tolist(), eps[rows].tolist()))
+
+
+def _tensor_heatmap_reference(curves, delta, grid):
+    """(N, N) DP matrix from an (N, N, G) tensor, reduced over the whole
+    order axis at once."""
+    grid = np.array(grid)
+    defined = ~np.isnan(curves)
+    if np.any(defined & ~np.isfinite(curves)) or np.any(curves[defined] < 0):
+        raise ValueError("RDP curve values must be finite and nonnegative")
+    eps = np.min(curves + math.log(1.0 / delta) / (grid - 1.0), axis=-1)
+    eps[np.all(curves == 0.0, axis=-1)] = 0.0
+    return eps
+
+
+def _bits(rows):
+    return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+COEFFICIENTS = hs.one_of(
+    hs.just(0.0),
+    hs.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]),  # subnormal
+    hs.floats(0.0, 1e3),
+    hs.floats(1e305, 1.7e308),  # alpha * K overflows at the larger orders
+)
+
+
+@hs.composite
+def coefficient_cases(draw):
+    """A structure, a threat model and a coefficient matrix K that is NaN
+    outside the admissible observers, with zero rows, subnormal entries
+    and rows with no admissible observer."""
+    N = draw(hs.integers(2, 7))
+    M = draw(hs.integers(1, 4))
+    joined = [draw(hs.sets(hs.integers(0, M - 1), min_size=1, max_size=M))
+              for _ in range(N)]
+    used = sorted(set().union(*joined))
+    structure = GroupStructure(N, [[w for w in range(N) if g in joined[w]]
+                                   for g in used])
+    threat_model = draw(hs.sampled_from(["tm1", "tm2"]))
+    K = np.array(draw(hs.lists(COEFFICIENTS, min_size=N * N, max_size=N * N)))
+    K = K.reshape(N, N)
+    for n in draw(hs.sets(hs.integers(0, N - 1))):
+        K[n] = 0.0
+    K[~structure.admissible_observers[threat_model]] = np.nan
+    grid = draw(hs.one_of(
+        hs.just(acc.DEFAULT_ALPHA_GRID),
+        hs.lists(hs.floats(1.01, 300.0), min_size=1, max_size=6,
+                 unique=True).map(sorted)))
+    delta = draw(hs.sampled_from([1e-10, 1e-5, 0.5, 1.0]))
+    return structure, threat_model, K, tuple(grid), delta
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(coefficient_cases(), hs.integers(0, 48))
+def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
+    """pwp rows and heatmaps from K equal the tensor reductions of
+    K[..., None] * grid bit for bit, and both refuse the same inputs."""
+    structure, threat_model, K, grid, delta = case
+    tensor = K[..., None] * np.array(grid)
+    mask = structure.admissible_observers[threat_model]
+    want = _tensor_pwp_reference(tensor, mask, delta, grid)
+    assert _bits(acc.pwp_rows_from_curves(K, structure, threat_model, delta,
+                                          grid)) == _bits(want)
+    try:
+        want = _tensor_heatmap_reference(tensor, delta, grid)
+    except ValueError:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            acc.dp_matrix_from_curves(K, delta, grid)
+    else:
+        assert acc.dp_matrix_from_curves(K, delta, grid).tobytes() == want.tobytes()
+        assert (acc.dp_matrix_from_curves(tensor, delta, grid).tobytes()
+                == want.tobytes())
+    # an undefined cell among admissible observers is refused by both paths
+    n, i = divmod(cell % K.size, K.shape[1])
+    if mask[n, i]:
+        K[n, i] = np.nan
+        with pytest.raises(ValueError, match="undefined pair"):
+            _tensor_pwp_reference(K[..., None] * np.array(grid), mask, delta,
+                                  grid)
+        with pytest.raises(ValueError, match="undefined pair"):
+            acc.pwp_rows_from_curves(K, structure, threat_model, delta, grid)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_coefficient_heatmap_edge_cells():
+    """K == 0 converts to an exact 0, NaN stays NaN, a subnormal K is not
+    zero, and a K whose curve overflows at the largest order is refused."""
+    K = np.array([[np.nan, 0.0, 5e-324],
+                  [1.0, np.nan, 0.0],
+                  [np.nan, 2.0, np.nan]])
+    dp = acc.dp_matrix_from_curves(K, 1e-5)
+    assert dp[0, 1] == 0.0 and dp[1, 2] == 0.0
+    assert np.array_equal(np.isnan(dp), np.isnan(K))
+    assert dp[0, 2] > 0.0
+    K[1, 0] = 1e307
+    assert math.isinf(1e307 * max(acc.DEFAULT_ALPHA_GRID))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        acc.dp_matrix_from_curves(K, 1e-5)
+    K[1, 0] = -1.0
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        acc.dp_matrix_from_curves(K, 1e-5)
+
+
+def test_heatmap_conversion_of_a_tensor_holds_per_order_temporaries():
+    """Converting a (256, 256, 24) tensor allocates at most 3 MB beyond its
+    input: (N, N) temporaries for one order at a time."""
+    curves = np.random.default_rng(0).random((256, 256, 24))
+    curves[0, 1] = np.nan
+    tracemalloc.start()
+    try:
+        dp = acc.dp_matrix_from_curves(curves, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+    assert dp.tobytes() == _tensor_heatmap_reference(
+        curves, 1e-5, acc.DEFAULT_ALPHA_GRID).tobytes()

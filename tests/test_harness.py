@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,8 +179,7 @@ def test_pwp_csv_matches_accountant(tmp_path):
         by_epoch.setdefault(int(t), []).append(
             (int(n), float(eps_rdp), float(alpha_star), float(eps_dp)))
     for t in range(1, config.epochs + 1):
-        curves = acc.delay_curve_matrix(structure, hp, t, config.alpha_grid,
-                                        config.variant)
+        curves = acc.delay_curve_matrix(structure, hp, t, config.variant)
         want = acc.pwp_rows_from_curves(curves, structure, hp.threat_model,
                                         config.delta, config.alpha_grid)
         assert by_epoch[t] == want  # 17 significant digits round-trip
@@ -234,6 +234,55 @@ def test_accounting_invariant_violations_propagate(tmp_path, monkeypatch):
     monkeypatch.setattr(acc, "pwp_rows_from_curves", broken)
     with pytest.raises(ValueError, match="undefined pair"):
         run_experiment(make_config(tmp_path), with_training=False)
+
+
+def test_delay_account_holds_no_curve_tensor(tmp_path):
+    """The delay pipeline's tracemalloc peak stays below the size of one
+    (N, N, G) curve tensor (12.6 MB at N=256 and the default grid)."""
+    config = make_config(
+        tmp_path, epochs=20, heatmap_epochs=[10, 20],
+        structure={"kind": "RI", "num_workers": 256, "num_groups": 32})
+    tensor_bytes = 256 * 256 * len(acc.DEFAULT_ALPHA_GRID) * 8
+    tracemalloc.start()
+    try:
+        run_experiment(config, with_training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes
+
+
+def _pwp_by_worker(path):
+    rows = {}
+    for line in read_lines(path)[1:]:
+        t, worker, eps_rdp, alpha_star, eps_dp = line.split(",")
+        rows.setdefault(int(worker), []).append(
+            (int(t), float(eps_rdp), float(alpha_star), float(eps_dp)))
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("overrides", [
+    dict(epochs=40, structure={"kind": "RI", "num_workers": 16,
+                               "num_groups": 8}),
+    dict(epochs=40, bound="degradation", participation=1.0,
+         structure={"num_workers": 9, "members_of_group": [
+             [0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8]]}),
+])
+def test_pwp_is_monotone_in_t(tmp_path, overrides):
+    """Per worker, eps_dp never decreases in t.  eps_rdp is the curve at
+    alpha*, and alpha* never increases, so eps_rdp never decreases while
+    alpha* holds; it may drop where alpha* moves to a smaller order."""
+    run_experiment(make_config(tmp_path, heatmap_epochs=[], **overrides),
+                   with_training=False)
+    for rows in _pwp_by_worker(tmp_path / "out" / "pwp.csv").values():
+        assert [r[0] for r in rows] == list(range(1, 41))
+        for (_, rdp0, alpha0, dp0), (_, rdp1, alpha1, dp1) in zip(rows, rows[1:]):
+            assert dp1 >= dp0
+            assert alpha1 <= alpha0
+            if alpha1 == alpha0:
+                assert rdp1 >= rdp0
+        assert rows[-1][3] > rows[0][3]
 
 
 def test_degradation_bound_pipeline_on_a_string(tmp_path):
