@@ -579,6 +579,15 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     return Thm2Sweep.pack(horizon, classes, entries, alphas.size)
 
 
+def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:
+    """Refuse a negative or non-finite curve value (NaN is skipped) with two
+    whole-array reductions; for K the largest value is max(K) * max(alpha)."""
+    top = np.fmax.reduce(curves, axis=None, initial=0.0)
+    if (np.isinf(top * grid.max() if curves.ndim == 2 else top)
+            or np.fmin.reduce(curves, axis=None, initial=0.0) < 0):
+        raise ValueError("RDP curve values must be finite and nonnegative")
+
+
 def dp_matrix_from_curves(curves: np.ndarray, delta: float,
                           alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
     """(N, N) DP conversion of per-pair curves: an (N, N, G) tensor or the
@@ -590,11 +599,7 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     grid = np.array(_check_grid(alpha_grid))
     if curves.ndim == 3 and curves.shape[-1] != grid.size:
         raise ValueError("curve tensor must align with the alpha grid")
-    # The largest curve value is max(K) * max(alpha) for K; NaN is skipped.
-    top = np.fmax.reduce(curves, axis=None, initial=0.0)
-    if (np.isinf(top * grid.max() if curves.ndim == 2 else top)
-            or np.fmin.reduce(curves, axis=None, initial=0.0) < 0):
-        raise ValueError("RDP curve values must be finite and nonnegative")
+    _check_curve_values(curves, grid)
     penalty = math.log(1.0 / delta) / (grid - 1.0)
     eps = np.full(curves.shape[:2], np.inf)
     zero = np.ones(curves.shape[:2], dtype=bool)
@@ -615,7 +620,8 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
 
     Each worker's curve is the pointwise envelope over its admissible
     observers; workers with no admissible observer are omitted.
-    Identically-zero envelopes convert to an exact 0.
+    Identically-zero envelopes convert to an exact 0.  Curves with a
+    negative or non-finite value are refused, as by ``dp_matrix_from_curves``.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
@@ -629,6 +635,7 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     observed = mask.any(axis=1)
     if np.isnan(envelopes[observed]).any():
         raise ValueError("undefined pair among admissible observers")
+    _check_curve_values(curves, grid)
     candidates = envelopes + math.log(1.0 / delta) / (grid - 1.0)
     eps = np.min(candidates, axis=-1)
     best = np.argmin(candidates, axis=-1)

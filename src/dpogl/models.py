@@ -1,7 +1,12 @@
-"""Multinomial logistic regression on flat parameter vectors.
+"""Multinomial logistic regression on flat parameter vectors, batched.
 
 A model is a flat float64 vector of length (dims + 1) * num_classes, viewed
-as a (num_classes, dims + 1) matrix whose last column is the bias.
+as a (num_classes, dims + 1) matrix whose last column is the bias.  The
+functions take features that already carry the bias column (``augment``,
+applied once per dataset) and broadcast over leading axes: a (k, v) stack
+of models with (k, b, dims + 1) batches, or with one shared (b, dims + 1)
+batch, gives k results.  Each uses ``@`` on its own (b, dims + 1) slice,
+which on numpy's BLAS path is bit-identical to that model computed alone.
 """
 
 from __future__ import annotations
@@ -17,41 +22,44 @@ def init_params(dims: int, num_classes: int) -> np.ndarray:
     return np.zeros(param_dim(dims, num_classes))
 
 
-def _augment(features: np.ndarray) -> np.ndarray:
-    return np.hstack([features, np.ones((features.shape[0], 1))])
+def augment(features: np.ndarray) -> np.ndarray:
+    """Append the bias column of ones: (..., dims) -> (..., dims + 1)."""
+    return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
+
+
+def _logits(params: np.ndarray, design: np.ndarray, num_classes: int) -> np.ndarray:
+    W = params.reshape(params.shape[:-1] + (num_classes, -1))
+    return design @ np.swapaxes(W, -1, -2)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
-         num_classes: int) -> float:
-    """Mean negative log-likelihood."""
-    W = params.reshape(num_classes, -1)
-    logp = _log_softmax(_augment(features) @ W.T)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+def loss(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
+         num_classes: int) -> np.ndarray:
+    """Mean negative log-likelihood of each model on its batch."""
+    logp = _log_softmax(_logits(params, design, num_classes))
+    return -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
 
 
-def gradient(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
+def gradient(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
              num_classes: int) -> np.ndarray:
-    """Flat gradient of ``loss`` at ``params``."""
-    W = params.reshape(num_classes, -1)
-    X = _augment(features)
-    probs = np.exp(_log_softmax(X @ W.T))
-    probs[np.arange(len(labels)), labels] -= 1.0
-    return (probs.T @ X).ravel() / len(labels)
+    """Gradient of ``loss`` at each model, shaped like ``params``."""
+    probs = np.exp(_log_softmax(_logits(params, design, num_classes)))
+    probs -= labels[..., None] == np.arange(num_classes)
+    return (np.swapaxes(probs, -1, -2) @ design).reshape(params.shape) / labels.shape[-1]
 
 
-def predict(params: np.ndarray, features: np.ndarray, num_classes: int) -> np.ndarray:
-    W = params.reshape(num_classes, -1)
-    return np.argmax(_augment(features) @ W.T, axis=1)
+def predict(params: np.ndarray, design: np.ndarray, num_classes: int) -> np.ndarray:
+    return np.argmax(_logits(params, design, num_classes), axis=-1)
 
 
-def accuracy(params: np.ndarray, features: np.ndarray, labels: np.ndarray,
-             num_classes: int) -> float:
-    return float((predict(params, features, num_classes) == labels).mean())
+def accuracy(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
+             num_classes: int) -> np.ndarray:
+    """Fraction of each model's predictions that match ``labels``."""
+    return (predict(params, design, num_classes) == labels).mean(axis=-1)
 
 
 def smoothness_bound(features: np.ndarray) -> float:

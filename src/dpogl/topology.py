@@ -86,6 +86,17 @@ class GroupStructure:
         return _read_only(mask)
 
     @cached_property
+    def group_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct ``groups_of_worker`` sets, in order of first use."""
+        return tuple(dict.fromkeys(self.groups_of_worker))
+
+    @cached_property
+    def group_set_of_worker(self) -> np.ndarray:
+        """(N,) index of each worker's groups in ``group_sets``."""
+        index = {groups: k for k, groups in enumerate(self.group_sets)}
+        return _read_only(np.array([index[g] for g in self.groups_of_worker]))
+
+    @cached_property
     def worker_distances(self) -> np.ndarray:
         """(M, N) distance from each group to the nearest group of each
         worker (0 for the worker's own groups)."""

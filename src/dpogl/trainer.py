@@ -5,18 +5,19 @@ group keeps a model.  Epochs with ``(t - 1) % S == 0`` are inter-group
 epochs: a worker initializes local training from the mean of the models of
 all groups it belongs to, otherwise from its group's model.
 
-Both algorithms run one round function parameterised by the mechanism
-window W (``HyperParams.mechanism_window``).  Workers are sampled once per
-W-epoch window, apply raw (unclipped, noise-free) updates inside it, and a
-single clipped-and-noised mechanism over the accumulated per-worker updates
-fires at the window's last epoch, replayed on top of the window-start model.
+Both algorithms run one epoch step parameterised by the mechanism window W
+(``HyperParams.mechanism_window``).  Workers are sampled once per W-epoch
+window, apply raw (unclipped, noise-free) updates inside it, and a single
+clipped-and-noised mechanism over the accumulated per-worker updates fires
+at the window's last epoch, replayed on top of the window-start model.
 ``dpogl`` is W = 1 (one mechanism per epoch); ``dpogl_plus`` is W = S.
+Each epoch trains every sampled (group, worker) in one batched SGD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,12 +113,34 @@ def is_intergroup_epoch(t: int, period: int) -> bool:
     return (t - 1) % period == 0
 
 
+def _buckets(lengths) -> list[list[int]]:
+    """Indices of the nonzero ``lengths``, grouped by length."""
+    out: dict[int, list[int]] = {}
+    for j, size in enumerate(lengths):
+        if size:
+            out.setdefault(size, []).append(j)
+    return list(out.values())
+
+
 def worker_merge(model_stack: np.ndarray) -> np.ndarray:
-    """Mean of a (k, v) stack of group models."""
+    """Mean over the k models of a (..., k, v) stack of group models."""
     stack = np.asarray(model_stack, dtype=float)
-    if stack.ndim != 2 or stack.shape[0] < 1:
-        raise ValueError("expected a nonempty (k, v) stack of models")
-    return stack.mean(axis=0)
+    if stack.ndim < 2 or stack.shape[-2] < 1:
+        raise ValueError("expected a nonempty (..., k, v) stack of models")
+    return stack.mean(axis=-2)
+
+
+def personalize(structure: GroupStructure, theta: np.ndarray) -> np.ndarray:
+    """Personalised model of each of ``structure.group_sets``: (sets, v).
+
+    A set's model merges its groups' models, with one stacked merge per set
+    size.  Worker n's model is row ``structure.group_set_of_worker[n]``.
+    """
+    sets = structure.group_sets
+    out = np.empty((len(sets), theta.shape[1]))
+    for ids in _buckets([len(groups) for groups in sets]):
+        out[ids] = worker_merge(theta[[sets[k] for k in ids]])
+    return out
 
 
 def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -141,29 +164,52 @@ def mechanism_noise(seed: int, group: int, epoch: int, dim: int, std: float) -> 
     return std * derive_stream(seed, "noise", group, epoch).standard_normal(dim)
 
 
-def local_train(start: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                num_classes: int, hp: HyperParams,
-                rng: np.random.Generator) -> np.ndarray:
-    """L mini-batch SGD steps from ``start``; empty shards return it unchanged.
+def _batch_plan(shard: np.ndarray, hp: HyperParams, group: int, epoch: int,
+                worker: int) -> np.ndarray:
+    """(L, b) sample ids of one worker's local batches, b = min(B, shard size).
 
-    Batches are drawn uniformly without replacement, reshuffling whenever
-    fewer than a full batch remains.
+    Batches are drawn uniformly without replacement from the worker's own
+    (group, epoch, worker) stream, reshuffling whenever fewer than a full
+    batch remains.  An empty shard gives an (L, 0) plan and draws nothing.
     """
-    n = len(labels)
-    x = start.copy()
+    L, n = hp.local_iterations, len(shard)
     if n == 0:
-        return x
-    batch = min(hp.batch_size, n)
-    perm = np.empty(0, dtype=int)
-    pos = n  # force an initial shuffle
-    for _ in range(hp.local_iterations):
-        if pos + batch > n:
-            perm = rng.permutation(n)
-            pos = 0
-        take = perm[pos:pos + batch]
-        pos += batch
-        x -= hp.learning_rate * models.gradient(x, features[take], labels[take], num_classes)
-    return x
+        return np.empty((L, 0), dtype=np.int64)
+    b = min(hp.batch_size, n)
+    per_shuffle = n // b
+    rng = derive_stream(hp.seed, "batch", group, epoch, worker)
+    perms = [rng.permutation(n)[:per_shuffle * b] for _ in range(-(-L // per_shuffle))]
+    return shard[np.concatenate(perms).reshape(-1, b)[:L]]
+
+
+def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
+                labels: np.ndarray, num_classes: int, learning_rate: float
+                ) -> np.ndarray:
+    """Mini-batch SGD from each row of ``starts``, all jobs at once.
+
+    ``plans[j]`` holds job j's (L, b) sample ids into ``design`` (features
+    with the bias column) and ``labels``; a job with an empty plan keeps its
+    start.  Jobs are bucketed by batch length b and never padded, because
+    padding would change the batch mean.  Each local iteration is one
+    batched gradient per bucket, bit-identical to stepping each job alone.
+    """
+    out = starts.copy()
+    for jobs in _buckets([plan.shape[1] for plan in plans]):
+        x = out[jobs]
+        for step in np.stack([plans[j] for j in jobs], axis=1):  # (k, b) ids
+            x -= learning_rate * models.gradient(x, design[step], labels[step], num_classes)
+        out[jobs] = x
+    return out
+
+
+def _mechanism(hp: HyperParams, accum: np.ndarray, group: int, epoch: int) -> np.ndarray:
+    """Sum of the window's per-worker updates, each clipped at sqrt(W) c, in
+    worker order, plus one noise draw of std sqrt(W) c sigma."""
+    root_w = math.sqrt(hp.mechanism_window)
+    clipped = sum((clip_update(row, root_w * float(hp.clip[group])) for row in accum),
+                  np.zeros(accum.shape[1]))
+    std = root_w * float(hp.clip[group] * hp.sigma[group]) if hp.sigma[group] > 0 else 0.0
+    return clipped + mechanism_noise(hp.seed, group, epoch, accum.shape[1], std)
 
 
 @dataclass
@@ -180,108 +226,85 @@ class TrainingResult:
     metrics: list[EpochMetrics]
 
 
-def personalize(structure: GroupStructure, theta: np.ndarray, worker: int) -> np.ndarray:
-    return worker_merge(theta[list(structure.groups_of_worker[worker])])
-
-
-def _worker_init(structure: GroupStructure, snapshot: np.ndarray, worker: int,
-                 group: int, intergroup: bool) -> np.ndarray:
-    if intergroup:
-        return personalize(structure, snapshot, worker)
-    return snapshot[group].copy()
-
-
-@dataclass
-class WindowState:
-    """Per-group bookkeeping across one mechanism window."""
-
-    anchor: np.ndarray | None = None         # model at the window-start epoch
-    sampled: list[int] = field(default_factory=list)
-    accum: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def group_round(structure: GroupStructure, hp: HyperParams, train: Dataset,
-                partition: list[np.ndarray], snapshot: np.ndarray,
-                state: WindowState, group: int, epoch: int) -> np.ndarray:
-    """One epoch for one group; mutates ``state``, returns the next model.
-
-    Workers are sampled only at window starts and stay fixed for the window;
-    non-sampled workers are inactive for the whole window.  The mechanism
-    (per-worker clip at sqrt(W) c, noise std sqrt(W) c sigma) fires when the
-    window completes (epoch % W == 0) and is applied on top of the
-    window-start anchor model.
-    """
-    members = structure.members_of_group[group]
-    W = hp.mechanism_window
-    v = snapshot.shape[1]
-    if (epoch - 1) % W == 0:  # window start
-        state.anchor = snapshot[group].copy()
-        state.sampled = poisson_sample(members, float(hp.participation[group]),
-                                       derive_stream(hp.seed, "sampling", group, epoch))
-        state.accum = {n: np.zeros(v) for n in state.sampled}
-    intergroup = is_intergroup_epoch(epoch, hp.inter_group_period)
-    raw_sum = np.zeros(v)
-    for n in state.sampled:
-        x0 = _worker_init(structure, snapshot, n, group, intergroup)
-        idx = partition[n]
-        xL = local_train(x0, train.features[idx], train.labels[idx], train.num_classes,
-                         hp, derive_stream(hp.seed, "batch", group, epoch, n))
-        delta = xL - x0
-        state.accum[n] += delta
-        raw_sum += delta
-    scale = float(hp.participation[group]) * len(members)
-    if epoch % W == 0:  # window complete: clipped, noised mechanism
-        window_clip = math.sqrt(W) * float(hp.clip[group])
-        delta_sum = np.zeros(v)
-        for n in state.sampled:
-            delta_sum += clip_update(state.accum[n], window_clip)
-        std = (math.sqrt(W) * float(hp.clip[group] * hp.sigma[group])
-               if hp.sigma[group] > 0 else 0.0)
-        delta_sum += mechanism_noise(hp.seed, group, epoch, v, std)
-        return state.anchor + delta_sum / scale
-    return snapshot[group] + raw_sum / scale
-
-
-def _epoch_metrics(structure: GroupStructure, theta: np.ndarray, train: Dataset,
-                   partition: list[np.ndarray], test: Dataset | None,
+def _epoch_metrics(structure: GroupStructure, theta: np.ndarray,
+                   train: tuple[np.ndarray, np.ndarray], shards: list,
+                   test: tuple[np.ndarray, np.ndarray] | None, num_classes: int,
                    epoch: int) -> EpochMetrics:
-    losses, accs = [], []
-    for n in range(structure.num_workers):
-        model = personalize(structure, theta, n)
-        idx = partition[n]
-        if len(idx):
-            losses.append(models.loss(model, train.features[idx], train.labels[idx],
-                                      train.num_classes))
-        if test is not None and len(test):
-            accs.append(models.accuracy(model, test.features, test.labels,
-                                        test.num_classes))
+    """Average train loss and test accuracy of the personalised models.
+
+    ``train`` and ``test`` are (design, labels) pairs; ``shards`` lists
+    (workers, (k, size) sample ids) per nonempty shard size.  Accuracy is
+    scored once per distinct group set and loss once per shard size; both
+    are averaged in worker order, as a per-worker loop would.
+    """
+    set_models = personalize(structure, theta)
+    owner = structure.group_set_of_worker
+    design, labels = train
+    losses = {}
+    for workers, ids in shards:
+        losses.update(zip(workers, models.loss(set_models[owner[workers]], design[ids],
+                                               labels[ids], num_classes)))
+    accs = [] if test is None else models.accuracy(set_models, *test, num_classes)[owner]
     return EpochMetrics(
         epoch=epoch,
-        avg_train_loss=float(np.mean(losses)) if losses else float("nan"),
-        avg_test_acc=float(np.mean(accs)) if accs else float("nan"),
+        avg_train_loss=(float(np.mean([losses[n] for n in sorted(losses)]))
+                        if losses else float("nan")),
+        avg_test_acc=float(np.mean(accs)) if len(accs) else float("nan"),
     )
 
 
 def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
                  partition: list[np.ndarray], test: Dataset | None = None
                  ) -> TrainingResult:
-    """Simulate T epochs; deterministic given (structure, hp, data, seed)."""
+    """Simulate T epochs; deterministic given (structure, hp, data, seed).
+
+    Workers are sampled per group at window starts and stay fixed for the
+    window.  Each epoch initialises every sampled (group, worker) job and
+    trains all of them in one ``local_train``; each group then applies its
+    raw update, or at the window's last epoch its mechanism on top of the
+    window-start model, summing deltas in sampled-worker order.
+    """
     if hp.num_groups != structure.num_groups:
         raise ValueError("hyper-parameters were built for a different group count")
     if len(partition) != structure.num_workers:
         raise ValueError("partition must assign a shard to every worker")
+    W = hp.mechanism_window
     v = models.param_dim(train.features.shape[1], train.num_classes)
+    design = models.augment(train.features)
+    shards = [(workers, np.array([partition[n] for n in workers]))
+              for workers in _buckets([len(shard) for shard in partition])]
+    test_xy = ((models.augment(test.features), test.labels)
+               if test is not None and len(test) else None)
     theta = np.zeros((structure.num_groups, v))
     trajectory = [theta.copy()]
     metrics: list[EpochMetrics] = []
-    states = [WindowState() for _ in range(structure.num_groups)]
     for t in range(1, hp.epochs + 1):
-        snapshot = theta.copy()
+        if (t - 1) % W == 0:  # window start
+            anchor = theta
+            sampled = [poisson_sample(members, float(hp.participation[m]),
+                                      derive_stream(hp.seed, "sampling", m, t))
+                       for m, members in enumerate(structure.members_of_group)]
+            accum = [np.zeros((len(workers), v)) for workers in sampled]
+        jobs = [(m, n) for m, workers in enumerate(sampled) for n in workers]
+        if is_intergroup_epoch(t, hp.inter_group_period):
+            owner = structure.group_set_of_worker[[n for _, n in jobs]]
+            starts = personalize(structure, theta)[owner]
+        else:
+            starts = theta[[m for m, _ in jobs]]
+        plans = [_batch_plan(partition[n], hp, m, t, n) for m, n in jobs]
+        deltas = local_train(starts, plans, design, train.labels, train.num_classes,
+                             hp.learning_rate) - starts
         new_theta = np.empty_like(theta)
-        for m in range(structure.num_groups):
-            new_theta[m] = group_round(structure, hp, train, partition, snapshot,
-                                       states[m], m, t)
+        bounds = np.cumsum([len(workers) for workers in sampled])[:-1]
+        for m, rows in enumerate(np.split(deltas, bounds)):
+            accum[m] += rows
+            scale = float(hp.participation[m]) * len(structure.members_of_group[m])
+            if t % W == 0:  # window complete: clipped, noised mechanism
+                new_theta[m] = anchor[m] + _mechanism(hp, accum[m], m, t) / scale
+            else:
+                new_theta[m] = theta[m] + sum(rows, np.zeros(v)) / scale
         theta = new_theta
         trajectory.append(theta.copy())
-        metrics.append(_epoch_metrics(structure, theta, train, partition, test, t))
+        metrics.append(_epoch_metrics(structure, theta, (design, train.labels), shards,
+                                      test_xy, train.num_classes, t))
     return TrainingResult(final_models=theta, trajectory=trajectory, metrics=metrics)

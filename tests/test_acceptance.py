@@ -292,7 +292,7 @@ def _fedavg_reference(structure: GroupStructure, hp: HyperParams, train,
         delta_sum = np.zeros(dim)
         for n in members:  # full participation
             idx = partition[n]
-            feats, labels = train.features[idx], train.labels[idx]
+            feats, labels = models.augment(train.features[idx]), train.labels[idx]
             x = theta.copy()
             count = len(labels)
             if count:

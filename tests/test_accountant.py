@@ -1,5 +1,6 @@
 """Accountant unit tests: budgets, delays, LSI recursion, conversions."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -458,6 +459,53 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
         np.testing.assert_allclose(curves[n, i], want, rtol=1e-12, atol=0)
 
 
+def _relabel(structure, hp, workers, groups):
+    """The structure and hyper-parameters with worker n renamed workers[n]
+    and group m renamed groups[m]."""
+    members = [None] * structure.num_groups
+    for m, group in enumerate(structure.members_of_group):
+        members[groups[m]] = [workers[w] for w in group]
+    old = np.argsort(groups)  # renamed group g was group old[g]
+    return (GroupStructure(structure.num_workers, members),
+            dataclasses.replace(hp, clip=hp.clip[old], sigma=hp.sigma[old],
+                                participation=hp.participation[old]))
+
+
+def _assert_same_cells(got, want):
+    """Exact 0 and NaN in the same cells, other cells within rel 1e-12."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(overlapping_cases(), hs.data())
+def test_delay_reports_are_equivariant_under_relabeling(case, data):
+    """Renaming workers and groups permutes the delay heatmap cells and the
+    pwp rows of every epoch accordingly.  Values agree to rel 1e-12 only,
+    because the sum over groups runs in another order."""
+    structure, hp, t = case
+    workers = data.draw(hs.permutations(range(structure.num_workers)))
+    groups = data.draw(hs.permutations(range(structure.num_groups)))
+    renamed, renamed_hp = _relabel(structure, hp, workers, groups)
+    workers = np.array(workers)
+    for epoch in range(1, t + 1):
+        K = acc.delay_curve_matrix(structure, hp, epoch)
+        renamed_K = acc.delay_curve_matrix(renamed, renamed_hp, epoch)
+        _assert_same_cells(
+            acc.dp_matrix_from_curves(renamed_K, 1e-5)[np.ix_(workers, workers)],
+            acc.dp_matrix_from_curves(K, 1e-5))
+        rows = acc.pwp_rows_from_curves(K, structure, hp.threat_model, 1e-5)
+        renamed_rows = {w: row for w, *row in acc.pwp_rows_from_curves(
+            renamed_K, renamed, hp.threat_model, 1e-5)}
+        assert sorted(renamed_rows) == sorted(workers[w] for w, *_ in rows)
+        for w, eps_rdp, alpha_star, eps_dp in rows:
+            got_rdp, got_alpha, got_dp = renamed_rows[workers[w]]
+            assert got_alpha == alpha_star
+            _assert_same_cells(np.array([got_rdp, got_dp]),
+                               np.array([eps_rdp, eps_dp]))
+
+
 def test_privacy_matrix_masks_trusted_cells():
     st = golden_string()
     hp2 = make_hp(2, threat_model="tm2")
@@ -729,21 +777,33 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
     structure, threat_model, K, grid, delta = case
     tensor = K[..., None] * np.array(grid)
     mask = structure.admissible_observers[threat_model]
-    want = _tensor_pwp_reference(tensor, mask, delta, grid)
-    assert _bits(acc.pwp_rows_from_curves(K, structure, threat_model, delta,
-                                          grid)) == _bits(want)
     try:
         want = _tensor_heatmap_reference(tensor, delta, grid)
-    except ValueError:
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            acc.dp_matrix_from_curves(K, delta, grid)
+    except ValueError:  # alpha * K overflows: both reductions refuse it
+        for curves in (K, tensor):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                acc.dp_matrix_from_curves(curves, delta, grid)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                acc.pwp_rows_from_curves(curves, structure, threat_model,
+                                         delta, grid)
     else:
         assert acc.dp_matrix_from_curves(K, delta, grid).tobytes() == want.tobytes()
         assert (acc.dp_matrix_from_curves(tensor, delta, grid).tobytes()
                 == want.tobytes())
-    # an undefined cell among admissible observers is refused by both paths
+        want = _tensor_pwp_reference(tensor, mask, delta, grid)
+        assert _bits(acc.pwp_rows_from_curves(K, structure, threat_model, delta,
+                                              grid)) == _bits(want)
     n, i = divmod(cell % K.size, K.shape[1])
     if mask[n, i]:
+        # a negative cell among admissible observers is refused by both
+        negative = K.copy()
+        negative[n, i] = -1.0
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            acc.dp_matrix_from_curves(negative, delta, grid)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            acc.pwp_rows_from_curves(negative, structure, threat_model, delta,
+                                     grid)
+        # an undefined cell among admissible observers is refused by both paths
         K[n, i] = np.nan
         with pytest.raises(ValueError, match="undefined pair"):
             _tensor_pwp_reference(K[..., None] * np.array(grid), mask, delta,

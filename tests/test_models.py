@@ -14,7 +14,7 @@ def test_param_dim_counts_weights_and_bias():
 
 
 def test_loss_at_zero_is_log_classes():
-    x = rng().standard_normal((12, 4))
+    x = models.augment(rng().standard_normal((12, 4)))
     y = rng().integers(0, 3, size=12)
     theta = models.init_params(4, 3)
     assert np.allclose(models.loss(theta, x, y, 3), np.log(3))
@@ -22,7 +22,7 @@ def test_loss_at_zero_is_log_classes():
 
 def test_gradient_matches_finite_differences():
     r = rng(1)
-    x = r.standard_normal((9, 3))
+    x = models.augment(r.standard_normal((9, 3)))
     y = r.integers(0, 4, size=9)
     theta = 0.3 * r.standard_normal(models.param_dim(3, 4))
     grad = models.gradient(theta, x, y, 4)
@@ -37,7 +37,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_of_mean_is_mean_of_gradients():
     r = rng(2)
-    x = r.standard_normal((8, 3))
+    x = models.augment(r.standard_normal((8, 3)))
     y = r.integers(0, 3, size=8)
     theta = r.standard_normal(models.param_dim(3, 3))
     whole = models.gradient(theta, x, y, 3)
@@ -48,7 +48,7 @@ def test_gradient_of_mean_is_mean_of_gradients():
 
 def test_predict_and_accuracy_agree():
     r = rng(3)
-    x = r.standard_normal((30, 2))
+    x = models.augment(r.standard_normal((30, 2)))
     y = r.integers(0, 2, size=30)
     theta = r.standard_normal(models.param_dim(2, 2))
     preds = models.predict(theta, x, 2)
@@ -62,6 +62,7 @@ def test_smoothness_bound_dominates_observed_curvature():
     x = r.standard_normal((20, 3))
     y = r.integers(0, 3, size=20)
     beta = models.smoothness_bound(x)
+    x = models.augment(x)
     theta = r.standard_normal(models.param_dim(3, 3))
     for _ in range(20):
         direction = r.standard_normal(theta.size)

@@ -1,4 +1,9 @@
-"""Training loop semantics: merges, clipping, sampling, epoch mechanics."""
+"""Training loop semantics: merges, clipping, sampling, epoch mechanics.
+
+``run_training`` steps every sampled (group, worker) of an epoch in one
+batched ``local_train``.  ``_reference_training`` below is the straight-line
+per-group, per-worker loop it replaces; the tests hold the two bit-equal.
+"""
 
 import dataclasses
 import math
@@ -7,13 +12,115 @@ import numpy as np
 import pytest
 
 from dpogl import models
-from dpogl.data import Dataset, make_synthetic
+from dpogl.data import make_synthetic
 from dpogl.rng import derive_stream
 from dpogl.topology import GroupStructure, generate_structure
-from dpogl.trainer import (HyperParams, WindowState, clip_update, group_round,
-                           is_intergroup_epoch, local_train, mechanism_noise,
-                           personalize, poisson_sample, run_training,
-                           worker_merge)
+from dpogl.trainer import (HyperParams, clip_update, is_intergroup_epoch,
+                           local_train, mechanism_noise, personalize,
+                           poisson_sample, run_training, worker_merge)
+
+
+def _reference_batches(n, hp, rng):
+    """A worker's L mini-batches: uniform without replacement, reshuffling
+    whenever fewer than a full batch remains."""
+    batch = min(hp.batch_size, n)
+    perm = np.empty(0, dtype=int)
+    pos = n  # force an initial shuffle
+    batches = []
+    for _ in range(hp.local_iterations):
+        if pos + batch > n:
+            perm = rng.permutation(n)
+            pos = 0
+        batches.append(perm[pos:pos + batch])
+        pos += batch
+    return batches
+
+
+def _reference_local_sgd(start, features, labels, num_classes, hp, rng):
+    """One worker's L SGD steps, one single-model gradient call per step."""
+    x = start.copy()
+    if len(labels) == 0:
+        return x
+    for take in _reference_batches(len(labels), hp, rng):
+        x -= hp.learning_rate * models.gradient(
+            x, models.augment(features[take]), labels[take], num_classes)
+    return x
+
+
+def _reference_personalize(structure, theta, worker):
+    return worker_merge(theta[list(structure.groups_of_worker[worker])])
+
+
+def _reference_metrics(structure, theta, train, partition, test):
+    """(average train loss, average test accuracy), one worker at a time."""
+    losses, accs = [], []
+    for n in range(structure.num_workers):
+        model = _reference_personalize(structure, theta, n)
+        idx = partition[n]
+        if len(idx):
+            losses.append(float(models.loss(model, models.augment(train.features[idx]),
+                                            train.labels[idx], train.num_classes)))
+        if test is not None and len(test):
+            accs.append(float(models.accuracy(model, models.augment(test.features),
+                                              test.labels, test.num_classes)))
+    return (float(np.mean(losses)) if losses else math.nan,
+            float(np.mean(accs)) if accs else math.nan)
+
+
+def _reference_training(structure, hp, train, partition, test=None):
+    """Per-group, per-worker simulation: (trajectory, [(loss, acc)] per epoch).
+
+    Groups sample their workers at window starts; each sampled worker trains
+    from its merged model (inter-group epochs) or its group's model; a group
+    applies its raw update mid-window and, at the window's last epoch, the
+    clipped, noised mechanism on top of the window-start model.
+    """
+    M, W = structure.num_groups, hp.mechanism_window
+    v = models.param_dim(train.features.shape[1], train.num_classes)
+    theta = np.zeros((M, v))
+    trajectory, metrics = [theta.copy()], []
+    anchor, sampled, accum = [None] * M, [[]] * M, [{}] * M
+    for t in range(1, hp.epochs + 1):
+        snapshot = theta.copy()
+        for m, members in enumerate(structure.members_of_group):
+            if (t - 1) % W == 0:
+                anchor[m] = snapshot[m].copy()
+                sampled[m] = poisson_sample(members, float(hp.participation[m]),
+                                            derive_stream(hp.seed, "sampling", m, t))
+                accum[m] = {n: np.zeros(v) for n in sampled[m]}
+            raw_sum = np.zeros(v)
+            for n in sampled[m]:
+                if is_intergroup_epoch(t, hp.inter_group_period):
+                    x0 = _reference_personalize(structure, snapshot, n)
+                else:
+                    x0 = snapshot[m].copy()
+                idx = partition[n]
+                xL = _reference_local_sgd(x0, train.features[idx], train.labels[idx],
+                                          train.num_classes, hp,
+                                          derive_stream(hp.seed, "batch", m, t, n))
+                delta = xL - x0
+                accum[m][n] += delta
+                raw_sum += delta
+            scale = float(hp.participation[m]) * len(members)
+            if t % W == 0:
+                window_clip = math.sqrt(W) * float(hp.clip[m])
+                delta_sum = np.zeros(v)
+                for n in sampled[m]:
+                    delta_sum += clip_update(accum[m][n], window_clip)
+                std = (math.sqrt(W) * float(hp.clip[m] * hp.sigma[m])
+                       if hp.sigma[m] > 0 else 0.0)
+                delta_sum += mechanism_noise(hp.seed, m, t, v, std)
+                theta[m] = anchor[m] + delta_sum / scale
+            else:
+                theta[m] = snapshot[m] + raw_sum / scale
+        trajectory.append(theta.copy())
+        metrics.append(_reference_metrics(structure, theta, train, partition, test))
+    return trajectory, metrics
+
+
+def _consecutive_shards(sizes):
+    ends = np.cumsum(sizes)
+    return [np.arange(end - size, end) for size, end in zip(sizes, ends)]
 
 
 def simple_hp(**overrides):
@@ -64,8 +171,18 @@ def test_worker_merge_and_personalize():
         worker_merge(np.zeros((0, 3)))
     st = GroupStructure(3, [[0, 1], [1, 2]])
     theta = np.array([[1.0, 1.0], [3.0, 5.0]])
-    assert personalize(st, theta, 0).tolist() == [1.0, 1.0]
-    assert personalize(st, theta, 1).tolist() == [2.0, 3.0]
+    merged = personalize(st, theta)[st.group_set_of_worker]
+    assert merged[0].tolist() == [1.0, 1.0]
+    assert merged[1].tolist() == [2.0, 3.0]
+    assert merged[2].tolist() == [3.0, 5.0]
+    # one model per distinct group set, stacked merges per set size
+    st = GroupStructure(6, [[0, 1, 2, 3], [3, 4, 5], [1, 3, 5]])
+    assert st.group_sets == ((0,), (0, 2), (0, 1, 2), (1,), (1, 2))
+    assert st.group_set_of_worker.tolist() == [0, 1, 0, 2, 3, 4]
+    theta = np.random.default_rng(3).standard_normal((3, 7))
+    got = personalize(st, theta)[st.group_set_of_worker]
+    for n in range(6):
+        assert np.array_equal(got[n], _reference_personalize(st, theta, n))
 
 
 def test_clip_update_invariants():
@@ -109,58 +226,81 @@ def test_mechanism_noise_statistics_and_keying():
 def test_local_train_full_batch_equals_gradient_descent():
     ds = make_synthetic(num_classes=3, dims=4, per_class=10, seed=1)
     hp = simple_hp(batch_size=len(ds), local_iterations=5, learning_rate=0.2)
+    design = models.augment(ds.features)
     start = np.linspace(-0.1, 0.1, models.param_dim(4, 3))
-    out = local_train(start, ds.features, ds.labels, 3,
-                      hp, derive_stream(0, "batch", 0, 1, 0))
+    plan = np.stack(_reference_batches(len(ds), hp, derive_stream(0, "batch", 0, 1, 0)))
+    out = local_train(start[None], [plan], design, ds.labels, 3, 0.2)
     x = start.copy()
     for _ in range(5):  # full-batch gradients are sample-order invariant
-        x -= 0.2 * models.gradient(x, ds.features, ds.labels, 3)
-    assert np.allclose(out, x, atol=1e-12)
+        x -= 0.2 * models.gradient(x, design, ds.labels, 3)
+    assert np.allclose(out[0], x, atol=1e-12)
 
 
 def test_local_train_empty_shard_and_loss_decrease():
-    hp = simple_hp()
-    start = np.ones(6)
-    out = local_train(start, np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2,
-                      hp, derive_stream(0, "batch", 0, 1, 0))
+    start = np.ones((1, 6))
+    out = local_train(start, [np.empty((3, 0), dtype=np.int64)], np.zeros((0, 3)),
+                      np.zeros(0, dtype=np.int64), 2, 0.1)
     assert np.array_equal(out, start)
     assert out is not start
     ds = make_synthetic(num_classes=2, dims=3, per_class=30, seed=2)
     hp_big = simple_hp(local_iterations=40, learning_rate=0.1, batch_size=8)
     zero = models.init_params(3, 2)
-    trained = local_train(zero, ds.features, ds.labels, 2,
-                          hp_big, derive_stream(7, "batch", 0, 1, 0))
-    assert models.loss(trained, ds.features, ds.labels, 2) < np.log(2) * 0.8
+    plan = np.stack(_reference_batches(len(ds), hp_big, derive_stream(7, "batch", 0, 1, 0)))
+    trained = local_train(zero[None], [plan], models.augment(ds.features), ds.labels,
+                          2, 0.1)[0]
+    assert models.loss(trained, models.augment(ds.features), ds.labels, 2) < np.log(2) * 0.8
 
 
-def test_group_round_dpogl_matches_manual_composition():
+def test_local_train_matches_one_job_at_a_time():
+    """Jobs of several batch lengths, and an empty one, step together
+    bit-identically to stepping each alone."""
+    ds = make_synthetic(num_classes=3, dims=4, per_class=20, seed=3)
+    hp = simple_hp(batch_size=6, local_iterations=7, learning_rate=0.3)
+    v = models.param_dim(4, 3)
+    shards = _consecutive_shards([9, 6, 0, 4, 13, 1, 6, 2])
+    starts = np.random.default_rng(5).standard_normal((len(shards), v))
+    plans, want = [], []
+    for j, shard in enumerate(shards):
+        if len(shard):
+            batches = _reference_batches(len(shard), hp, derive_stream(1, "batch", 0, 1, j))
+            plans.append(shard[np.stack(batches)])
+        else:
+            plans.append(np.empty((7, 0), dtype=np.int64))
+        want.append(_reference_local_sgd(starts[j], ds.features[shard], ds.labels[shard], 3,
+                                         hp, derive_stream(1, "batch", 0, 1, j)))
+    got = local_train(starts, plans, models.augment(ds.features), ds.labels, 3, 0.3)
+    assert np.array_equal(got, np.array(want))
+
+
+def test_epoch_dpogl_matches_manual_composition():
     """Re-derive one epoch's group update from the published pieces."""
     ds = make_synthetic(num_classes=2, dims=2, per_class=12, seed=4)
     st = GroupStructure(3, [[0, 1], [1, 2]])
     hp = simple_hp(num_groups=2, participation=0.8, sigma=1.3, clip=0.3,
-                   seed=21)
+                   seed=21, epochs=3)
     v = models.param_dim(2, 2)
-    rng_state = np.random.default_rng(9)
-    snapshot = rng_state.standard_normal((2, v))
     partition = [np.arange(0, 8), np.arange(8, 16), np.arange(16, 24)]
+    result = run_training(st, hp, ds, partition)
+    snapshot = result.trajectory[2]  # the models entering epoch 3
     epoch, group = 3, 1  # (3-1) % 2 == 0: inter-group epoch
-    got = group_round(st, hp, ds, partition, snapshot, WindowState(), group, epoch)
+    got = result.trajectory[3][group]
 
     sampled = poisson_sample(st.members_of_group[group], 0.8,
                              derive_stream(21, "sampling", group, epoch))
+    assert sampled
     delta_sum = np.zeros(v)
     for n in sampled:
-        x0 = personalize(st, snapshot, n)  # inter-group epoch merge
+        x0 = _reference_personalize(st, snapshot, n)  # inter-group epoch merge
         idx = partition[n]
-        xL = local_train(x0, ds.features[idx], ds.labels[idx], 2, hp,
-                         derive_stream(21, "batch", group, epoch, n))
+        xL = _reference_local_sgd(x0, ds.features[idx], ds.labels[idx], 2, hp,
+                                  derive_stream(21, "batch", group, epoch, n))
         delta_sum += clip_update(xL - x0, 0.3)
     delta_sum += mechanism_noise(21, group, epoch, v, 0.3 * 1.3)
     want = snapshot[group] + delta_sum / (0.8 * 2)
     assert np.array_equal(got, want)
 
 
-def test_group_round_dpoglplus_window_mechanism():
+def test_epoch_dpoglplus_window_mechanism():
     """The window-end update replays clipped accumulated deltas on the anchor."""
     ds = make_synthetic(num_classes=2, dims=2, per_class=12, seed=4)
     st = GroupStructure(3, [[0, 1], [1, 2]])
@@ -168,36 +308,101 @@ def test_group_round_dpoglplus_window_mechanism():
                    inter_group_period=2, epochs=4, sigma=0.9, clip=0.4, seed=5)
     v = models.param_dim(2, 2)
     partition = [np.arange(0, 8), np.arange(8, 16), np.arange(16, 24)]
-    theta = np.zeros((2, v))
-    state = WindowState()
-    # epoch 1 opens the window: raw (unclipped, noise-free) update
-    out1 = group_round(st, hp, ds, partition, theta, state, 0, 1)
+    result = run_training(st, hp, ds, partition)
+    theta = result.trajectory[0]
+    # epoch 1 opens the window: raw (unclipped, noise-free) update; the
+    # window-start model theta[0] is the anchor of the window's mechanism
+    out1 = result.trajectory[1][0]
     anchor = theta[0].copy()
-    assert np.array_equal(state.anchor, anchor)
+    sampled = poisson_sample(st.members_of_group[0], 1.0,
+                             derive_stream(5, "sampling", 0, 1))
     raw = np.zeros(v)
-    for n in state.sampled:
-        x0 = personalize(st, theta, n)
+    accum = {}
+    for n in sampled:
+        x0 = _reference_personalize(st, theta, n)
         idx = partition[n]
-        xL = local_train(x0, ds.features[idx], ds.labels[idx], 2, hp,
-                         derive_stream(5, "batch", 0, 1, n))
+        xL = _reference_local_sgd(x0, ds.features[idx], ds.labels[idx], 2, hp,
+                                  derive_stream(5, "batch", 0, 1, n))
+        accum[n] = xL - x0
         raw += xL - x0
     scale = 1.0 * len(st.members_of_group[0])
-    assert np.allclose(out1, theta[0] + raw / scale, atol=1e-15)
+    assert np.array_equal(out1, theta[0] + raw / scale)
     # epoch 2 closes the window: clip per worker at sqrt(S)*c, noise once
-    snapshot2 = theta.copy()
-    snapshot2[0] = out1
-    accum_before = {n: a.copy() for n, a in state.accum.items()}
-    out2 = group_round(st, hp, ds, partition, snapshot2, state, 0, 2)
+    snapshot2 = result.trajectory[1]
+    out2 = result.trajectory[2][0]
     delta_sum = np.zeros(v)
-    for n in state.sampled:
+    for n in sampled:  # the window keeps epoch 1's sample
         x0 = snapshot2[0].copy()  # epoch 2 is not an inter-group epoch
         idx = partition[n]
-        xL = local_train(x0, ds.features[idx], ds.labels[idx], 2, hp,
-                         derive_stream(5, "batch", 0, 2, n))
-        delta_sum += clip_update(accum_before[n] + (xL - x0),
-                                 math.sqrt(2) * 0.4)
+        xL = _reference_local_sgd(x0, ds.features[idx], ds.labels[idx], 2, hp,
+                                  derive_stream(5, "batch", 0, 2, n))
+        delta_sum += clip_update(accum[n] + (xL - x0), math.sqrt(2) * 0.4)
     delta_sum += mechanism_noise(5, 0, 2, v, math.sqrt(2) * 0.4 * 0.9)
-    assert np.allclose(out2, anchor + delta_sum / scale, atol=1e-12)
+    assert np.array_equal(out2, anchor + delta_sum / scale)
+
+
+def _reference_case(name):
+    """(structure, hp, train, partition, test) of one named edge case."""
+    ds = make_synthetic(num_classes=3, dims=4, per_class=14, seed=11)
+    test = make_synthetic(num_classes=3, dims=4, per_class=5, seed=12)
+    ring = generate_structure("RI", 6, 3)
+    if name == "shards_below_batch":  # b = min(B, size) gives five buckets
+        return (ring, simple_hp(num_groups=3, batch_size=6, local_iterations=4,
+                                epochs=5, participation=0.8, seed=2),
+                ds, _consecutive_shards([3, 5, 2, 7, 9, 1]), test)
+    if name == "empty_shard":
+        return (ring, simple_hp(num_groups=3, epochs=5, participation=0.9, seed=4),
+                ds, _consecutive_shards([0, 8, 4, 0, 10, 6]), test)
+    if name == "worker_sampled_in_two_groups":
+        st = GroupStructure(5, [[0, 1, 2], [2, 3, 4], [1, 2, 3]])
+        return (st, simple_hp(num_groups=3, epochs=4, clip=0.2, seed=6),
+                ds, _consecutive_shards([9, 7, 8, 6, 10]), test)
+    if name == "dpogl_plus_period_3":  # groups of 4-5 workers
+        return (generate_structure("RI", 12, 3),
+                simple_hp(num_groups=3, algorithm="dpogl_plus", threat_model="tm2",
+                          inter_group_period=3, epochs=9, clip=0.1,
+                          participation=0.7, seed=8),
+                ds, _consecutive_shards([3, 4, 2, 5, 3, 4, 3, 2, 4, 5, 3, 4]), test)
+    assert name == "no_test_set"
+    return (ring, simple_hp(num_groups=3, epochs=4, seed=9), ds,
+            _consecutive_shards([7, 7, 7, 7, 7, 7]), None)
+
+
+@pytest.mark.parametrize("name", ["shards_below_batch", "empty_shard",
+                                  "worker_sampled_in_two_groups",
+                                  "dpogl_plus_period_3", "no_test_set"])
+def test_run_training_matches_per_worker_reference(name):
+    structure, hp, train, partition, test = _reference_case(name)
+    if name == "worker_sampled_in_two_groups":  # participation 1: all sampled
+        assert sum(2 in members for members in structure.members_of_group) > 1
+    result = run_training(structure, hp, train, partition, test)
+    trajectory, metrics = _reference_training(structure, hp, train, partition, test)
+    assert len(result.trajectory) == len(trajectory) == hp.epochs + 1
+    for ours, oracle in zip(result.trajectory, trajectory):
+        assert np.array_equal(ours, oracle)
+    assert np.array_equal([(m.avg_train_loss, m.avg_test_acc) for m in result.metrics],
+                          metrics, equal_nan=True)
+    assert all(math.isnan(acc) for _, acc in metrics) == (test is None)
+
+
+def test_epoch_metrics_match_per_worker_loop():
+    """Scoring once per group set and per shard size gives the per-worker
+    loop's averages bit for bit, including when every shard is empty."""
+    ds = make_synthetic(num_classes=4, dims=3, per_class=30, seed=13)
+    test = make_synthetic(num_classes=4, dims=3, per_class=6, seed=14)
+    st = generate_structure("RI", 24, 4)
+    assert len(st.group_sets) < st.num_workers  # private workers share sets
+    hp = simple_hp(num_groups=4, epochs=3, participation=0.8, seed=15)
+    sizes = np.random.default_rng(16).integers(0, 9, size=24)
+    for sizes in (sizes.tolist(), [0] * 24):
+        partition = _consecutive_shards(sizes)
+        result = run_training(st, hp, ds, partition, test)
+        for theta, got in zip(result.trajectory[1:], result.metrics):
+            want = _reference_metrics(st, theta, ds, partition, test)
+            assert np.array_equal((got.avg_train_loss, got.avg_test_acc), want,
+                                  equal_nan=True)
+        assert all(math.isnan(m.avg_train_loss) for m in result.metrics) == (sum(sizes) == 0)
+        assert all(0 <= m.avg_test_acc <= 1 for m in result.metrics)
 
 
 def test_dpoglplus_with_period_one_equals_dpogl():
