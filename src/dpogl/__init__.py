@@ -8,16 +8,15 @@ the Renyi framework with conversion to (eps, delta)-DP.
 """
 
 from .accountant import (DEFAULT_ALPHA_GRID, VARIANTS, AccountingPreconditionError,
-                         degradation_mu, delivered_block_count,
-                         delay_curve_matrix, dp_matrix_from_curves,
-                         lsi_recursion, per_step_rdp, propagation_oracle_counts,
-                         pwp_rows_from_curves, rdp_to_dp, thm1_pair_bound,
-                         thm1_pair_counts, thm2_curve_sweep)
+                         degradation_mu, delay_curve_matrix,
+                         dp_matrix_from_curves, lsi_recursion, per_step_rdp,
+                         propagation_oracle_counts, pwp_rows_from_curves,
+                         rdp_to_dp, thm1_pair_bound, thm1_pair_counts,
+                         thm2_curve_sweep)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .harness import ConfigError, ExperimentConfig, run_experiment
-from .topology import (STRUCTURE_KINDS, GroupStructure, build_adjacency,
-                       distance_matrix, generate_structure)
+from .topology import STRUCTURE_KINDS, GroupStructure, generate_structure
 from .trainer import (EpochMetrics, HyperParams, TrainingResult,
                       clip_update, is_intergroup_epoch, personalize,
                       run_training, worker_merge)
@@ -26,15 +25,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ALPHA_GRID", "VARIANTS", "AccountingPreconditionError",
-    "degradation_mu", "delivered_block_count", "delay_curve_matrix",
-    "dp_matrix_from_curves", "lsi_recursion", "per_step_rdp",
-    "propagation_oracle_counts", "pwp_rows_from_curves", "rdp_to_dp",
-    "thm1_pair_bound", "thm1_pair_counts", "thm2_curve_sweep",
+    "degradation_mu", "delay_curve_matrix", "dp_matrix_from_curves",
+    "lsi_recursion", "per_step_rdp", "propagation_oracle_counts",
+    "pwp_rows_from_curves", "rdp_to_dp", "thm1_pair_bound",
+    "thm1_pair_counts", "thm2_curve_sweep",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",
     "stratified_split", "worker_labels",
     "ConfigError", "ExperimentConfig", "run_experiment",
-    "STRUCTURE_KINDS", "GroupStructure", "build_adjacency", "distance_matrix",
-    "generate_structure",
+    "STRUCTURE_KINDS", "GroupStructure", "generate_structure",
     "EpochMetrics", "HyperParams", "TrainingResult", "clip_update",
     "is_intergroup_epoch", "personalize", "run_training", "worker_merge",
     "__version__",

@@ -22,8 +22,9 @@ on the ``GroupStructure`` and computed once per structure.  A delay epoch
 costs one (N, M) @ (M, N) product, O(N * M * N), and no (N, N, G) tensor:
 the reductions read K directly.  The degradation bound of a pair (n, i)
 depends only on its class: n's groups and, for each, the nearest group of
-i.  ``thm2_curve_sweep`` checks the preconditions once, builds one per-run table of mu factors indexed by (firing epoch, group), and
-computes each class's attenuated block budgets once for all epochs up to the
+i.  ``thm2_curve_sweep`` checks the preconditions once, builds one
+per-run table of mu factors indexed by (firing epoch, group), and computes
+each class's attenuated block budgets once for all epochs up to the
 horizon.  An epoch's (N, N, G) tensor is then a sum over the blocks
 delivered by that epoch, vectorised across classes, and a gather: the cost
 grows with classes x blocks plus epochs x blocks x classes, not with
@@ -217,27 +218,6 @@ def propagation_oracle_counts(structure: GroupStructure, period: int, t: int,
 # ---------------------------------------------------------------------------
 # log-Sobolev recursion (full participation) and degradation factors
 
-@dataclass(frozen=True, eq=False)
-class LsiState:
-    """Reciprocals of the LSI constants tracked across epochs.
-
-    All arrays store reciprocals (0 encodes a deterministic point mass), so
-    every recursion step is a plain addition.  ``inv_b[t]`` refers to the
-    model at epoch t; per-epoch arrays are indexed 1..horizon with slot 0
-    unused.  The mechanism quantities ``inv_e``/``inv_hbar`` are filled at the
-    epochs where a mechanism fires, the last epoch of each W-epoch window
-    (every epoch for dpogl, multiples of S for dpogl_plus), and are 0 elsewhere.
-    """
-
-    algorithm: str
-    horizon: int
-    inv_b: np.ndarray     # (horizon + 2, M)
-    inv_a: np.ndarray     # (horizon + 1, M, N), nonzero only for members
-    inv_h: np.ndarray     # (horizon + 1, M, N)
-    inv_e: np.ndarray     # (horizon + 1, M)
-    inv_hbar: np.ndarray  # (horizon + 1, M)
-
-
 def _lsi_preconditions(hp: HyperParams) -> None:
     if not np.all(hp.participation == 1.0):
         raise AccountingPreconditionError(
@@ -249,86 +229,83 @@ def _lsi_preconditions(hp: HyperParams) -> None:
             "the LSI recursion needs positive noise multipliers")
 
 
-def _merge_inv_a(structure: GroupStructure, inv_b_t: np.ndarray, epoch: int,
-                 period: int, mask: np.ndarray) -> np.ndarray:
-    M, N = mask.shape
-    inv_a = np.zeros((M, N))
-    if is_intergroup_epoch(epoch, period):
-        per_worker = np.array([sum(inv_b_t[m] for m in groups)
-                               for groups in structure.groups_of_worker])
-        inv_a[:] = per_worker[None, :]
-    else:
-        inv_a[:] = inv_b_t[:, None]
-    inv_a[~mask] = 0.0
-    return inv_a
-
-
 def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
-                  horizon: int) -> LsiState:
-    """Track per-epoch LSI reciprocals up to ``horizon`` epochs.
+                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Track per-epoch LSI reciprocals up to ``horizon`` epochs and return
+    ``(inv_b, inv_hbar)``.
+
+    All values are reciprocals (0 encodes a deterministic point mass), so
+    every recursion step is a plain addition.  ``inv_b[t]`` ((horizon + 2,
+    M)) refers to the model at epoch t.  ``inv_hbar`` ((horizon + 1, M),
+    slot 0 unused) is filled at the epochs where a mechanism fires, the last
+    epoch of each W-epoch window (every epoch for dpogl, multiples of S for
+    dpogl_plus), and is 0 elsewhere.
 
     Inside a W-epoch window the model takes raw updates; at the window's
     last epoch the mechanism adds W c^2 sigma^2 of noise over the whole
-    window, and the next window starts from its output.
+    window, and the next window starts from its output.  The worker inits
+    ``inv_a`` (at an inter-group epoch, the merge of the worker's groups)
+    and their spread ``inv_h`` are carried as per-group member sums.
     """
     _lsi_preconditions(hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    M, N = structure.num_groups, structure.num_workers
+    M = structure.num_groups
     S, W = hp.inter_group_period, hp.mechanism_window
-    mask = structure.member_mask
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
     mechanism_var = W * (hp.clip * hp.sigma) ** 2
     spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
     inv_b = np.zeros((horizon + 2, M))
-    inv_a = np.zeros((horizon + 1, M, N))
-    inv_h = np.zeros((horizon + 1, M, N))
-    inv_e = np.zeros((horizon + 1, M))
     inv_hbar = np.zeros((horizon + 1, M))
-    window_h_sum = np.zeros(M)  # running sum of member inv_h over the open window
+    h_sum = np.zeros(M)  # member sum of the previous epoch's inv_h
+    inv_e = np.zeros(M)  # the last fired mechanism's output
     for t in range(1, horizon + 2):
         window_start = (t - 1) % W == 0
         if not window_start:
-            inv_b[t] = inv_b[t - 1] + sizes ** 2 * inv_h[t - 1].sum(axis=1)
+            inv_b[t] = inv_b[t - 1] + sizes ** 2 * h_sum
         elif t > 1:  # the previous window's mechanism fired at epoch t - 1
-            inv_b[t] = inv_b[t - W] + sizes ** 2 * inv_e[t - 1]
+            inv_b[t] = inv_b[t - W] + sizes ** 2 * inv_e
         if t > horizon:
             break
         if window_start:
-            window_h_sum = np.zeros(M)
-        inv_a[t] = _merge_inv_a(structure, inv_b[t], t, S, mask)
-        inv_h[t] = spread * inv_a[t]
-        window_h_sum = window_h_sum + inv_h[t].sum(axis=1)  # non-members hold zeros
+            window_h_sum = np.zeros(M)  # running sum of h_sum over the window
+        # The merge sums each worker's groups in order, and the member sum
+        # runs over an (M, N) array with zeros for non-members: a matmul
+        # merge or a members-only sum rounds differently.
+        if is_intergroup_epoch(t, S):
+            inv_a = np.array([sum(inv_b[t, m] for m in groups)
+                              for groups in structure.groups_of_worker])
+        else:
+            inv_a = inv_b[t][:, None]
+        h_sum = (spread * np.where(structure.member_mask, inv_a, 0.0)).sum(axis=1)
+        window_h_sum = window_h_sum + h_sum
         if t % W == 0:  # the window's mechanism fires
-            inv_e[t] = mechanism_var + window_h_sum
+            inv_e = mechanism_var + window_h_sum
             inv_hbar[t] = inv_b[t - W + 1] + sizes ** 2 * window_h_sum
-    return LsiState(hp.algorithm, horizon, inv_b, inv_a, inv_h, inv_e, inv_hbar)
+    return inv_b, inv_hbar
 
 
-def _fired_epochs(lsi: LsiState, W: int, crossing):
+def _fired_epochs(inv_hbar: np.ndarray, hp: HyperParams, crossing):
     """Epoch(s) whose mechanism a crossing at epoch ``crossing`` reads."""
     # The crossing-epoch convention differs by algorithm: dpogl reads the
     # mechanism that fires at crossing epoch e, dpogl_plus the window that
     # fired at e - 1.  Both are kept because unifying them changes the
     # degradation artifacts.
-    fired = crossing - 1 if lsi.algorithm == "dpogl_plus" else crossing
-    bad = (fired < 1) | (fired > lsi.horizon) | (fired % W != 0)
+    fired = crossing - 1 if hp.algorithm == "dpogl_plus" else crossing
+    bad = ((fired < 1) | (fired >= len(inv_hbar))
+           | (fired % hp.mechanism_window != 0))
     if np.any(bad):
         raise ValueError("no mechanism of the computed LSI horizon fires at "
                          f"epoch {np.asarray(fired)[bad].min()}")
     return fired
 
 
-def _mechanism_var(hp: HyperParams, group: int) -> float:
-    return float(hp.mechanism_window * (hp.clip[group] * hp.sigma[group]) ** 2)
-
-
 def _mu(alpha, hbar, var):
     return alpha / (alpha + hbar * var)
 
 
-def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int,
-                   targeted_groups) -> float | np.ndarray:
+def degradation_mu(inv_hbar: np.ndarray, hp: HyperParams, alpha, group: int,
+                   epoch: int, targeted_groups) -> float | np.ndarray:
     """Degradation factor mu = alpha / (alpha + hbar * W c^2 sigma^2) for
     leakage transiting ``group``'s mechanism at ``epoch``.
 
@@ -339,12 +316,13 @@ def degradation_mu(lsi: LsiState, hp: HyperParams, alpha, group: int, epoch: int
     """
     if group in set(targeted_groups):
         return np.ones_like(np.asarray(alpha, dtype=float)) if np.ndim(alpha) else 1.0
-    fired = _fired_epochs(lsi, hp.mechanism_window, epoch)
-    hbar = float(lsi.inv_hbar[fired, group])
+    fired = _fired_epochs(inv_hbar, hp, epoch)
+    hbar = float(inv_hbar[fired, group])
     alpha_arr = np.asarray(alpha, dtype=float)
     if np.any(alpha_arr <= 1):
         raise ValueError("RDP order alpha must exceed 1")
-    mu = _mu(alpha_arr, hbar, _mechanism_var(hp, group))
+    var = hp.mechanism_window * (hp.clip[group] * hp.sigma[group]) ** 2
+    mu = _mu(alpha_arr, hbar, var)
     return mu if alpha_arr.ndim else float(mu)
 
 
@@ -361,7 +339,7 @@ def _nearest_groups(dist: np.ndarray, groups_n, groups_i) -> tuple:
 def _thm2_class_blocks(structure: GroupStructure, hp: HyperParams,
                        groups_n: tuple[int, ...], destinations: tuple,
                        horizon: int, alphas: np.ndarray, variant: str,
-                       lsi: LsiState, mu: np.ndarray) -> list:
+                       inv_hbar: np.ndarray, mu: np.ndarray) -> list:
     """The terms of the degradation bound of every pair (n, i) in one class:
     n's groups are ``groups_n`` and ``destinations`` are i's groups nearest
     to them (``_nearest_groups``).
@@ -399,7 +377,7 @@ def _thm2_class_blocks(structure: GroupStructure, hp: HyperParams,
         for j in range(1, rho + 1):
             if path[j] in groups_n:
                 continue  # the targeted worker's groups do not attenuate
-            fired = _fired_epochs(lsi, hp.mechanism_window, S * (w + j - 1) + 1)
+            fired = _fired_epochs(inv_hbar, hp, S * (w + j - 1) + 1)
             factor = factor * mu[fired, path[j]]
         # block w is delivered from the first epoch whose count reaches w
         arrivals = np.array([starts[bisect.bisect_left(blocks, b)] for b in w],
@@ -560,9 +538,12 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     if not structure.is_string:
         raise AccountingPreconditionError(
             "the degradation bound requires a string structure")
-    lsi = lsi_recursion(structure, hp, beta, horizon)
-    var = np.array([_mechanism_var(hp, g) for g in range(structure.num_groups)])
-    mu = _mu(alphas, lsi.inv_hbar[:, :, None], var[:, None])
+    _, inv_hbar = lsi_recursion(structure, hp, beta, horizon)
+    # Scalar ** as in degradation_mu (libm pow), not the recursion's array
+    # square: the two differ in the last bit for some values of c * sigma.
+    var = np.array([hp.mechanism_window * (c * s) ** 2
+                    for c, s in zip(hp.clip, hp.sigma)])
+    mu = _mu(alphas, inv_hbar[:, :, None], var[:, None])
     groups = structure.groups_of_worker
     defined = structure.admissible_observers[hp.threat_model]
     classes = np.full(defined.shape, -1)
@@ -574,7 +555,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
         if key not in class_index:
             class_index[key] = len(entries)
             entries.append(_thm2_class_blocks(structure, hp, *key, horizon,
-                                              alphas, variant, lsi, mu))
+                                              alphas, variant, inv_hbar, mu))
         classes[n, i] = class_index[key]
     return Thm2Sweep.pack(horizon, classes, entries, alphas.size)
 

@@ -370,33 +370,31 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
 
     written: list[str] = []
     pwp_rows = []
-    heatmaps = {}  # epoch -> (N, N) DP matrix
-    for t in range(1, config.epochs + 1):
+    for t in range(1, horizon + 1):
+        in_pwp, in_heatmap = t <= config.epochs, t in config.heatmap_epochs
+        if not (in_pwp or in_heatmap):
+            continue
         curves = curves_at(t)
-        for worker, eps_rdp, alpha_star, eps_dp in \
-                accountant.pwp_rows_from_curves(curves, structure,
-                                                config.threat_model,
-                                                config.delta, grid):
-            pwp_rows.append(f"{t},{worker},{eps_rdp:.17g},{alpha_star:.17g},"
-                            f"{eps_dp:.17g}")
-        if t in config.heatmap_epochs:
-            heatmaps[t] = accountant.dp_matrix_from_curves(curves, config.delta,
-                                                           grid)
+        if in_pwp:
+            for worker, eps_rdp, alpha_star, eps_dp in \
+                    accountant.pwp_rows_from_curves(curves, structure,
+                                                    config.threat_model,
+                                                    config.delta, grid):
+                pwp_rows.append(f"{t},{worker},{eps_rdp:.17g},"
+                                f"{alpha_star:.17g},{eps_dp:.17g}")
+        if in_heatmap:
+            matrix = accountant.dp_matrix_from_curves(curves, config.delta,
+                                                      grid)
+            name = f"heatmap_epoch_{t}.csv"
+            # c != c marks NaN; the rows are freed before the next heatmap's
+            _write_lines(out / name, "n,i,eps",
+                         [f"{n},{i},{'trusted' if c != c else format(c, '.17g')}"
+                          for n, cells in enumerate(matrix.tolist())
+                          for i, c in enumerate(cells) if i != n])
+            written.append(name)
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
                  pwp_rows)
     written.append("pwp.csv")
-    for t in config.heatmap_epochs:
-        matrix = heatmaps.get(t)
-        if matrix is None:  # beyond the training horizon
-            matrix = accountant.dp_matrix_from_curves(curves_at(t),
-                                                      config.delta, grid)
-        name = f"heatmap_epoch_{t}.csv"
-        # c != c marks NaN; the rows are freed before the next heatmap's
-        _write_lines(out / name, "n,i,eps",
-                     [f"{n},{i},{'trusted' if c != c else format(c, '.17g')}"
-                      for n, cells in enumerate(matrix.tolist())
-                      for i, c in enumerate(cells) if i != n])
-        written.append(name)
     return written
 
 

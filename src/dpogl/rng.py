@@ -35,5 +35,4 @@ def derive_stream(master_seed: int, purpose: str, *subkeys: int) -> np.random.Ge
         if k < 0:
             raise ValueError("stream subkeys must be nonnegative")
         parts.append(k)
-    key = np.random.SeedSequence(parts).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))

@@ -100,9 +100,9 @@ def test_criterion_02_string_delay_and_degradation():
 
     # recompute the attenuation factor from the raw smoothing arrays
     eps_full = alpha / (2.0 * 2.0 ** 2)
-    lsi = acc.lsi_recursion(structure, hp, beta, t)
-    assert float(lsi.inv_hbar[3, 0]) == float(lsi.inv_hbar[3, 1])  # mirror image
-    mu = alpha / (alpha + float(lsi.inv_hbar[3, 1]) * (0.5 * 2.0) ** 2)
+    _, inv_hbar = acc.lsi_recursion(structure, hp, beta, t)
+    assert float(inv_hbar[3, 0]) == float(inv_hbar[3, 1])  # mirror image
+    mu = alpha / (alpha + float(inv_hbar[3, 1]) * (0.5 * 2.0) ** 2)
     assert 0.0 < mu <= 1.0
     assert mu < 1.0  # noise has entered the crossing group by epoch 3
 
@@ -220,10 +220,10 @@ def test_criterion_06_degradation_never_exceeds_delay_bound():
                  learning_rate=float(rng.choice([0.05, 0.1])))
         beta = float(rng.choice([0.5, 1.0, 2.0]))
         alpha = float(rng.choice([2.0, 3.0, 8.0]))
-        lsi = acc.lsi_recursion(structure, hp, beta, t)
+        _, inv_hbar = acc.lsi_recursion(structure, hp, beta, t)
         for g in range(m):
             for epoch in range(1, t + 1):
-                mu = acc.degradation_mu(lsi, hp, alpha, g, epoch, ())
+                mu = acc.degradation_mu(inv_hbar, hp, alpha, g, epoch, ())
                 assert 0.0 < mu <= 1.0
         curves = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
         for n in range(m + 1):

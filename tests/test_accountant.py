@@ -1,5 +1,6 @@
 """Accountant unit tests: budgets, delays, LSI recursion, conversions."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as hs
 from dpogl import accountant as acc
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
-from dpogl.trainer import HyperParams
+from dpogl.trainer import HyperParams, is_intergroup_epoch
 
 
 def chain(num_groups):
@@ -150,13 +151,99 @@ def test_oracle_rejects_bad_queries():
 # ---------------------------------------------------------------------------
 # LSI recursion
 
+LsiReference = collections.namedtuple("LsiReference",
+                                      "inv_b inv_a inv_h inv_e inv_hbar")
+
+
+def _lsi_reference(st, hp, beta, horizon):
+    """Straight-line LSI recursion that keeps every per-worker array:
+    inv_b (horizon + 2, M), the worker inits inv_a and their spread inv_h
+    (horizon + 1, M, N, zero for non-members), and the mechanism output
+    inv_e and pre-noise aggregate inv_hbar (horizon + 1, M, zero where no
+    mechanism fires).  All are reciprocals; slot 0 is unused."""
+    M, N = st.num_groups, st.num_workers
+    S, W = hp.inter_group_period, hp.mechanism_window
+    sizes = np.array([len(g) for g in st.members_of_group], dtype=float)
+    var = W * (hp.clip * hp.sigma) ** 2
+    spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
+    inv_b = np.zeros((horizon + 2, M))
+    inv_a = np.zeros((horizon + 1, M, N))
+    inv_h = np.zeros((horizon + 1, M, N))
+    inv_e = np.zeros((horizon + 1, M))
+    inv_hbar = np.zeros((horizon + 1, M))
+    for t in range(1, horizon + 2):
+        if (t - 1) % W:  # inside a window: raw updates
+            inv_b[t] = inv_b[t - 1] + sizes ** 2 * inv_h[t - 1].sum(axis=1)
+        elif t > 1:  # a window starts from the mechanism fired at t - 1
+            inv_b[t] = inv_b[t - W] + sizes ** 2 * inv_e[t - 1]
+        if t > horizon:
+            break
+        for m, members in enumerate(st.members_of_group):
+            for n in members:
+                merged = (st.groups_of_worker[n] if is_intergroup_epoch(t, S)
+                          else (m,))
+                inv_a[t, m, n] = sum(inv_b[t, g] for g in merged)
+        inv_h[t] = spread * inv_a[t]
+        if t % W == 0:  # the window's mechanism fires
+            window = sum(inv_h[k].sum(axis=1) for k in range(t - W + 1, t + 1))
+            inv_e[t] = var + window
+            inv_hbar[t] = inv_b[t - W + 1] + sizes ** 2 * window
+    return LsiReference(inv_b, inv_a, inv_h, inv_e, inv_hbar)
+
+
+def _lsi(st, hp, beta, horizon):
+    """The reference arrays, once ``lsi_recursion`` is checked to return
+    the same inv_b and inv_hbar."""
+    ref = _lsi_reference(st, hp, beta, horizon)
+    inv_b, inv_hbar = acc.lsi_recursion(st, hp, beta, horizon)
+    assert np.array_equal(inv_b, ref.inv_b)
+    assert np.array_equal(inv_hbar, ref.inv_hbar)
+    return ref
+
+
+@hs.composite
+def lsi_cases(draw):
+    """A structure whose workers each join 1 to 3 groups, full
+    participation with per-group clip and noise, an algorithm, S in 1..5,
+    a smoothness constant and a horizon."""
+    N, M = draw(hs.integers(2, 8)), draw(hs.integers(1, 5))
+    joined = [draw(hs.sets(hs.integers(0, M - 1), min_size=1,
+                           max_size=min(3, M))) for _ in range(N)]
+    used = sorted(set().union(*joined))
+    structure = GroupStructure(N, [[w for w in range(N) if g in joined[w]]
+                                   for g in used])
+    M = len(used)
+    algorithm = draw(hs.sampled_from(["dpogl", "dpogl_plus"]))
+    S, horizon = draw(hs.integers(1, 5)), draw(hs.integers(1, 16))
+    per_group = hs.lists(hs.floats(0.05, 4.0), min_size=M, max_size=M)
+    hp = make_hp(M, epochs=max(horizon, S), inter_group_period=S,
+                 algorithm=algorithm,
+                 threat_model="tm2" if algorithm == "dpogl_plus" else "tm1",
+                 local_iterations=draw(hs.integers(1, 3)),
+                 learning_rate=draw(hs.floats(0.01, 0.5)),
+                 clip=draw(per_group), sigma=draw(per_group))
+    return structure, hp, draw(hs.floats(0.1, 5.0)), horizon
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(lsi_cases())
+def test_lsi_recursion_matches_reference_bitwise(case):
+    """``lsi_recursion`` returns the reference's inv_b and inv_hbar bit for
+    bit: per-group member sums stand for the per-worker arrays."""
+    structure, hp, beta, horizon = case
+    inv_b, inv_hbar = acc.lsi_recursion(structure, hp, beta, horizon)
+    ref = _lsi_reference(structure, hp, beta, horizon)
+    assert np.array_equal(inv_b, ref.inv_b)
+    assert np.array_equal(inv_hbar, ref.inv_hbar)
+
+
 def test_lsi_matches_straight_line_reimplementation():
     """Scalar re-derivation for one group of two workers, three epochs."""
     st = GroupStructure(2, [[0, 1]])
     eta, betav, L = 1.0, 1.0, 1
     hp = make_hp(1, learning_rate=eta, local_iterations=L, clip=0.5,
                  sigma=2.0, inter_group_period=1)
-    lsi = acc.lsi_recursion(st, hp, betav, 3)
+    lsi = _lsi(st, hp, betav, 3)
     spread = (1.0 + (1.0 + eta * betav) ** L) ** 2
     assert spread == 9.0
     var = (0.5 * 2.0) ** 2
@@ -182,7 +269,7 @@ def test_lsi_merge_averages_across_groups():
     the shared worker's constant adds the reciprocals of both groups."""
     st = chain(2)
     hp = make_hp(2, inter_group_period=2)
-    lsi = acc.lsi_recursion(st, hp, 1.3, 4)
+    lsi = _lsi(st, hp, 1.3, 4)
     # epoch 3 is an inter-group epoch ((3-1) % 2 == 0)
     shared = 1  # worker 1 sits in both groups
     assert np.allclose(lsi.inv_a[3, 0, shared],
@@ -199,8 +286,8 @@ def test_lsi_plus_with_period_one_matches_dpogl():
     hp_a = make_hp(2, inter_group_period=1)
     hp_b = make_hp(2, inter_group_period=1, algorithm="dpogl_plus",
                    threat_model="tm2")
-    a = acc.lsi_recursion(st, hp_a, 0.9, 6)
-    b = acc.lsi_recursion(st, hp_b, 0.9, 6)
+    a = _lsi(st, hp_a, 0.9, 6)
+    b = _lsi(st, hp_b, 0.9, 6)
     # at S=1 both algorithms fire one mechanism per epoch: same window W=1
     for name in ("inv_b", "inv_a", "inv_h", "inv_e", "inv_hbar"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -211,8 +298,9 @@ def test_lsi_plus_windows_accumulate_whole_window():
     S = 3
     hp = make_hp(2, inter_group_period=S, algorithm="dpogl_plus",
                  threat_model="tm2")
-    lsi = acc.lsi_recursion(st, hp, 1.1, 6)
+    lsi = _lsi(st, hp, 1.1, 6)
     assert lsi.inv_e.shape == (7, 2)
+    assert acc.lsi_recursion(st, hp, 1.1, 6)[1].shape == (7, 2)
     # mechanisms fire only at the last epoch of each window
     for t in (0, 1, 2, 4, 5):
         assert not lsi.inv_e[t].any() and not lsi.inv_hbar[t].any()
@@ -242,28 +330,28 @@ def test_lsi_preconditions():
 def test_degradation_mu_formula_and_limits():
     st = chain(2)
     hp = make_hp(2)
-    lsi = acc.lsi_recursion(st, hp, 1.5, 6)
+    _, inv_hbar = acc.lsi_recursion(st, hp, 1.5, 6)
     alpha = 3.0
     var = (0.5 * 2.0) ** 2
     for epoch in (1, 3, 5):
         for g in (0, 1):
-            mu = acc.degradation_mu(lsi, hp, alpha, g, epoch, targeted_groups=())
-            assert mu == alpha / (alpha + lsi.inv_hbar[epoch, g] * var)
+            mu = acc.degradation_mu(inv_hbar, hp, alpha, g, epoch, targeted_groups=())
+            assert mu == alpha / (alpha + inv_hbar[epoch, g] * var)
             assert 0 < mu <= 1
     # epoch 1 has a deterministic pre-noise aggregate: no attenuation yet
-    assert acc.degradation_mu(lsi, hp, alpha, 0, 1, ()) == 1.0
+    assert acc.degradation_mu(inv_hbar, hp, alpha, 0, 1, ()) == 1.0
     # more accumulated randomness can only attenuate harder
-    assert (acc.degradation_mu(lsi, hp, alpha, 0, 5, ())
-            <= acc.degradation_mu(lsi, hp, alpha, 0, 3, ()))
+    assert (acc.degradation_mu(inv_hbar, hp, alpha, 0, 5, ())
+            <= acc.degradation_mu(inv_hbar, hp, alpha, 0, 3, ()))
     # the targeted worker's groups pass its information through unattenuated
-    assert acc.degradation_mu(lsi, hp, alpha, 0, 5, targeted_groups={0}) == 1.0
-    arr = acc.degradation_mu(lsi, hp, np.array([2.0, 4.0]), 1, 3, ())
+    assert acc.degradation_mu(inv_hbar, hp, alpha, 0, 5, targeted_groups={0}) == 1.0
+    arr = acc.degradation_mu(inv_hbar, hp, np.array([2.0, 4.0]), 1, 3, ())
     assert arr.shape == (2,)
     assert np.all((arr > 0) & (arr <= 1))
     with pytest.raises(ValueError):
-        acc.degradation_mu(lsi, hp, 1.0, 0, 3, ())
+        acc.degradation_mu(inv_hbar, hp, 1.0, 0, 3, ())
     with pytest.raises(ValueError):
-        acc.degradation_mu(lsi, hp, 2.0, 0, 7, ())
+        acc.degradation_mu(inv_hbar, hp, 2.0, 0, 7, ())
 
 
 def test_degradation_mu_plus_window_indexing():
@@ -271,16 +359,16 @@ def test_degradation_mu_plus_window_indexing():
     S = 2
     hp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2",
                  inter_group_period=S)
-    lsi = acc.lsi_recursion(st, hp, 1.5, 6)
+    _, inv_hbar = acc.lsi_recursion(st, hp, 1.5, 6)
     alpha = 2.5
     var = S * (0.5 * 2.0) ** 2
     # epoch 3 = first post-mechanism model; consumes window 0, which fired
     # at epoch 2
-    mu = acc.degradation_mu(lsi, hp, alpha, 1, 3, ())
-    assert mu == alpha / (alpha + lsi.inv_hbar[2, 1] * var)
+    mu = acc.degradation_mu(inv_hbar, hp, alpha, 1, 3, ())
+    assert mu == alpha / (alpha + inv_hbar[2, 1] * var)
     for bad_epoch in (1, 2, 4):  # window start or mid-window epochs
         with pytest.raises(ValueError):
-            acc.degradation_mu(lsi, hp, alpha, 1, bad_epoch, ())
+            acc.degradation_mu(inv_hbar, hp, alpha, 1, bad_epoch, ())
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +421,63 @@ def test_thm2_never_exceeds_thm1_at_full_participation():
                 t2 = curves[n, i, 0]
                 t1 = acc.thm1_pair_bound(st, hp, alpha, n, i, t)
                 assert t2 <= t1 + 1e-12, (M, t, n, i)
+
+
+@hs.composite
+def string_cases(draw):
+    """A random open string: groups in a random order along a chain, 1 or 2
+    workers shared by each adjacent pair, 0 to 2 private workers per group
+    and random worker labels; full participation with per-group clip and
+    noise, an algorithm and threat model, S in 1..4, a variant, a
+    smoothness constant and a horizon."""
+    M = draw(hs.integers(1, 5))
+    order = draw(hs.permutations(range(M)))
+    members = [[] for _ in range(M)]
+    N = 0
+    for k in range(M):
+        for _ in range(draw(hs.integers(2 if M == 1 else 0, 2))):  # private
+            members[order[k]].append(N)
+            N += 1
+        for _ in range(draw(hs.integers(1, 2)) if k + 1 < M else 0):
+            members[order[k]].append(N)  # shared with the next group
+            members[order[k + 1]].append(N)
+            N += 1
+    labels = draw(hs.permutations(range(N)))
+    structure = GroupStructure(N, [sorted(labels[w] for w in group)
+                                   for group in members])
+    algorithm, threat_model = draw(hs.sampled_from(
+        [("dpogl", "tm1"), ("dpogl", "tm2"), ("dpogl_plus", "tm2")]))
+    S, horizon = draw(hs.integers(1, 4)), draw(hs.integers(1, 24))
+    per_group = hs.lists(hs.floats(0.05, 4.0), min_size=M, max_size=M)
+    hp = make_hp(M, epochs=max(horizon, S), inter_group_period=S,
+                 algorithm=algorithm, threat_model=threat_model,
+                 clip=draw(per_group), sigma=draw(per_group))
+    variant = draw(hs.sampled_from(acc.VARIANTS))
+    return structure, hp, variant, draw(hs.floats(0.1, 50.0)), horizon
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(string_cases())
+def test_degradation_never_exceeds_delay_on_random_strings(case):
+    """Every epoch's degradation curves are undefined exactly where the
+    delay curves alpha * K are, and no defined cell exceeds its delay
+    cell; the same holds for the two DP heatmaps."""
+    structure, hp, variant, beta, horizon = case
+    assert structure.is_string
+    grid = np.array(acc.DEFAULT_ALPHA_GRID)
+    sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, variant=variant)
+    for t in range(1, horizon + 1):
+        K = acc.delay_curve_matrix(structure, hp, t, variant)
+        degradation, delay = sweep.at(t), K[..., None] * grid
+        assert np.array_equal(np.isnan(degradation), np.isnan(delay))
+        defined = ~np.isnan(delay)
+        assert np.all(degradation[defined] <= delay[defined])
+        heat_degradation = acc.dp_matrix_from_curves(degradation, 1e-5)
+        heat_delay = acc.dp_matrix_from_curves(K, 1e-5)
+        assert np.array_equal(np.isnan(heat_degradation), np.isnan(heat_delay))
+        defined = ~np.isnan(heat_delay)
+        assert np.all(heat_degradation[defined] <= heat_delay[defined])
 
 
 def test_thm2_plus_trusted_pairs_and_budget_units():
@@ -587,7 +732,7 @@ def test_pwp_bounds_contract():
     assert rows_at(gl, make_hp(1, threat_model="tm2"), 9) == []
 
 
-def _thm2_reference(st, hp, lsi, n, i, t, alphas, variant):
+def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
     """Straight-line degradation bound of one pair at one epoch: the loop
     the pair-class sweep replaced, built on ``degradation_mu``."""
     S = hp.inter_group_period
@@ -611,7 +756,8 @@ def _thm2_reference(st, hp, lsi, n, i, t, alphas, variant):
             factor = np.ones_like(alphas)
             for j in range(1, rho + 1):
                 factor = factor * acc.degradation_mu(
-                    lsi, hp, alphas, path[j], S * (w + j - 1) + 1, groups_n)
+                    inv_hbar, hp, alphas, path[j], S * (w + j - 1) + 1,
+                    groups_n)
             total = total + per_block * eps * factor
     return total
 
@@ -630,6 +776,8 @@ def test_thm2_curve_matrix_matches_pairwise_calls():
         (SHARED_SETS_STRING, {"algorithm": "dpogl_plus", "threat_model": "tm2"}),
         (chain(4), {"algorithm": "dpogl_plus", "threat_model": "tm2",
                     "inter_group_period": 3, "sigma": [1.0, 2.0, 1.5, 2.5]}),
+        # (c * sigma) ** 2 of a scalar and of an array differ in the last bit
+        (chain(3), {"sigma": [1.0204, 1.2704, 0.6352]}),
     ]
     for (structure, overrides), variant in itertools.product(cases, acc.VARIANTS):
         _check_sweep_against_pairs(structure, make_hp(structure.num_groups,
@@ -642,7 +790,7 @@ def _check_sweep_against_pairs(structure, hp, variant):
     beta = 1.4
     horizon = hp.epochs + 5  # a heatmap epoch may lie past the horizon T
     sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid, variant)
-    lsi = acc.lsi_recursion(structure, hp, beta, horizon)
+    _, inv_hbar = acc.lsi_recursion(structure, hp, beta, horizon)
     N = structure.num_workers
     admissible = structure.admissible_observers[hp.threat_model]
     for t in (1, 2, 5, hp.epochs, horizon):
@@ -657,7 +805,8 @@ def _check_sweep_against_pairs(structure, hp, variant):
                     continue
                 assert np.array_equal(
                     curves[n, i],
-                    _thm2_reference(structure, hp, lsi, n, i, t, alphas, variant))
+                    _thm2_reference(structure, hp, inv_hbar, n, i, t, alphas,
+                                    variant))
     with pytest.raises(ValueError):
         sweep.at(horizon + 1)
 

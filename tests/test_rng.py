@@ -43,3 +43,20 @@ def test_invalid_inputs():
         derive_stream(-1, "noise")
     with pytest.raises(ValueError):
         derive_stream(0, "noise", -3)
+
+
+def test_stream_matches_philox_keyed_from_seed_sequence():
+    """The stream is the Philox generator keyed by two 64-bit words of the
+    key's SeedSequence, so every seeded run keeps its draws."""
+    cases = [(0, "sampling", 1, ()), (7, "noise", 2, (2, 5)),
+             (3, "batch", 3, (1, 2 ** 32 + 5, 9)), (2 ** 40, "partition", 6, (0,)),
+             (11, "data", 4, ())]
+    for seed, purpose, code, subkeys in cases:
+        key = np.random.SeedSequence([seed, code, *subkeys]).generate_state(
+            2, np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = derive_stream(seed, purpose, *subkeys)
+        assert np.array_equal(got.random(40), want.random(40))
+        assert np.array_equal(got.standard_normal(40), want.standard_normal(40))
+        assert np.array_equal(got.integers(0, 2 ** 62, 40),
+                              want.integers(0, 2 ** 62, 40))
