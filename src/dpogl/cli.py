@@ -56,11 +56,20 @@ def _parse_epoch_list(text: str) -> list[int]:
             "--heatmap-epochs must be comma-separated integers") from None
 
 
-def _cmd_run(args, with_training: bool) -> int:
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file; any failure is a ConfigError."""
     try:
-        raw = json.loads(Path(args.config).read_text())
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file is not UTF-8 text: {exc}") from exc
+
+
+def _cmd_run(args, with_training: bool) -> int:
+    text = _read_text(args.config, "config")
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -90,10 +99,7 @@ def _cmd_run(args, with_training: bool) -> int:
 
 
 def _cmd_distances(args) -> int:
-    try:
-        text = Path(args.structure).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read structure file: {exc}") from exc
+    text = _read_text(args.structure, "structure")
     try:
         structure = GroupStructure.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:

@@ -9,6 +9,8 @@ A run writes, inside the configured output directory:
 
 Floats are serialized with 17 significant digits and the manifest carries no
 timestamps, so rerunning the same config reproduces every file byte for byte.
+Each distinct float (by bit pattern) of a heatmap, of a pwp.csv epoch or of
+metrics.csv is formatted once and its text reused.
 Accountant precondition failures (``AccountingPreconditionError``: sigma = 0,
 degradation bound on a topology that is not a string, ...) disable the
 accounting outputs only; training outputs are still emitted and the manifest
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -341,8 +344,46 @@ def _build_structure(config: ExperimentConfig, train_set: Dataset,
     return generate_structure(s["kind"], s["num_workers"], s["num_groups"])
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _float_texts(values, nan_text: str = "nan") -> np.ndarray:
+    """Each float of ``values`` at 17 significant digits, as an object array
+    of the same shape; NaN reads ``nan_text``.
+
+    Every distinct bit pattern is formatted once.  Keying by bits rather
+    than by value keeps -0.0 apart from 0.0, and it is exact: equal bits
+    give equal text.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.reshape(-1).view(np.int64),
+                              return_inverse=True)
+    texts = np.array([nan_text if v != v else format(v, ".17g")
+                      for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
+def _pwp_lines(t: int, rows) -> list[str]:
+    """pwp.csv lines of epoch t from ``pwp_rows_from_curves`` rows."""
+    if not rows:
+        return []
+    workers, *columns = zip(*rows)
+    return [f"{t},{w},{a},{b},{c}"
+            for w, a, b, c in zip(workers, *_float_texts(columns).tolist())]
+
+
+def _heatmap_blocks(matrix: np.ndarray) -> list[str]:
+    """The 'n,i,eps' lines of an (N, N) matrix, as one block of N - 1 lines
+    per row n (the diagonal is skipped); NaN reads 'trusted'."""
+    size = matrix.shape[0]
+    if size < 2:
+        return []
+    cells = _float_texts(matrix, nan_text="trusted")
+    columns = [f"{i}," for i in range(size)]
+    blocks = []
+    for n in range(size):
+        prefix = f"{n},"
+        lines = list(map(operator.add, columns, cells[n].tolist()))
+        del lines[n]
+        blocks.append(prefix + ("\n" + prefix).join(lines))
+    return blocks
 
 
 def _write_lines(path: Path, header: str, rows) -> None:
@@ -369,31 +410,23 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
                                                  config.variant)
 
     written: list[str] = []
-    pwp_rows = []
+    pwp_lines: list[str] = []
     for t in range(1, horizon + 1):
         in_pwp, in_heatmap = t <= config.epochs, t in config.heatmap_epochs
         if not (in_pwp or in_heatmap):
             continue
         curves = curves_at(t)
         if in_pwp:
-            for worker, eps_rdp, alpha_star, eps_dp in \
-                    accountant.pwp_rows_from_curves(curves, structure,
-                                                    config.threat_model,
-                                                    config.delta, grid):
-                pwp_rows.append(f"{t},{worker},{eps_rdp:.17g},"
-                                f"{alpha_star:.17g},{eps_dp:.17g}")
+            pwp_lines += _pwp_lines(t, accountant.pwp_rows_from_curves(
+                curves, structure, config.threat_model, config.delta, grid))
         if in_heatmap:
             matrix = accountant.dp_matrix_from_curves(curves, config.delta,
                                                       grid)
             name = f"heatmap_epoch_{t}.csv"
-            # c != c marks NaN; the rows are freed before the next heatmap's
-            _write_lines(out / name, "n,i,eps",
-                         [f"{n},{i},{'trusted' if c != c else format(c, '.17g')}"
-                          for n, cells in enumerate(matrix.tolist())
-                          for i, c in enumerate(cells) if i != n])
+            _write_lines(out / name, "n,i,eps", _heatmap_blocks(matrix))
             written.append(name)
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
-                 pwp_rows)
+                 pwp_lines)
     written.append("pwp.csv")
     return written
 
@@ -419,9 +452,11 @@ def run_experiment(config: ExperimentConfig, with_training: bool = True
     if with_training:
         result = run_training(structure, hp, train_set, partition,
                               test_set if len(test_set) else None)
+        texts = _float_texts([(m.avg_train_loss, m.avg_test_acc)
+                              for m in result.metrics]).tolist()
         _write_lines(out / "metrics.csv", "epoch,avg_train_loss,avg_test_acc",
-                     [f"{m.epoch},{_fmt(m.avg_train_loss)},"
-                      f"{_fmt(m.avg_test_acc)}" for m in result.metrics])
+                     [f"{m.epoch},{loss},{acc}"
+                      for m, (loss, acc) in zip(result.metrics, texts)])
         outputs.append("metrics.csv")
     accounting_error = None
     try:

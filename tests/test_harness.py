@@ -1,13 +1,19 @@
 """Config validation, artifact layout, determinism, and the CLI."""
 
+import hashlib
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from dpogl import accountant as acc
+from dpogl import harness
 from dpogl import topology
 from dpogl.cli import main as cli_main
 from dpogl.harness import ConfigError, ExperimentConfig, run_experiment
@@ -347,6 +353,152 @@ def test_csv_dataset_source(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# artifact text: the writers against straight-line references
+
+def _reference_heatmap_text(matrix):
+    """One f-string per off-diagonal cell, formatting every cell."""
+    rows = [f"{n},{i},{'trusted' if c != c else format(c, '.17g')}"
+            for n, cells in enumerate(matrix.tolist())
+            for i, c in enumerate(cells) if i != n]
+    return "\n".join(["n,i,eps", *rows]) + "\n"
+
+
+def _reference_pwp_lines(t, rows):
+    """One f-string per row, formatting every float."""
+    return [f"{t},{worker},{eps_rdp:.17g},{alpha_star:.17g},{eps_dp:.17g}"
+            for worker, eps_rdp, alpha_star, eps_dp in rows]
+
+
+def _written_text(header, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artifact.csv"
+        harness._write_lines(path, header, lines)
+        return path.read_bytes().decode("utf-8")
+
+
+_SUBNORMAL = 5e-324
+
+
+@hs.composite
+def _palettes(draw):
+    """A few floats that the writer must keep apart: NaN, both zeros, a
+    subnormal, a huge value and a pair of adjacent floats."""
+    x = draw(hs.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                       allow_infinity=False))
+    extra = draw(hs.lists(hs.floats(allow_nan=False, allow_infinity=False),
+                          max_size=3))
+    return [math.nan, 0.0, -0.0, _SUBNORMAL, 1e300, x,
+            float(np.nextafter(x, math.inf)), *extra]
+
+
+@hs.composite
+def _matrices(draw):
+    size = draw(hs.integers(1, 20))
+    palette = draw(_palettes())
+    picks = draw(hs.lists(hs.integers(0, len(palette) - 1),
+                          min_size=size * size, max_size=size * size))
+    return np.array([palette[k] for k in picks]).reshape(size, size)
+
+
+@hs.composite
+def _pwp_epochs(draw):
+    """(t, rows) per epoch; an epoch may have no observed worker."""
+    size = draw(hs.integers(1, 20))
+    palette = [v for v in draw(_palettes()) if v == v]  # pwp holds no NaN
+    value = hs.sampled_from(palette)
+    epochs = []
+    for t in range(1, draw(hs.integers(1, 4)) + 1):
+        workers = draw(hs.lists(hs.integers(0, size - 1), unique=True))
+        epochs.append((t, [(w, draw(value), draw(value), draw(value))
+                           for w in sorted(workers)]))
+    return epochs
+
+
+_EDGE_CELLS = np.array([[0.0, -0.0, math.nan], [_SUBNORMAL, 1e300, 0.1],
+                        [float(np.nextafter(0.1, 1.0)), -0.0, 0.0]])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_matrices())
+@example(_EDGE_CELLS)
+@example(np.array([[math.nan]]))
+def test_heatmap_text_matches_reference_bitwise(matrix):
+    """The heatmap writer formats each distinct bit pattern once and still
+    writes the reference's bytes: -0.0 stays apart from 0.0, adjacent floats
+    stay apart, NaN reads 'trusted' and the diagonal is skipped."""
+    text = _written_text("n,i,eps", harness._heatmap_blocks(matrix))
+    assert text == _reference_heatmap_text(matrix)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_pwp_epochs())
+@example([(1, [(0, 0.0, 2.0, -0.0), (2, _SUBNORMAL, 1e300, 0.0)]),
+          (2, []),
+          (3, [(1, 0.1, float(np.nextafter(0.1, 1.0)), 0.1)])])
+def test_pwp_text_matches_reference_bitwise(epochs):
+    """pwp.csv formats each epoch's distinct floats once and still writes
+    the reference's bytes, including epochs with no observed worker."""
+    lines = [line for t, rows in epochs for line in harness._pwp_lines(t, rows)]
+    assert lines == [line for t, rows in epochs
+                     for line in _reference_pwp_lines(t, rows)]
+
+
+# SHA-256 of every file of four small runs, recorded before the writers
+# formatted each distinct value once.  Recorded with numpy 2.4.6 (Python
+# 3.11.7, x86-64): metrics.csv depends on the floating-point summation order
+# of the numpy build, so another build may change its digest.
+GOLDEN_RUNS = {
+    "run_dpogl_tm1": (True, dict(heatmap_epochs=[3, 6]), {
+        "heatmap_epoch_3.csv": "187fea00e8ef91aea4d72814c50c04e1351e9cbe485f316690ecb62e0cf54277",
+        "heatmap_epoch_6.csv": "af1e05ba5eac288387bc131ed961937bfd75a359527af8dd7de26fcd64d1a277",
+        "manifest.json": "bb4288a7e29db38c0b12d50304743589e3973e2acb7a68413290ccc04f4b8b4c",
+        "metrics.csv": "f66b13293da2fdf1640cab8aa3c6f84f29c48505a3865582f1be6403408c05df",
+        "pwp.csv": "6a25c48397e86bbafe1c61a228a3ba3aac2086cefd6d5f1c1e9a704f68a3e891",
+    }),
+    "run_dpogl_plus_tm2": (True, dict(algorithm="dpogl_plus",
+                                      threat_model="tm2",
+                                      heatmap_epochs=[4, 6]), {
+        "heatmap_epoch_4.csv": "bff725a003198a1240742901c962157bf56443c2fcfb49b634b33da0567dda23",
+        "heatmap_epoch_6.csv": "31235eef9cd23578223bb187cc564759577df51c78ad385f3f711e0f46882b93",
+        "manifest.json": "50e84591aeb269d9feba551eccc552e985475ba30696ed72d655a1134e3599dd",
+        "metrics.csv": "ceebc7ed9405a383f60f40b4b5cf40600feabf9291248c5a2c541f60b7c165b1",
+        "pwp.csv": "4373f6b231131b16fbc933ce62d722ba8b59262404c59f8421ef9c701dde652f",
+    }),
+    "account_delay": (False, dict(
+        epochs=10, heatmap_epochs=[5, 10, 13],
+        structure={"kind": "RI", "num_workers": 12, "num_groups": 4}), {
+        "heatmap_epoch_10.csv": "f607d63093c5237ce61c429a7d0284392fae51b7cde8f53c569feacc1252b6df",
+        "heatmap_epoch_13.csv": "357c113ab3ee0277a3a78432943100bdfbffb42ed48a70db554b3ca4b3a2ef9a",
+        "heatmap_epoch_5.csv": "3c14b4ec7feb63d6b50d19a6b2fd9ab3ea8b74ea31a6fb1a9b6527b54d37aba0",
+        "manifest.json": "4cddc6609e348cda9cd69270da1493d54fa4a6c5ddc677df12845b34188062dd",
+        "pwp.csv": "8a3fdcd1e70ceaffa32639b854d6f93980a7bf6c05b9bfea698309be7369343e",
+    }),
+    "account_degradation": (False, dict(
+        bound="degradation", participation=1.0, clip=0.5, epochs=12,
+        heatmap_epochs=[6, 12],
+        data={"num_classes": 3, "dims": 2, "per_class": 20},
+        structure={"num_workers": 7,
+                   "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6]]}), {
+        "heatmap_epoch_12.csv": "e8dc8edfc5e6543bb6995cec3eacceed49f73fb493144417c9c253634fb226b7",
+        "heatmap_epoch_6.csv": "b3981a64695ec09a64ad1dea70867728ed8a06005fb0af85ee9998ed36a345c6",
+        "manifest.json": "eb23fcce594c431a81c75922c69e9767ddc38e27d841538baacc8c58f5ad07c0",
+        "pwp.csv": "22241904f2c1d3cf1d4eafc2975cac4bb48a3b65bd5af11ccc8de676e9f7a323",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_artifacts_match_golden_digests(tmp_path, name):
+    with_training, overrides, digests = GOLDEN_RUNS[name]
+    manifest = run_experiment(make_config(tmp_path, **overrides),
+                              with_training=with_training)
+    assert manifest["accounting_error"] is None
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert written == digests
+
+
+# ---------------------------------------------------------------------------
 # command-line interface
 
 def write_config(tmp_path, **overrides):
@@ -401,6 +553,12 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert cli_main(["run", str(wrong)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"epochs": 3, "output_dir": "r\xe9sultats"}')
+    for command in ("run", "account"):
+        assert cli_main([command, str(latin)]) == 2
+        assert "config error: config file is not UTF-8" in \
+            capsys.readouterr().err
 
 
 def test_cli_accounting_failure_still_exits_zero(tmp_path, capsys):
@@ -428,3 +586,8 @@ def test_cli_distances(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["distances", str(fractional)]) == 2
     assert "config error" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"N": 2, "kind": "\xe9", "members_of_group": [[0, 1]]}')
+    assert cli_main(["distances", str(latin)]) == 2
+    assert "config error: structure file is not UTF-8" in \
+        capsys.readouterr().err
