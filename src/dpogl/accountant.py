@@ -23,12 +23,14 @@ costs one (N, M) @ (M, N) product, O(N * M * N), and no (N, N, G) tensor:
 the reductions read K directly.  The degradation bound of a pair (n, i)
 depends only on its class: n's groups and, for each, the nearest group of
 i.  ``thm2_curve_sweep`` checks the preconditions once, builds one
-per-run table of mu factors indexed by (firing epoch, group), and computes
-each class's attenuated block budgets once for all epochs up to the
-horizon.  An epoch's (N, N, G) tensor is then a sum over the blocks
-delivered by that epoch, vectorised across classes, and a gather: the cost
-grows with classes x blocks plus epochs x blocks x classes, not with
-pairs x epochs x structure rebuilds, and memory with classes x blocks.
+per-run table of mu factors indexed by (firing epoch, group), and fills
+each class's attenuated block budgets in place, once for all epochs up to
+the horizon: B block slots per source, the count that a source at distance
+1 delivers by the horizon, with padding slots never delivered.  An epoch's
+(N, N, G) tensor is then a sum over the blocks delivered by that epoch,
+vectorised across classes, and a gather: the cost grows with classes x
+blocks plus epochs x blocks x classes, not with pairs x epochs x structure
+rebuilds, and memory with classes x blocks.
 
 Two delay-count variants are provided.  ``examples_consistent`` (default)
 counts ``floor((t-1)/S) - rho + 1`` delivered blocks gated by ``>=`` and
@@ -38,7 +40,6 @@ and one fewer block.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -329,70 +330,17 @@ def degradation_mu(inv_hbar: np.ndarray, hp: HyperParams, alpha, group: int,
 # ---------------------------------------------------------------------------
 # string-topology bound with degradation
 
-def _nearest_groups(dist: np.ndarray, groups_n, groups_i) -> tuple:
-    """For each group of n in sorted order, the nearest group of i (lowest
-    index on ties; the group itself when shared)."""
-    return tuple(min(sorted(groups_i), key=lambda m: dist[m_src, m])
-                 for m_src in sorted(groups_n))
-
-
-def _thm2_class_blocks(structure: GroupStructure, hp: HyperParams,
-                       groups_n: tuple[int, ...], destinations: tuple,
-                       horizon: int, alphas: np.ndarray, variant: str,
-                       inv_hbar: np.ndarray, mu: np.ndarray) -> list:
-    """The terms of the degradation bound of every pair (n, i) in one class:
-    n's groups are ``groups_n`` and ``destinations`` are i's groups nearest
-    to them (``_nearest_groups``).
-
-    One entry per source group of n, in sorted order: (per-epoch budget of a
-    shared source or None, (B,) first epoch at which each delivered block
-    arrives by ``horizon``, (B, G) attenuated budget of each block).  Per
-    delivered block w from source group m', the contribution is S / W
-    full-participation budgets attenuated by one mu factor per path group
-    past the source, each evaluated at its crossing epoch S*(w + j - 1) + 1;
-    hop factors are multiplied in j order.
-    """
-    S = hp.inter_group_period
-    per_block = S // hp.mechanism_window
-    dist = structure.distances
-    no_blocks = (np.zeros(0, dtype=int), np.zeros((0, alphas.size)))
-    entries = []
-    for m_src, m_dst in zip(sorted(groups_n), destinations):
-        eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)  # full-participation budget
-        if m_src == m_dst:  # shared group: every mechanism is observed
-            entries.append((eps, *no_blocks))
-            continue
-        rho = int(dist[m_src, m_dst])
-        # On a string the shortest path is unique: it holds the groups whose
-        # distances from source and destination sum to rho, and hop j is the
-        # one at distance j from the source.
-        from_src, to_dst = dist[m_src].tolist(), dist[m_dst].tolist()
-        on_path = [g for g in range(len(from_src)) if from_src[g] + to_dst[g] == rho]
-        path = sorted(on_path, key=from_src.__getitem__)
-        # Counts change only where an S-epoch block starts, at epochs S*q + 1.
-        starts = range(1, horizon + 1, S)
-        blocks = [delivered_block_count(t, S, rho, variant) for t in starts]
-        w = np.arange(1, blocks[-1] + 1)
-        factor = np.ones((w.size, alphas.size))
-        for j in range(1, rho + 1):
-            if path[j] in groups_n:
-                continue  # the targeted worker's groups do not attenuate
-            fired = _fired_epochs(inv_hbar, hp, S * (w + j - 1) + 1)
-            factor = factor * mu[fired, path[j]]
-        # block w is delivered from the first epoch whose count reaches w
-        arrivals = np.array([starts[bisect.bisect_left(blocks, b)] for b in w],
-                            dtype=int)
-        entries.append((None, arrivals, per_block * eps * factor))
-    return entries
-
-
 @dataclass(frozen=True, eq=False)
 class Thm2Sweep:
     """Degradation-aware curves of pair classes, evaluated at any epoch
     1..horizon from per-class block terms.
 
     Slot k of class c is the k-th source group of the class's targeted
-    worker.  Padding entries hold zero budgets and never-delivered blocks.
+    worker; K is the largest number of groups of any worker.  Block slot b
+    is the (b + 1)-th block delivered from that source; B is the block
+    count of a source at distance 1, the most any source delivers by the
+    horizon.  Padding slots hold zero budgets and ``first = horizon + 1``,
+    so they are never delivered.
     """
 
     horizon: int
@@ -400,25 +348,6 @@ class Thm2Sweep:
     shared: np.ndarray   # (C, K, G) per-epoch budget of a shared source, else 0
     first: np.ndarray    # (C, K, B) epoch from which block b + 1 is delivered
     terms: np.ndarray    # (C, K, B, G) attenuated budget of that block
-
-    @classmethod
-    def pack(cls, horizon: int, classes: np.ndarray, entries: list,
-             num_orders: int) -> "Thm2Sweep":
-        """Pack per-class lists of ``_thm2_class_blocks`` entries."""
-        C = len(entries)
-        K = max((len(e) for e in entries), default=0)
-        B = max((arrivals.size for e in entries for _, arrivals, _ in e),
-                default=0)
-        shared = np.zeros((C, K, num_orders))
-        first = np.full((C, K, B), horizon + 1)
-        terms = np.zeros((C, K, B, num_orders))
-        for c, entry in enumerate(entries):
-            for k, (eps, arrivals, budgets) in enumerate(entry):
-                if eps is not None:
-                    shared[c, k] = eps
-                first[c, k, :arrivals.size] = arrivals
-                terms[c, k, :arrivals.size] = budgets
-        return cls(horizon, classes, shared, first, terms)
 
     def at(self, t: int) -> np.ndarray:
         """(N, N, G) curve tensor at epoch t; NaN marks trusted cells.
@@ -529,6 +458,11 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     factors indexed by (firing epoch, group).  ``at(t)`` gives epoch t's
     (N, N, G) tensor.  Cells are NaN on the diagonal and, under tm2 (which
     dpogl_plus requires), for in-group pairs.
+
+    A shared source group adds its full-participation budget per epoch.
+    Block w from another source group carries S / W such budgets times one
+    mu factor per path group past the source, read at its crossing epoch
+    S*(w + j - 1) + 1; hop factors are multiplied in j order.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -544,20 +478,50 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     var = np.array([hp.mechanism_window * (c * s) ** 2
                     for c, s in zip(hp.clip, hp.sigma)])
     mu = _mu(alphas, inv_hbar[:, :, None], var[:, None])
-    groups = structure.groups_of_worker
+    groups, dist = structure.groups_of_worker, structure.distances
     defined = structure.admissible_observers[hp.threat_model]
     classes = np.full(defined.shape, -1)
     class_index: dict[tuple, int] = {}
-    entries = []
     for n, i in zip(*np.nonzero(defined)):
-        key = (groups[n], _nearest_groups(structure.distances, groups[n],
-                                          groups[i]))
-        if key not in class_index:
-            class_index[key] = len(entries)
-            entries.append(_thm2_class_blocks(structure, hp, *key, horizon,
-                                              alphas, variant, inv_hbar, mu))
-        classes[n, i] = class_index[key]
-    return Thm2Sweep.pack(horizon, classes, entries, alphas.size)
+        # for each group of n, the nearest group of i: the lowest index on
+        # ties (groups_of_worker tuples ascend), the group itself if shared
+        nearest = tuple(min(groups[i], key=dist[m].__getitem__)
+                        for m in groups[n])
+        classes[n, i] = class_index.setdefault((groups[n], nearest),
+                                               len(class_index))
+    S = hp.inter_group_period
+    per_block = S // hp.mechanism_window
+    # Counts change only where an S-epoch block starts, at epochs S*q + 1.
+    starts = np.arange(1, horizon + 1, S)
+    num_blocks = delivered_block_count(horizon, S, 1, variant)
+    shape = (len(class_index), max(map(len, groups)))  # (C, K)
+    shared = np.zeros((*shape, alphas.size))
+    first = np.full((*shape, num_blocks), horizon + 1)
+    terms = np.zeros((*shape, num_blocks, alphas.size))
+    for c, (groups_n, destinations) in enumerate(class_index):
+        for k, (m_src, m_dst) in enumerate(zip(groups_n, destinations)):
+            eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)  # full participation
+            if m_src == m_dst:  # shared group: every mechanism is observed
+                shared[c, k] = eps
+                continue
+            rho = int(dist[m_src, m_dst])
+            # On a string the shortest path is unique: it holds the groups
+            # whose distances from source and destination sum to rho, and
+            # hop j is the one at distance j from the source.
+            on_path = np.flatnonzero(dist[m_src] + dist[m_dst] == rho)
+            path = on_path[np.argsort(dist[m_src, on_path])]
+            blocks = [delivered_block_count(t, S, rho, variant) for t in starts]
+            w = np.arange(1, blocks[-1] + 1)
+            factor = np.ones((w.size, alphas.size))
+            for j in range(1, rho + 1):
+                if path[j] in groups_n:
+                    continue  # the targeted worker's groups do not attenuate
+                fired = _fired_epochs(inv_hbar, hp, S * (w + j - 1) + 1)
+                factor = factor * mu[fired, path[j]]
+            # block w is delivered from the first epoch whose count reaches w
+            first[c, k, :w.size] = starts[np.searchsorted(blocks, w)]
+            terms[c, k, :w.size] = per_block * eps * factor
+    return Thm2Sweep(horizon, classes, shared, first, terms)
 
 
 def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:

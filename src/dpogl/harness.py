@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +41,6 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
-
-_TOP_LEVEL_KEYS = frozenset({
-    "seed", "algorithm", "threat_model", "epochs", "inter_group_period",
-    "local_iterations", "learning_rate", "batch_size", "clip", "sigma",
-    "participation", "delta", "variant", "bound", "alpha_grid",
-    "heatmap_epochs", "output_dir", "structure", "data",
-})
 
 BOUND_METHODS = ("delay", "degradation")
 
@@ -303,6 +296,9 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+_TOP_LEVEL_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
 def _hyper_params(config: ExperimentConfig) -> HyperParams:
     return HyperParams(
         num_groups=config.num_groups(),
@@ -326,7 +322,10 @@ def _hyper_params(config: ExperimentConfig) -> HyperParams:
 def _build_dataset(config: ExperimentConfig) -> Dataset:
     d = config.data
     if d["csv"] is not None:
-        return load_csv(d["csv"], d["num_classes"])
+        try:  # a bad value inside a readable file stays a ValueError
+            return load_csv(d["csv"], d["num_classes"])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read data.csv file: {exc}") from exc
     return make_synthetic(d["num_classes"], d["dims"], d["per_class"],
                           config.seed)
 
@@ -438,9 +437,9 @@ def run_experiment(config: ExperimentConfig, with_training: bool = True
     ``with_training=False`` runs the accounting stage only (the privacy
     reports are structural, so no trained model is needed).
     """
+    dataset = _build_dataset(config)  # first: a bad data.csv leaves no dir
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _build_dataset(config)
     train_set, test_set = stratified_split(dataset,
                                            config.data["test_fraction"],
                                            config.seed)

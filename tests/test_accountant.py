@@ -778,6 +778,13 @@ def test_thm2_curve_matrix_matches_pairwise_calls():
                     "inter_group_period": 3, "sigma": [1.0, 2.0, 1.5, 2.5]}),
         # (c * sigma) ** 2 of a scalar and of an array differ in the last bit
         (chain(3), {"sigma": [1.0204, 1.2704, 0.6352]}),
+        # one group: shared slots only, so every block slot is padding
+        (GroupStructure(3, [[0, 1, 2]]), {}),
+        (GroupStructure(3, [[0, 1, 2]]), {"threat_model": "tm2"}),
+        # no block arrives by the horizon, so there are no block slots
+        (chain(3), {"inter_group_period": 8, "epochs": 2}),
+        (chain(3), {"inter_group_period": 8, "epochs": 2,
+                    "threat_model": "tm2"}),
     ]
     for (structure, overrides), variant in itertools.product(cases, acc.VARIANTS):
         _check_sweep_against_pairs(structure, make_hp(structure.num_groups,

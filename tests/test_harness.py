@@ -443,8 +443,9 @@ def test_pwp_text_matches_reference_bitwise(epochs):
                      for line in _reference_pwp_lines(t, rows)]
 
 
-# SHA-256 of every file of four small runs, recorded before the writers
-# formatted each distinct value once.  Recorded with numpy 2.4.6 (Python
+# SHA-256 of every file of five small runs: the first four recorded before
+# the writers formatted each distinct value once, the fifth before the
+# degradation sweep was built in one pass.  Recorded with numpy 2.4.6 (Python
 # 3.11.7, x86-64): metrics.csv depends on the floating-point summation order
 # of the numpy build, so another build may change its digest.
 GOLDEN_RUNS = {
@@ -483,6 +484,23 @@ GOLDEN_RUNS = {
         "heatmap_epoch_6.csv": "b3981a64695ec09a64ad1dea70867728ed8a06005fb0af85ee9998ed36a345c6",
         "manifest.json": "eb23fcce594c431a81c75922c69e9767ddc38e27d841538baacc8c58f5ad07c0",
         "pwp.csv": "22241904f2c1d3cf1d4eafc2975cac4bb48a3b65bd5af11ccc8de676e9f7a323",
+    }),
+    # the window convention of dpogl_plus and the strict as_printed arrival
+    # gate; one local step at a small learning rate keeps mu above 0
+    "account_degradation_plus_as_printed": (False, dict(
+        bound="degradation", algorithm="dpogl_plus", threat_model="tm2",
+        variant="as_printed", inter_group_period=3, participation=1.0,
+        clip=0.5, sigma=1.0, local_iterations=1, learning_rate=0.01,
+        epochs=18, heatmap_epochs=[12, 18, 21],
+        data={"num_classes": 3, "dims": 2, "per_class": 20},
+        structure={"num_workers": 9,
+                   "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6],
+                                        [6, 7, 8]]}), {
+        "heatmap_epoch_12.csv": "282a6801ae522ea0cca6509e72d0abcf69f4026364448ffaef6386c0bae86561",
+        "heatmap_epoch_18.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
+        "heatmap_epoch_21.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
+        "manifest.json": "5fa98de6819c5178aaa60283fb5ad0c9a354f608905552ba5b2bb3bddace2581",
+        "pwp.csv": "92390790127bdbba2a2176c5edb64fda779820a6c86458d43ff5038ac3b9f7e0",
     }),
 }
 
@@ -559,6 +577,21 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         assert cli_main([command, str(latin)]) == 2
         assert "config error: config file is not UTF-8" in \
             capsys.readouterr().err
+    latin_csv = tmp_path / "latin.csv"
+    latin_csv.write_bytes(b"0.5,1.0,0\n\xe9,2.0,1\n")
+    bad_value = tmp_path / "bad_value.csv"
+    bad_value.write_text("0.5,1.0,0\nx,2.0,1\n")
+    for command in ("run", "account"):
+        for csv in (tmp_path / "absent.csv", latin_csv):
+            path = write_config(tmp_path, data={"csv": str(csv)})
+            assert cli_main([command, str(path)]) == 2
+            assert "config error: cannot read data.csv file" in \
+                capsys.readouterr().err
+        # a readable file with a bad value inside is not a config error
+        path = write_config(tmp_path, data={"csv": str(bad_value)})
+        assert cli_main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_accounting_failure_still_exits_zero(tmp_path, capsys):
