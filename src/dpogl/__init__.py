@@ -19,7 +19,7 @@ from .harness import ConfigError, ExperimentConfig, run_experiment
 from .topology import STRUCTURE_KINDS, GroupStructure, generate_structure
 from .trainer import (EpochMetrics, HyperParams, TrainingResult,
                       clip_update, is_intergroup_epoch, personalize,
-                      run_training, worker_merge)
+                      run_training)
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,6 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "run_experiment",
     "STRUCTURE_KINDS", "GroupStructure", "generate_structure",
     "EpochMetrics", "HyperParams", "TrainingResult", "clip_update",
-    "is_intergroup_epoch", "personalize", "run_training", "worker_merge",
+    "is_intergroup_epoch", "personalize", "run_training",
     "__version__",
 ]

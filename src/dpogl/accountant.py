@@ -123,6 +123,8 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
     """
     if n == i:
         raise ValueError("a worker is trusted with its own data; need n != i")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     per_block = period // mechanism_window(algorithm, period)
     counts: dict[int, int] = {}
     for m_src in structure.groups_of_worker[n]:
@@ -146,6 +148,8 @@ def thm1_pair_bound(structure: GroupStructure, hp: HyperParams, alpha: float,
     """
     if n == i:
         raise ValueError("a worker is trusted with its own data; need n != i")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     if (hp.algorithm == "dpogl_plus"
             and set(structure.groups_of_worker[n]) & set(structure.groups_of_worker[i])):
         return None
@@ -251,6 +255,8 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     _lsi_preconditions(hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("the smoothness constant beta must be finite and >= 0")
     M = structure.num_groups
     S, W = hp.inter_group_period, hp.mechanism_window
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
@@ -430,6 +436,8 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
     dpogl_plus requires), for in-group pairs.
     """
     _check_variant(variant)
+    if t < 1:
+        raise ValueError("t must be >= 1")
     S = hp.inter_group_period
     weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
                         for s, p in zip(hp.sigma, hp.participation)])
@@ -559,12 +567,15 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
 def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
                          threat_model: str, delta: float,
                          alpha_grid=DEFAULT_ALPHA_GRID
-                         ) -> list[tuple[int, float, float, float]]:
-    """Per-worker (worker, eps_rdp, alpha_star, eps_dp) from per-pair curves:
-    an (N, N, G) tensor or the delay coefficients K.
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-worker ``(workers, table)`` from per-pair curves: an (N, N, G)
+    tensor or the delay coefficients K.
 
     Each worker's curve is the pointwise envelope over its admissible
-    observers; workers with no admissible observer are omitted.
+    observers.  ``workers`` ((k,) int64) lists the workers that have one, in
+    ascending order; the others are omitted.  Row r of ``table`` ((k, 3)
+    float64) holds ``eps_rdp, alpha_star, eps_dp`` of worker ``workers[r]``:
+    its envelope at the best order, that order, and the converted DP bound.
     Identically-zero envelopes convert to an exact 0.  Curves with a
     negative or non-finite value are refused, as by ``dp_matrix_from_curves``.
     """
@@ -585,7 +596,7 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     eps = np.min(candidates, axis=-1)
     best = np.argmin(candidates, axis=-1)
     eps[np.all(envelopes == 0.0, axis=-1)] = 0.0
-    rows = np.flatnonzero(observed)
-    j = best[rows]
-    return list(zip(rows.tolist(), envelopes[rows, j].tolist(),
-                    grid[j].tolist(), eps[rows].tolist()))
+    workers = np.flatnonzero(observed)
+    j = best[workers]
+    return workers, np.stack([envelopes[workers, j], grid[j], eps[workers]],
+                             axis=1)

@@ -359,13 +359,12 @@ def _float_texts(values, nan_text: str = "nan") -> np.ndarray:
     return texts[inverse].reshape(values.shape)
 
 
-def _pwp_lines(t: int, rows) -> list[str]:
-    """pwp.csv lines of epoch t from ``pwp_rows_from_curves`` rows."""
-    if not rows:
-        return []
-    workers, *columns = zip(*rows)
+def _pwp_lines(t: int, workers: np.ndarray, table: np.ndarray) -> list[str]:
+    """pwp.csv lines of epoch t from ``pwp_rows_from_curves``'s
+    ``(workers, table)``."""
     return [f"{t},{w},{a},{b},{c}"
-            for w, a, b, c in zip(workers, *_float_texts(columns).tolist())]
+            for w, (a, b, c) in zip(workers.tolist(),
+                                    _float_texts(table).tolist())]
 
 
 def _heatmap_blocks(matrix: np.ndarray) -> list[str]:
@@ -396,12 +395,12 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
     precondition failures so the caller can record them without touching
     training output."""
     grid = config.alpha_grid
-    horizon = max((config.epochs, *config.heatmap_epochs))
-    if horizon < 1:
+    epochs = sorted({*range(1, config.epochs + 1), *config.heatmap_epochs})
+    if not epochs:
         curves_at = None  # no epoch to report
     elif config.bound == "degradation":
         beta = smoothness_bound(train_set.features)
-        curves_at = accountant.thm2_curve_sweep(structure, hp, beta, horizon,
+        curves_at = accountant.thm2_curve_sweep(structure, hp, beta, epochs[-1],
                                                 grid, config.variant).at
     else:  # (N, N) coefficients K standing for the linear curves alpha * K
         def curves_at(t: int) -> np.ndarray:
@@ -410,15 +409,12 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
 
     written: list[str] = []
     pwp_lines: list[str] = []
-    for t in range(1, horizon + 1):
-        in_pwp, in_heatmap = t <= config.epochs, t in config.heatmap_epochs
-        if not (in_pwp or in_heatmap):
-            continue
+    for t in epochs:
         curves = curves_at(t)
-        if in_pwp:
-            pwp_lines += _pwp_lines(t, accountant.pwp_rows_from_curves(
+        if t <= config.epochs:
+            pwp_lines += _pwp_lines(t, *accountant.pwp_rows_from_curves(
                 curves, structure, config.threat_model, config.delta, grid))
-        if in_heatmap:
+        if t in config.heatmap_epochs:
             matrix = accountant.dp_matrix_from_curves(curves, config.delta,
                                                       grid)
             name = f"heatmap_epoch_{t}.csv"

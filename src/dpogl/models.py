@@ -18,10 +18,6 @@ def param_dim(dims: int, num_classes: int) -> int:
     return (dims + 1) * num_classes
 
 
-def init_params(dims: int, num_classes: int) -> np.ndarray:
-    return np.zeros(param_dim(dims, num_classes))
-
-
 def augment(features: np.ndarray) -> np.ndarray:
     """Append the bias column of ones: (..., dims) -> (..., dims + 1)."""
     return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)

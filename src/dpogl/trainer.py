@@ -122,24 +122,16 @@ def _buckets(lengths) -> list[list[int]]:
     return list(out.values())
 
 
-def worker_merge(model_stack: np.ndarray) -> np.ndarray:
-    """Mean over the k models of a (..., k, v) stack of group models."""
-    stack = np.asarray(model_stack, dtype=float)
-    if stack.ndim < 2 or stack.shape[-2] < 1:
-        raise ValueError("expected a nonempty (..., k, v) stack of models")
-    return stack.mean(axis=-2)
-
-
 def personalize(structure: GroupStructure, theta: np.ndarray) -> np.ndarray:
     """Personalised model of each of ``structure.group_sets``: (sets, v).
 
-    A set's model merges its groups' models, with one stacked merge per set
-    size.  Worker n's model is row ``structure.group_set_of_worker[n]``.
+    A set's model is the mean of its groups' models, with one stacked mean
+    per set size.  Worker n's model is row ``structure.group_set_of_worker[n]``.
     """
     sets = structure.group_sets
     out = np.empty((len(sets), theta.shape[1]))
     for ids in _buckets([len(groups) for groups in sets]):
-        out[ids] = worker_merge(theta[[sets[k] for k in ids]])
+        out[ids] = theta[[sets[k] for k in ids]].mean(axis=-2)
     return out
 
 
@@ -221,7 +213,6 @@ class EpochMetrics:
 
 @dataclass
 class TrainingResult:
-    final_models: np.ndarray          # (M, v), the models after the last epoch
     trajectory: list[np.ndarray]      # models before epoch 1, then after each epoch
     metrics: list[EpochMetrics]
 
@@ -307,4 +298,4 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
         trajectory.append(theta.copy())
         metrics.append(_epoch_metrics(structure, theta, (design, train.labels), shards,
                                       test_xy, train.num_classes, t))
-    return TrainingResult(final_models=theta, trajectory=trajectory, metrics=metrics)
+    return TrainingResult(trajectory=trajectory, metrics=metrics)

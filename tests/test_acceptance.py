@@ -57,7 +57,7 @@ def _shares_group(structure: GroupStructure, n: int, i: int) -> bool:
 
 
 def _pwp_rows(structure: GroupStructure, hp: HyperParams, t: int,
-              delta: float) -> list:
+              delta: float) -> tuple[np.ndarray, np.ndarray]:
     curves = acc.delay_curve_matrix(structure, hp, t)
     return acc.pwp_rows_from_curves(curves, structure, hp.threat_model, delta)
 
@@ -370,8 +370,8 @@ def test_criterion_10_per_worker_privacy_curves():
         hp = _hp(m, inter_group_period=3, participation=0.7)
         last: dict[int, float] = {}
         for t in range(1, 13):
-            for n, _eps_rdp, _order, eps_dp in _pwp_rows(
-                    structure, hp, t, delta):
+            workers, table = _pwp_rows(structure, hp, t, delta)
+            for n, eps_dp in zip(workers.tolist(), table[:, 2].tolist()):
                 assert eps_dp >= last.get(n, 0.0) - 1e-12
                 last[n] = eps_dp
 
@@ -382,9 +382,10 @@ def test_criterion_10_per_worker_privacy_curves():
     hp1 = _hp(1, inter_group_period=3, participation=0.7)
     hp3 = _hp(3, inter_group_period=3, participation=0.7)
     for t in range(1, 11):
-        reference = _pwp_rows(single, hp1, t, delta)[0][1:]
-        for row in _pwp_rows(clusters, hp3, t, delta):
-            assert row[1:] == reference
+        reference = _pwp_rows(single, hp1, t, delta)[1][0].tolist()
+        workers, table = _pwp_rows(clusters, hp3, t, delta)
+        assert workers.tolist() == list(range(6))
+        assert table.tolist() == [reference] * 6
     assert time.monotonic() - start < 10.0
     _report(10, "per-worker privacy is nondecreasing in t and cluster curves "
                 "equal single-group curves exactly")

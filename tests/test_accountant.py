@@ -97,6 +97,18 @@ def test_pair_counts_basic_contract():
         acc.thm1_pair_counts(st, 2, 0, 1, 4, algorithm="dpogl_plus")
     disconnected = GroupStructure(4, [[0, 1], [2, 3]])
     assert acc.thm1_pair_counts(disconnected, 2, 0, 3, 9) == {0: 0}
+    # no epoch before the first: an in-group count of t - 1 would go negative
+    string, hp = chain(2), make_hp(2, participation=1.0)
+    plus = make_hp(2, algorithm="dpogl_plus", threat_model="tm2")
+    for t in (0, -3):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            acc.thm1_pair_counts(string, 2, 0, 1, t)
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            acc.thm1_pair_bound(string, hp, 2.0, 0, 1, t)
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            acc.thm1_pair_bound(string, plus, 2.0, 0, 1, t)  # trusted pair
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            acc.delay_curve_matrix(string, hp, t)
 
 
 def test_thm1_pair_bound_reads_the_algorithm():
@@ -322,6 +334,14 @@ def test_lsi_preconditions():
             acc.lsi_recursion(st, hp, 1.0, 4)
     with pytest.raises(ValueError):
         acc.lsi_recursion(st, make_hp(2), 1.0, 0)
+    # the smoothness constant must be finite and nonnegative; the sweep
+    # refuses it before a NaN or a meaningless bound can reach a report
+    for beta in (math.nan, math.inf, -math.inf, -50.0):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            acc.lsi_recursion(chain(4), make_hp(4), beta, 8)
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            acc.thm2_curve_sweep(chain(4), make_hp(4), beta, 8)
+    acc.lsi_recursion(chain(4), make_hp(4), 0.0, 8)  # beta = 0 is allowed
 
 
 # ---------------------------------------------------------------------------
@@ -640,15 +660,16 @@ def test_delay_reports_are_equivariant_under_relabeling(case, data):
         _assert_same_cells(
             acc.dp_matrix_from_curves(renamed_K, 1e-5)[np.ix_(workers, workers)],
             acc.dp_matrix_from_curves(K, 1e-5))
-        rows = acc.pwp_rows_from_curves(K, structure, hp.threat_model, 1e-5)
-        renamed_rows = {w: row for w, *row in acc.pwp_rows_from_curves(
-            renamed_K, renamed, hp.threat_model, 1e-5)}
-        assert sorted(renamed_rows) == sorted(workers[w] for w, *_ in rows)
-        for w, eps_rdp, alpha_star, eps_dp in rows:
-            got_rdp, got_alpha, got_dp = renamed_rows[workers[w]]
-            assert got_alpha == alpha_star
-            _assert_same_cells(np.array([got_rdp, got_dp]),
-                               np.array([eps_rdp, eps_dp]))
+        observed, table = acc.pwp_rows_from_curves(K, structure,
+                                                   hp.threat_model, 1e-5)
+        renamed_observed, renamed_table = acc.pwp_rows_from_curves(
+            renamed_K, renamed, hp.threat_model, 1e-5)
+        assert renamed_observed.tolist() == sorted(workers[observed].tolist())
+        # row r of got is renamed worker workers[observed[r]]
+        got = renamed_table[np.searchsorted(renamed_observed,
+                                            workers[observed])]
+        assert np.array_equal(got[:, 1], table[:, 1])  # alpha_star
+        _assert_same_cells(got[:, [0, 2]], table[:, [0, 2]])
 
 
 def test_privacy_matrix_masks_trusted_cells():
@@ -692,9 +713,11 @@ def test_pwp_bounds_and_curve_assembly_agree():
     t, delta = 13, 1e-6
     grid = list(acc.DEFAULT_ALPHA_GRID)
     curves = acc.delay_curve_matrix(st, hp, t)
-    rows = acc.pwp_rows_from_curves(curves, st, hp.threat_model, delta)
-    assert [r[0] for r in rows] == list(range(8))
-    for n, eps_rdp, alpha_star, eps_dp in rows:
+    workers, table = acc.pwp_rows_from_curves(curves, st, hp.threat_model,
+                                              delta)
+    assert workers.tolist() == list(range(8))
+    for n, (eps_rdp, alpha_star, eps_dp) in zip(workers.tolist(),
+                                                 table.tolist()):
         curve, (want_dp, want_alpha) = _scalar_pwp_row(st, hp, n, t, delta)
         assert alpha_star == want_alpha
         assert eps_dp == pytest.approx(want_dp, rel=1e-12)
@@ -717,19 +740,22 @@ def test_pwp_bounds_contract():
         curves = acc.delay_curve_matrix(structure, params, t)
         return acc.pwp_rows_from_curves(curves, structure, params.threat_model, 1e-5)
 
-    rows = rows_at(st, hp, 1)
-    assert [r[0] for r in rows] == [0, 1, 2]
-    for _, eps_rdp, alpha_star, eps_dp in rows:
+    workers, table = rows_at(st, hp, 1)
+    assert workers.dtype == np.int64 and table.dtype == np.float64
+    assert workers.tolist() == [0, 1, 2] and table.shape == (3, 3)
+    for eps_rdp, alpha_star, eps_dp in table.tolist():
         assert eps_rdp == 0.0 and eps_dp == 0.0
         assert alpha_star == acc.DEFAULT_ALPHA_GRID[-1]
-    later = rows_at(st, hp, 9)
-    assert all(r[3] > 0 for r in later)
-    for n, eps_rdp, _, eps_dp in later:
+    workers, later = rows_at(st, hp, 9)
+    assert all(later[:, 2] > 0)
+    for n, (eps_rdp, _, eps_dp) in zip(workers.tolist(), later.tolist()):
         _, (want_dp, _) = _scalar_pwp_row(st, hp, n, 9, 1e-5)
         assert eps_dp == pytest.approx(want_dp, rel=1e-12)
     # a worker whose whole world is trusted has no defined bound
     gl = generate_structure("GL", 4, 1)
-    assert rows_at(gl, make_hp(1, threat_model="tm2"), 9) == []
+    workers, table = rows_at(gl, make_hp(1, threat_model="tm2"), 9)
+    assert workers.dtype == np.int64 and workers.shape == (0,)
+    assert table.dtype == np.float64 and table.shape == (0, 3)
 
 
 def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
@@ -831,9 +857,11 @@ def test_pwp_envelope_over_admissible_observers():
     grid = (2.0, 4.0, 8.0)
     curves = np.arange(27, dtype=float).reshape(3, 3, 3)
     np.einsum("nng->ng", curves)[:] = np.nan  # the diagonal is undefined
-    rows = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
+    workers, table = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
+    assert workers.tolist() == [0, 1, 2]
     penalty = math.log(1e5) / (np.array(grid) - 1.0)
-    for n, eps_rdp, alpha_star, eps_dp in rows:
+    for n, (eps_rdp, alpha_star, eps_dp) in zip(workers.tolist(),
+                                                 table.tolist()):
         envelope = np.max(curves[n, admissible_adversaries(st, "tm1", n)],
                           axis=0)
         j = int(np.argmin(envelope + penalty))
@@ -842,9 +870,10 @@ def test_pwp_envelope_over_admissible_observers():
     # under tm2 the in-group cells may be undefined; worker 1 has no
     # admissible observer and is omitted
     curves[0, 1] = curves[1, 0] = curves[1, 2] = curves[2, 1] = np.nan
-    rows = acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
-    assert [r[0] for r in rows] == [0, 2]
-    assert rows[0][1] == curves[0, 2, [0, 1, 2]][grid.index(rows[0][2])]
+    workers, table = acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
+    assert workers.tolist() == [0, 2]
+    eps_rdp, alpha_star, _ = table[0].tolist()
+    assert eps_rdp == curves[0, 2, grid.index(alpha_star)]
     # an undefined cell among admissible observers is a fault
     curves[0, 2, 1] = np.nan
     with pytest.raises(ValueError, match="undefined pair among admissible observers"):
@@ -857,8 +886,9 @@ def test_pwp_envelope_over_admissible_observers():
 # reductions of the delay coefficients K against the tensor reductions
 
 def _tensor_pwp_reference(curves, mask, delta, grid):
-    """Per-worker rows from an (N, N, G) tensor: the envelope and conversion
-    that the coefficient path replaced."""
+    """Per-worker (worker, eps_rdp, alpha_star, eps_dp) rows from an
+    (N, N, G) tensor: the envelope and conversion that the coefficient path
+    replaced."""
     grid = np.array(grid)
     envelopes = np.max(curves, axis=1, where=mask[:, :, None], initial=-np.inf)
     observed = mask.any(axis=1)
@@ -888,6 +918,14 @@ def _tensor_heatmap_reference(curves, delta, grid):
 
 def _bits(rows):
     return [tuple(float(v).hex() for v in row) for row in rows]
+
+
+def _pwp_bits(workers, table):
+    """``_bits`` of the rows that ``pwp_rows_from_curves`` returns as
+    arrays, after checking their dtypes and shapes."""
+    assert workers.dtype == np.int64 and table.dtype == np.float64
+    assert table.shape == (workers.size, 3)
+    return _bits((w, *row) for w, row in zip(workers.tolist(), table.tolist()))
 
 
 COEFFICIENTS = hs.one_of(
@@ -947,8 +985,8 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
         assert (acc.dp_matrix_from_curves(tensor, delta, grid).tobytes()
                 == want.tobytes())
         want = _tensor_pwp_reference(tensor, mask, delta, grid)
-        assert _bits(acc.pwp_rows_from_curves(K, structure, threat_model, delta,
-                                              grid)) == _bits(want)
+        assert _pwp_bits(*acc.pwp_rows_from_curves(
+            K, structure, threat_model, delta, grid)) == _bits(want)
     n, i = divmod(cell % K.size, K.shape[1])
     if mask[n, i]:
         # a negative cell among admissible observers is refused by both

@@ -186,8 +186,9 @@ def test_pwp_csv_matches_accountant(tmp_path):
             (int(n), float(eps_rdp), float(alpha_star), float(eps_dp)))
     for t in range(1, config.epochs + 1):
         curves = acc.delay_curve_matrix(structure, hp, t, config.variant)
-        want = acc.pwp_rows_from_curves(curves, structure, hp.threat_model,
-                                        config.delta, config.alpha_grid)
+        workers, table = acc.pwp_rows_from_curves(
+            curves, structure, hp.threat_model, config.delta, config.alpha_grid)
+        want = [(w, *row) for w, row in zip(workers.tolist(), table.tolist())]
         assert by_epoch[t] == want  # 17 significant digits round-trip
 
 
@@ -363,10 +364,11 @@ def _reference_heatmap_text(matrix):
     return "\n".join(["n,i,eps", *rows]) + "\n"
 
 
-def _reference_pwp_lines(t, rows):
+def _reference_pwp_lines(t, workers, table):
     """One f-string per row, formatting every float."""
     return [f"{t},{worker},{eps_rdp:.17g},{alpha_star:.17g},{eps_dp:.17g}"
-            for worker, eps_rdp, alpha_star, eps_dp in rows]
+            for worker, (eps_rdp, alpha_star, eps_dp)
+            in zip(workers.tolist(), table.tolist())]
 
 
 def _written_text(header, lines):
@@ -400,17 +402,25 @@ def _matrices(draw):
     return np.array([palette[k] for k in picks]).reshape(size, size)
 
 
+def _pwp_epoch(t, rows):
+    """(t, workers, table) as ``pwp_rows_from_curves`` returns them, from
+    (worker, eps_rdp, alpha_star, eps_dp) rows."""
+    workers = np.array([row[0] for row in rows], dtype=np.int64)
+    table = np.array([row[1:] for row in rows], dtype=np.float64)
+    return t, workers, table.reshape(-1, 3)
+
+
 @hs.composite
 def _pwp_epochs(draw):
-    """(t, rows) per epoch; an epoch may have no observed worker."""
+    """(t, workers, table) per epoch; an epoch may have no observed worker."""
     size = draw(hs.integers(1, 20))
     palette = [v for v in draw(_palettes()) if v == v]  # pwp holds no NaN
     value = hs.sampled_from(palette)
     epochs = []
     for t in range(1, draw(hs.integers(1, 4)) + 1):
         workers = draw(hs.lists(hs.integers(0, size - 1), unique=True))
-        epochs.append((t, [(w, draw(value), draw(value), draw(value))
-                           for w in sorted(workers)]))
+        epochs.append(_pwp_epoch(t, [(w, draw(value), draw(value), draw(value))
+                                     for w in sorted(workers)]))
     return epochs
 
 
@@ -432,15 +442,16 @@ def test_heatmap_text_matches_reference_bitwise(matrix):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(_pwp_epochs())
-@example([(1, [(0, 0.0, 2.0, -0.0), (2, _SUBNORMAL, 1e300, 0.0)]),
-          (2, []),
-          (3, [(1, 0.1, float(np.nextafter(0.1, 1.0)), 0.1)])])
+@example([_pwp_epoch(1, [(0, 0.0, 2.0, -0.0), (2, _SUBNORMAL, 1e300, 0.0)]),
+          _pwp_epoch(2, []),
+          _pwp_epoch(3, [(1, 0.1, float(np.nextafter(0.1, 1.0)), 0.1)])])
 def test_pwp_text_matches_reference_bitwise(epochs):
     """pwp.csv formats each epoch's distinct floats once and still writes
-    the reference's bytes, including epochs with no observed worker."""
-    lines = [line for t, rows in epochs for line in harness._pwp_lines(t, rows)]
-    assert lines == [line for t, rows in epochs
-                     for line in _reference_pwp_lines(t, rows)]
+    the reference's bytes, including epochs with no observed worker, whose
+    arrays are (0,) and (0, 3)."""
+    lines = [line for epoch in epochs for line in harness._pwp_lines(*epoch)]
+    assert lines == [line for epoch in epochs
+                     for line in _reference_pwp_lines(*epoch)]
 
 
 # SHA-256 of every file of five small runs: the first four recorded before

@@ -16,7 +16,7 @@ def test_param_dim_counts_weights_and_bias():
 def test_loss_at_zero_is_log_classes():
     x = models.augment(rng().standard_normal((12, 4)))
     y = rng().integers(0, 3, size=12)
-    theta = models.init_params(4, 3)
+    theta = np.zeros(models.param_dim(4, 3))
     assert np.allclose(models.loss(theta, x, y, 3), np.log(3))
 
 

@@ -17,7 +17,7 @@ from dpogl.rng import derive_stream
 from dpogl.topology import GroupStructure, generate_structure
 from dpogl.trainer import (HyperParams, clip_update, is_intergroup_epoch,
                            local_train, mechanism_noise, personalize,
-                           poisson_sample, run_training, worker_merge)
+                           poisson_sample, run_training)
 
 
 def _reference_batches(n, hp, rng):
@@ -48,7 +48,8 @@ def _reference_local_sgd(start, features, labels, num_classes, hp, rng):
 
 
 def _reference_personalize(structure, theta, worker):
-    return worker_merge(theta[list(structure.groups_of_worker[worker])])
+    """The mean of the worker's group models."""
+    return theta[list(structure.groups_of_worker[worker])].mean(axis=0)
 
 
 def _reference_metrics(structure, theta, train, partition, test):
@@ -164,11 +165,7 @@ def test_is_intergroup_epoch_pattern():
     assert all(is_intergroup_epoch(t, 1) for t in range(1, 5))
 
 
-def test_worker_merge_and_personalize():
-    stack = np.array([[0.0, 2.0], [4.0, 6.0]])
-    assert worker_merge(stack).tolist() == [2.0, 4.0]
-    with pytest.raises(ValueError):
-        worker_merge(np.zeros((0, 3)))
+def test_personalize_averages_each_group_set():
     st = GroupStructure(3, [[0, 1], [1, 2]])
     theta = np.array([[1.0, 1.0], [3.0, 5.0]])
     merged = personalize(st, theta)[st.group_set_of_worker]
@@ -244,7 +241,7 @@ def test_local_train_empty_shard_and_loss_decrease():
     assert out is not start
     ds = make_synthetic(num_classes=2, dims=3, per_class=30, seed=2)
     hp_big = simple_hp(local_iterations=40, learning_rate=0.1, batch_size=8)
-    zero = models.init_params(3, 2)
+    zero = np.zeros(models.param_dim(3, 2))
     plan = np.stack(_reference_batches(len(ds), hp_big, derive_stream(7, "batch", 0, 1, 0)))
     trained = local_train(zero[None], [plan], models.augment(ds.features), ds.labels,
                           2, 0.1)[0]
@@ -431,13 +428,15 @@ def test_run_training_contract_and_determinism():
     partition = [idx[k::4] for k in range(4)]
     hp = simple_hp(num_groups=2, epochs=3, seed=12)
     out = run_training(st, hp, ds, partition, test=ds)
-    assert out.final_models.shape == (2, models.param_dim(2, 2))
     assert len(out.trajectory) == 4
-    assert np.array_equal(out.trajectory[0], np.zeros_like(out.final_models))
+    assert all(theta.shape == (2, models.param_dim(2, 2))
+               for theta in out.trajectory)
+    assert np.array_equal(out.trajectory[0], np.zeros((2, models.param_dim(2, 2))))
     assert [m.epoch for m in out.metrics] == [1, 2, 3]
     assert all(np.isfinite(m.avg_train_loss) for m in out.metrics)
     again = run_training(st, hp, ds, partition, test=ds)
-    assert np.array_equal(out.final_models, again.final_models)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(out.trajectory, again.trajectory, strict=True))
     with pytest.raises(ValueError):
         run_training(st, simple_hp(num_groups=3), ds, partition)
     with pytest.raises(ValueError):
