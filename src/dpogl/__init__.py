@@ -8,11 +8,8 @@ the Renyi framework with conversion to (eps, delta)-DP.
 """
 
 from .accountant import (DEFAULT_ALPHA_GRID, VARIANTS, AccountingPreconditionError,
-                         degradation_mu, delay_curve_matrix,
-                         dp_matrix_from_curves, lsi_recursion, per_step_rdp,
-                         propagation_oracle_counts, pwp_rows_from_curves,
-                         rdp_to_dp, thm1_pair_bound, thm1_pair_counts,
-                         thm2_curve_sweep)
+                         delay_curve_matrix, dp_matrix_from_curves,
+                         lsi_recursion, pwp_rows_from_curves, thm2_curve_sweep)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .harness import ConfigError, ExperimentConfig, run_experiment
@@ -25,10 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ALPHA_GRID", "VARIANTS", "AccountingPreconditionError",
-    "degradation_mu", "delay_curve_matrix", "dp_matrix_from_curves",
-    "lsi_recursion", "per_step_rdp", "propagation_oracle_counts",
-    "pwp_rows_from_curves", "rdp_to_dp", "thm1_pair_bound",
-    "thm1_pair_counts", "thm2_curve_sweep",
+    "delay_curve_matrix", "dp_matrix_from_curves", "lsi_recursion",
+    "pwp_rows_from_curves", "thm2_curve_sweep",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",
     "stratified_split", "worker_labels",
     "ConfigError", "ExperimentConfig", "run_experiment",

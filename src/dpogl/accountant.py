@@ -32,10 +32,10 @@ vectorised across classes, and a gather: the cost grows with classes x
 blocks plus epochs x blocks x classes, not with pairs x epochs x structure
 rebuilds, and memory with classes x blocks.
 
-Two delay-count variants are provided.  ``examples_consistent`` (default)
-counts ``floor((t-1)/S) - rho + 1`` delivered blocks gated by ``>=`` and
-reproduces the worked golden examples; ``as_printed`` uses the strict gate
-and one fewer block.
+Both delay-count variants follow one block rule: by epoch t a source rho >= 1
+hops away has delivered max(0, floor((t-1)/S) - rho + offset) blocks, block w
+arriving at epoch S*(w + rho - offset) + 1.  The offset is 1 under
+``examples_consistent`` (default; the worked examples), 0 under ``as_printed``.
 """
 
 from __future__ import annotations
@@ -55,18 +55,34 @@ DEFAULT_ALPHA_GRID = (
     10.0, 14.0, 20.0, 28.0, 40.0, 56.0, 80.0, 112.0, 160.0, 224.0, 256.0,
 )
 
-VARIANTS = ("examples_consistent", "as_printed")
+_BLOCK_OFFSETS = {"examples_consistent": 1, "as_printed": 0}
+VARIANTS = tuple(_BLOCK_OFFSETS)
 
 
 class AccountingPreconditionError(ValueError):
-    """A documented precondition of a bound does not hold: sigma = 0, partial
-    participation or an infinite clip for the smoothing recursion, or a
-    structure that is not a string for the degradation bound."""
+    """A precondition of a bound does not hold: a group budget that is not
+    finite and > 0 (sigma = 0, say), partial participation or an infinite clip
+    for the smoothing recursion, or a non-string structure for degradation."""
 
 
-def _check_variant(variant: str) -> None:
+def _group_budgets(hp: HyperParams, name: str, budget) -> np.ndarray:
+    """``budget(sigma, pi)`` of each group with scalar ``**`` (libm pow; array
+    ``**`` rounds some squares differently), refused unless finite and > 0."""
+    with np.errstate(all="ignore"):
+        budgets = np.array([budget(s, p)
+                            for s, p in zip(hp.sigma, hp.participation)])
+    bad = np.argwhere(~((budgets > 0) & (budgets < math.inf)))
+    if bad.size:
+        raise AccountingPreconditionError(
+            f"group {bad[0, 0]}: the {name} is not finite and > 0 (zero noise "
+            "multiplier, or an over- or underflow)")
+    return budgets
+
+
+def _block_offset(variant: str) -> int:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    return _BLOCK_OFFSETS[variant]
 
 
 def per_step_rdp(alpha: float, sigma: float, participation: float = 1.0,
@@ -95,17 +111,14 @@ def per_step_rdp(alpha: float, sigma: float, participation: float = 1.0,
 def delivered_block_count(t: int, period: int, rho: float, variant: str) -> int:
     """How many S-epoch blocks from a source at group distance rho >= 1 have
     been delivered to the observer by epoch t."""
-    _check_variant(variant)
+    offset = _block_offset(variant)
     if t < 1 or period < 1:
         raise ValueError("t and period must be >= 1")
     if math.isinf(rho):
         return 0
     if rho < 1:
         raise ValueError("delivered_block_count is for cross-group sources (rho >= 1)")
-    k = (t - 1) // period
-    if variant == "examples_consistent":
-        return max(0, k - int(rho) + 1)
-    return max(0, k - int(rho))
+    return max(0, (t - 1) // period - int(rho) + offset)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +394,8 @@ class Thm2Sweep:
 # RDP -> (eps, delta)-DP conversion
 
 def _check_delta(delta: float) -> None:
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+    if not 0 < delta <= 1 or math.isinf(1.0 / delta):
+        raise ValueError("delta must lie in (0, 1], with 1/delta finite")
 
 
 def _check_grid(alpha_grid) -> list[float]:
@@ -435,18 +448,14 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
     alpha.  Cells are undefined on the diagonal and, under tm2 (which
     dpogl_plus requires), for in-group pairs.
     """
-    _check_variant(variant)
+    offset = _block_offset(variant)
     if t < 1:
         raise ValueError("t must be >= 1")
     S = hp.inter_group_period
-    weights = np.array([per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
-                        for s, p in zip(hp.sigma, hp.participation)])
+    weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
+                             lambda s, p: 2.0 * p ** 2 / s ** 2)
     rt = structure.worker_distances  # (M, N) source-group -> worker distance
-    k = (t - 1) // S
-    if variant == "examples_consistent":
-        blocks = np.maximum(0.0, k - rt + 1.0)  # 0 where rt is inf
-    else:
-        blocks = np.maximum(0.0, k - rt)
+    blocks = np.maximum(0.0, (t - 1) // S - rt + offset)  # 0 where rt is inf
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
     K = (structure.member_mask.T * weights) @ counts
@@ -475,14 +484,15 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     alphas = np.array(_check_grid(alpha_grid))
-    _check_variant(variant)
+    offset = _block_offset(variant)
     _lsi_preconditions(hp)
     if not structure.is_string:
         raise AccountingPreconditionError(
             "the degradation bound requires a string structure")
+    budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
+                             lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
     _, inv_hbar = lsi_recursion(structure, hp, beta, horizon)
-    # Scalar ** as in degradation_mu (libm pow), not the recursion's array
-    # square: the two differ in the last bit for some values of c * sigma.
+    # Scalar ** as in _group_budgets and degradation_mu, not an array square.
     var = np.array([hp.mechanism_window * (c * s) ** 2
                     for c, s in zip(hp.clip, hp.sigma)])
     mu = _mu(alphas, inv_hbar[:, :, None], var[:, None])
@@ -499,8 +509,6 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                                                len(class_index))
     S = hp.inter_group_period
     per_block = S // hp.mechanism_window
-    # Counts change only where an S-epoch block starts, at epochs S*q + 1.
-    starts = np.arange(1, horizon + 1, S)
     num_blocks = delivered_block_count(horizon, S, 1, variant)
     shape = (len(class_index), max(map(len, groups)))  # (C, K)
     shared = np.zeros((*shape, alphas.size))
@@ -508,9 +516,8 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     terms = np.zeros((*shape, num_blocks, alphas.size))
     for c, (groups_n, destinations) in enumerate(class_index):
         for k, (m_src, m_dst) in enumerate(zip(groups_n, destinations)):
-            eps = alphas / (2.0 * float(hp.sigma[m_src]) ** 2)  # full participation
             if m_src == m_dst:  # shared group: every mechanism is observed
-                shared[c, k] = eps
+                shared[c, k] = budgets[m_src]
                 continue
             rho = int(dist[m_src, m_dst])
             # On a string the shortest path is unique: it holds the groups
@@ -518,17 +525,15 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
             # hop j is the one at distance j from the source.
             on_path = np.flatnonzero(dist[m_src] + dist[m_dst] == rho)
             path = on_path[np.argsort(dist[m_src, on_path])]
-            blocks = [delivered_block_count(t, S, rho, variant) for t in starts]
-            w = np.arange(1, blocks[-1] + 1)
+            w = np.arange(1, delivered_block_count(horizon, S, rho, variant) + 1)
             factor = np.ones((w.size, alphas.size))
             for j in range(1, rho + 1):
                 if path[j] in groups_n:
                     continue  # the targeted worker's groups do not attenuate
                 fired = _fired_epochs(inv_hbar, hp, S * (w + j - 1) + 1)
                 factor = factor * mu[fired, path[j]]
-            # block w is delivered from the first epoch whose count reaches w
-            first[c, k, :w.size] = starts[np.searchsorted(blocks, w)]
-            terms[c, k, :w.size] = per_block * eps * factor
+            first[c, k, :w.size] = S * (w + rho - offset) + 1
+            terms[c, k, :w.size] = per_block * budgets[m_src] * factor
     return Thm2Sweep(horizon, classes, shared, first, terms)
 
 

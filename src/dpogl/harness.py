@@ -277,6 +277,9 @@ class ExperimentConfig:
             _hyper_params(config)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if math.isinf(1.0 / config.delta):  # log(1/delta) would be inf
+            raise ConfigError("field 'delta' must be large enough that "
+                              "1/delta is finite")
         return config
 
     def num_groups(self) -> int:

@@ -1,14 +1,16 @@
 """Accountant unit tests: budgets, delays, LSI recursion, conversions."""
 
+import ast
 import collections
 import dataclasses
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from dpogl import accountant as acc
@@ -624,6 +626,64 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
         np.testing.assert_allclose(curves[n, i], want, rtol=1e-12, atol=0)
 
 
+def _delay_K_with_round_trip_weights(structure, hp, t, variant):
+    """K as delay_curve_matrix built it with the weight
+    per_step_rdp(2.0, sigma, pi) / 2.0 and one branch per variant."""
+    S = hp.inter_group_period
+    weights = np.array([acc.per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
+                        for s, p in zip(hp.sigma, hp.participation)])
+    rt = structure.worker_distances
+    k = (t - 1) // S
+    if variant == "examples_consistent":
+        blocks = np.maximum(0.0, k - rt + 1.0)
+    else:
+        blocks = np.maximum(0.0, k - rt)
+    counts = (S // hp.mechanism_window) * blocks
+    counts[rt == 0] = t - 1
+    K = (structure.member_mask.T * weights) @ counts
+    K[~structure.admissible_observers[hp.threat_model]] = np.nan
+    return K, weights
+
+
+@hs.composite
+def weight_cases(draw):
+    structure, hp, t = draw(overlapping_cases())
+    M = hp.num_groups
+    hp = dataclasses.replace(
+        hp, sigma=draw(hs.lists(hs.floats(0.05, 20.0), min_size=M, max_size=M)),
+        participation=draw(hs.lists(hs.floats(0.0, 1.0, exclude_min=True),
+                                    min_size=M, max_size=M)))
+    return structure, hp, t, draw(hs.sampled_from(acc.VARIANTS))
+
+
+def _lists_ring_case():
+    """A pair whose 2 pi^2 / sigma^2 differs in the last bit between
+    scalar and array ``**`` sits in group 0."""
+    hp = make_hp(4, epochs=15, inter_group_period=3,
+                 sigma=[1.5952888379372823, 2.0, 0.7, 3.3],
+                 participation=[0.8133073424482733, 0.7, 1.0, 0.25])
+    return generate_structure("RI", 12, 4), hp, 15, "as_printed"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(weight_cases())
+@example(_lists_ring_case())
+def test_delay_weights_match_round_trip_bitwise(case):
+    """delay_curve_matrix's direct weight 2 pi^2 / sigma^2 and its block
+    offset give K bit for bit as the per_step_rdp round trip did.  Below
+    the normal range the round trip's halving rounds a second time, so
+    only normal weights are compared; an exact 0 weight is refused."""
+    structure, hp, t, variant = case
+    want, weights = _delay_K_with_round_trip_weights(structure, hp, t, variant)
+    if not np.all(weights > 0):
+        with pytest.raises(acc.AccountingPreconditionError, match="group"):
+            acc.delay_curve_matrix(structure, hp, t, variant)
+        return
+    assume(np.all(weights >= np.finfo(float).tiny))
+    got = acc.delay_curve_matrix(structure, hp, t, variant)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def _relabel(structure, hp, workers, groups):
     """The structure and hyper-parameters with worker n renamed workers[n]
     and group m renamed groups[m]."""
@@ -1040,3 +1100,37 @@ def test_heatmap_conversion_of_a_tensor_holds_per_order_temporaries():
     assert peak <= 3e6
     assert dp.tobytes() == _tensor_heatmap_reference(
         curves, 1e-5, acc.DEFAULT_ALPHA_GRID).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the pipeline is independent of the references
+
+REFERENCES = {"per_step_rdp", "thm1_pair_counts", "thm1_pair_bound",
+              "propagation_oracle_counts", "_influence_sets", "degradation_mu",
+              "rdp_to_dp"}
+
+
+def test_pipeline_does_not_name_the_references():
+    """No module-level function or class that the pipeline entry points
+    reach, directly or through each other, names a reference: the checks
+    stay independent of the code they check."""
+    tree = ast.parse(Path(acc.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert REFERENCES <= defs.keys()
+    todo = ["delay_curve_matrix", "thm2_curve_sweep", "dp_matrix_from_curves",
+            "pwp_rows_from_curves"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        named = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(defs[name])
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named & REFERENCES, f"{name} names {sorted(named & REFERENCES)}"
+        todo.extend(named & defs.keys())
+    # the walk follows calls: the sweep reaches the recursion and the class
+    assert {"lsi_recursion", "Thm2Sweep", "delivered_block_count",
+            "_fired_epochs", "_check_delta"} <= reached

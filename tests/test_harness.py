@@ -259,6 +259,57 @@ def test_delay_account_holds_no_curve_tensor(tmp_path):
     assert peak < tensor_bytes
 
 
+RING8 = {"kind": "RI", "num_workers": 8, "num_groups": 4}
+STRING4 = {"num_workers": 9,
+           "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8]]}
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(sigma=[2.0, 2.0, 1e-200, 2.0]),   # sigma^2 underflows to 0
+    dict(sigma=[2.0, 2.0, 1e200, 2.0]),    # sigma^2 overflows
+    dict(sigma=[2.0, 2.0, 1e-160, 2.0]),   # 2 pi^2 / sigma^2 overflows
+    dict(participation=[0.7, 0.7, 1e-200, 0.7]),  # pi^2 underflows to 0
+    dict(bound="degradation", structure=STRING4, participation=1.0,
+         sigma=[2.0, 2.0, 1e-200, 2.0]),
+    dict(bound="degradation", structure=STRING4, participation=1.0,
+         sigma=[2.0, 2.0, 1e200, 2.0]),
+], ids=["delay-sigma-1e-200", "delay-sigma-1e200", "delay-sigma-1e-160",
+        "delay-participation-1e-200", "degradation-sigma-1e-200",
+        "degradation-sigma-1e200"])
+def test_extreme_group_budgets_are_refused(tmp_path, capsys, overrides):
+    """A per-group budget that is not finite and > 0 is an accounting
+    precondition failure that names the group, like sigma = 0: no
+    traceback, no misleading error and no exact 0 for a connected pair."""
+    path = write_config(tmp_path, **{"structure": RING8, "epochs": 4,
+                                     "heatmap_epochs": [3], **overrides})
+    assert cli_main(["account", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["accounting_error"].startswith("group 2: ")
+    assert "not finite and > 0" in manifest["accounting_error"]
+    assert manifest["outputs"] == []
+    assert "accounting disabled: group 2: " in capsys.readouterr().err
+
+
+def test_delta_with_infinite_reciprocal_is_refused(tmp_path, capsys):
+    """log(1/delta) would be inf in every eps_dp of pwp.csv."""
+    for delta in (1e-320, 5e-324, 5.5e-309):
+        with pytest.raises(ConfigError, match="'delta'"):
+            make_config(tmp_path, delta=delta)
+        assert cli_main(["account", str(write_config(tmp_path,
+                                                     delta=delta))]) == 2
+        assert "config error: field 'delta'" in capsys.readouterr().err
+        K = np.array([[np.nan, 0.5], [0.5, np.nan]])
+        with pytest.raises(ValueError, match="delta"):
+            acc.dp_matrix_from_curves(K, delta)
+        with pytest.raises(ValueError, match="delta"):
+            acc.pwp_rows_from_curves(K, topology.GroupStructure(2, [[0], [1]]),
+                                     "tm1", delta)
+        with pytest.raises(ValueError, match="delta"):
+            acc.rdp_to_dp([0.5], delta, (2.0,))
+    # the smallest normal delta still has a finite reciprocal
+    make_config(tmp_path, delta=2.2250738585072014e-308)
+
+
 def _pwp_by_worker(path):
     rows = {}
     for line in read_lines(path)[1:]:
@@ -512,6 +563,21 @@ GOLDEN_RUNS = {
         "heatmap_epoch_21.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
         "manifest.json": "5fa98de6819c5178aaa60283fb5ad0c9a354f608905552ba5b2bb3bddace2581",
         "pwp.csv": "92390790127bdbba2a2176c5edb64fda779820a6c86458d43ff5038ac3b9f7e0",
+    }),
+    # the strict as_printed gate on the delay path, with per-group lists;
+    # group 0's delay weight 2 pi^2 / sigma^2 rounds differently under
+    # array ``**`` than under scalar ``**``
+    "account_delay_lists_as_printed": (False, dict(
+        variant="as_printed", inter_group_period=3, epochs=15,
+        heatmap_epochs=[6, 15, 18],
+        sigma=[1.5952888379372823, 2.0, 0.7, 3.3],
+        participation=[0.8133073424482733, 0.7, 1.0, 0.25],
+        structure={"kind": "RI", "num_workers": 12, "num_groups": 4}), {
+        "heatmap_epoch_15.csv": "36a41c15cbb7347aaabdbb3294b7138a0abed7e5189fbaf527e366d0fa4e5e92",
+        "heatmap_epoch_18.csv": "1acb0bbb1986ee29f1139c9e9de0c674b45fc9608717e2252349bdee015b615d",
+        "heatmap_epoch_6.csv": "3a3175bcabf1eda97b9e4e567e73baa744abc948491c1ecc5143148116a0aebe",
+        "manifest.json": "dbe78700ac78e45f6c70e3a71a9dfdf08f865b605e6802f0fb74e00fde14bc8e",
+        "pwp.csv": "b85268ef676bcae2b963e07a086f25cd7e52838478171080d17fe717dc48588e",
     }),
 }
 

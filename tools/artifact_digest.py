@@ -10,7 +10,11 @@ The runs are:
   desk_default            configs/desk_default.json under ``run``;
   string4-...             degradation ``account`` on a 4-group open string
                           under both algorithms, both variants, tm1 and tm2
-                          (dpogl_plus requires tm2) and S = 1 and 3.
+                          (dpogl_plus requires tm2) and S = 1 and 3;
+  ring4-lists-...         delay ``account`` on a 4-group RI ring with
+                          per-group sigma and participation lists, under
+                          both algorithms (dpogl_plus requires tm2), both
+                          variants and S = 1 and 3.
 
 Each run writes into its own temporary directory.  The script prints one
 ``run file sha256`` line per file, then, on the last line, the SHA-256 of
@@ -66,6 +70,27 @@ def _degradation_strings() -> dict[str, dict]:
     return runs
 
 
+def _delay_lists() -> dict[str, dict]:
+    runs = {}
+    for (algorithm, threat_model), variant, period in itertools.product(
+            (("dpogl", "tm1"), ("dpogl_plus", "tm2")),
+            ("examples_consistent", "as_printed"), (1, 3)):
+        name = f"ring4-lists-{algorithm}-{threat_model}-{variant}-S{period}"
+        # Group 0's (sigma, participation) is a pair whose delay weight
+        # 2 pi^2 / sigma^2 differs in the last bit between scalar and array
+        # ``**``, so the text shows how the weight is rounded.
+        runs[name] = {"seed": 0, "algorithm": algorithm,
+                      "threat_model": threat_model, "variant": variant,
+                      "inter_group_period": period, "epochs": 15,
+                      "sigma": [1.5952888379372823, 2.0, 0.7, 3.3],
+                      "participation": [0.8133073424482733, 0.7, 1.0, 0.25],
+                      "heatmap_epochs": [6, 15, 18],
+                      "data": {"num_classes": 3, "dims": 2, "per_class": 20},
+                      "structure": {"kind": "RI", "num_workers": 12,
+                                    "num_groups": 4}}
+    return runs
+
+
 def runs() -> dict[str, tuple[dict, bool]]:
     """run name -> (raw config, runs training?)"""
     workloads = _load_workloads()
@@ -78,7 +103,7 @@ def runs() -> dict[str, tuple[dict, bool]]:
     desk = json.loads((ROOT / "configs" / "desk_default.json").read_text(
         encoding="utf-8"))
     table["desk_default"] = (desk, True)
-    for name, raw in _degradation_strings().items():
+    for name, raw in {**_degradation_strings(), **_delay_lists()}.items():
         table[name] = (raw, False)
     return table
 
