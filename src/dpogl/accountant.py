@@ -13,9 +13,8 @@ recursion fires one mechanism per W-epoch window.  The pipeline has one
 path per bound: ``delay_curve_matrix`` gives (N, N) delay coefficients K,
 whose curves alpha * K are linear in the order, and ``thm2_curve_sweep``
 (N, N, G) curve tensors over an order grid; it reduces either form to DP
-heatmaps and per-worker envelopes.  Independent references check both
-paths: ``thm1_pair_bound``/``thm1_pair_counts``, the epoch-unrolled
-``propagation_oracle_counts``, ``degradation_mu`` and ``rdp_to_dp``.
+heatmaps and per-worker envelopes.  This module holds only that pipeline;
+the references that check it live in ``oracles``.
 
 Cost model.  Structure facts (distances, masks, the string test) are cached
 on the ``GroupStructure`` and computed once per structure.  A delay epoch
@@ -45,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import GroupStructure, build_adjacency
-from .trainer import HyperParams, is_intergroup_epoch, mechanism_window
+from .topology import GroupStructure
+from .trainer import HyperParams, is_intergroup_epoch
 
 # Spaced so consecutive (alpha - 1) ratios stay below ~1.46: the conversion
 # optimum then lands within 2% of the continuous minimum for any linear curve.
@@ -61,8 +60,9 @@ VARIANTS = tuple(_BLOCK_OFFSETS)
 
 class AccountingPreconditionError(ValueError):
     """A precondition of a bound does not hold: a group budget that is not
-    finite and > 0 (sigma = 0, say), partial participation or an infinite clip
-    for the smoothing recursion, or a non-string structure for degradation."""
+    finite and > 0 (sigma = 0, say), partial participation, an infinite clip
+    or an overflowing mechanism variance for the smoothing recursion, or a
+    non-string structure for degradation."""
 
 
 def _group_budgets(hp: HyperParams, name: str, budget) -> np.ndarray:
@@ -85,29 +85,6 @@ def _block_offset(variant: str) -> int:
     return _BLOCK_OFFSETS[variant]
 
 
-def per_step_rdp(alpha: float, sigma: float, participation: float = 1.0,
-                 mode: str = "sampled") -> float:
-    """Per-epoch RDP budget of one group mechanism.
-
-    ``sampled``: Poisson-sampled Gaussian closed form 2 * pi^2 * alpha / sigma^2.
-    ``full``: plain Gaussian alpha / (2 * sigma^2); requires participation 1.
-    """
-    if not alpha > 1:
-        raise ValueError("RDP order alpha must exceed 1")
-    if not sigma > 0:
-        raise AccountingPreconditionError(
-            "accounting requires a positive noise multiplier")
-    if mode == "sampled":
-        if not 0 < participation <= 1:
-            raise ValueError("participation must lie in (0, 1]")
-        return 2.0 * participation ** 2 * alpha / sigma ** 2
-    if mode == "full":
-        if participation != 1.0:
-            raise ValueError("full-participation budget requires participation == 1")
-        return alpha / (2.0 * sigma ** 2)
-    raise ValueError("mode must be 'sampled' or 'full'")
-
-
 def delivered_block_count(t: int, period: int, rho: float, variant: str) -> int:
     """How many S-epoch blocks from a source at group distance rho >= 1 have
     been delivered to the observer by epoch t."""
@@ -122,119 +99,7 @@ def delivered_block_count(t: int, period: int, rho: float, variant: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closed-form pair bounds (Gaussian-mechanism composition with delay)
-
-def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
-                     t: int, variant: str = "examples_consistent",
-                     algorithm: str = "dpogl") -> dict[int, int]:
-    """Delivered per-source-group mechanism counts for the pair (n, i).
-
-    A cross source group contributes S / W mechanisms per delivered block
-    (S for dpogl, one interval mechanism for dpogl_plus).  A shared source
-    group contributes t-1 mechanisms under dpogl; dpogl_plus applies raw
-    updates inside its windows, has no shared-group bound, and raises.
-    """
-    if n == i:
-        raise ValueError("a worker is trusted with its own data; need n != i")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    per_block = period // mechanism_window(algorithm, period)
-    counts: dict[int, int] = {}
-    for m_src in structure.groups_of_worker[n]:
-        rho = structure.worker_distances[m_src, i]
-        if rho == 0:
-            if algorithm == "dpogl_plus":
-                raise ValueError("dpogl_plus defines no bound for in-group pairs")
-            counts[m_src] = t - 1
-        else:
-            counts[m_src] = per_block * delivered_block_count(t, period, rho,
-                                                             variant)
-    return counts
-
-
-def thm1_pair_bound(structure: GroupStructure, hp: HyperParams, alpha: float,
-                    n: int, i: int, t: int,
-                    variant: str = "examples_consistent") -> float | None:
-    """Delay-only pairwise RDP bound at order alpha through epoch t.
-
-    None marks a pair that shares a group under dpogl_plus (trusted).
-    """
-    if n == i:
-        raise ValueError("a worker is trusted with its own data; need n != i")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if (hp.algorithm == "dpogl_plus"
-            and set(structure.groups_of_worker[n]) & set(structure.groups_of_worker[i])):
-        return None
-    counts = thm1_pair_counts(structure, hp.inter_group_period, n, i, t, variant,
-                              hp.algorithm)
-    total = 0.0
-    for m_src, count in counts.items():
-        eps = per_step_rdp(alpha, float(hp.sigma[m_src]),
-                           float(hp.participation[m_src]), mode="sampled")
-        total += eps * count
-    return total
-
-
-# ---------------------------------------------------------------------------
-# independent propagation oracle (epoch-unrolled reachability)
-
-def _influence_sets(structure: GroupStructure, period: int, t: int,
-                    algorithm: str) -> list[int]:
-    """Bitmask influence sets after sweeping epochs 1..t.
-
-    Bit (tau - 1) * M + m marks the mechanism group m fired at epoch tau.
-    The mechanism enters its group's model at epoch tau + 1; models carry
-    influence forward; at an inter-group epoch each group's model picks up
-    adjacent groups' influence with zero lag, one hop per inter-group epoch
-    (snapshots prevent chained hops inside one epoch).
-    """
-    M = structure.num_groups
-    adj = build_adjacency(structure)
-    neighbors = [[v for v in np.nonzero(adj[m])[0] if v != m] for m in range(M)]
-    influence = [0] * M
-    for e in range(1, t + 1):
-        tau = e - 1
-        if tau >= 1:
-            fires = (algorithm == "dpogl") or (tau % period == 0)
-            if fires:
-                for m in range(M):
-                    influence[m] |= 1 << ((tau - 1) * M + m)
-        if is_intergroup_epoch(e, period):
-            snapshot = list(influence)
-            for m in range(M):
-                for m_adj in neighbors[m]:
-                    influence[m] |= snapshot[m_adj]
-    return influence
-
-
-def propagation_oracle_counts(structure: GroupStructure, period: int, t: int,
-                              n: int, i: int, algorithm: str = "dpogl"
-                              ) -> dict[int, int]:
-    """Per-source-group counts of mechanisms whose influence reaches any model
-    observed by worker i through epoch t, restricted to groups of worker n."""
-    if algorithm not in ("dpogl", "dpogl_plus"):
-        raise ValueError("algorithm must be 'dpogl' or 'dpogl_plus'")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if n == i:
-        raise ValueError("need n != i")
-    M = structure.num_groups
-    influence = _influence_sets(structure, period, t, algorithm)
-    delivered = 0
-    for m in structure.groups_of_worker[i]:
-        delivered |= influence[m]
-    counts = {}
-    for m_src in structure.groups_of_worker[n]:
-        group_mask = 0
-        for tau in range(1, t):
-            group_mask |= 1 << ((tau - 1) * M + m_src)
-        counts[m_src] = (delivered & group_mask).bit_count()
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# log-Sobolev recursion (full participation) and degradation factors
+# log-Sobolev recursion (full participation) and crossing epochs
 
 def _lsi_preconditions(hp: HyperParams) -> None:
     if not np.all(hp.participation == 1.0):
@@ -245,6 +110,17 @@ def _lsi_preconditions(hp: HyperParams) -> None:
     if not np.all(hp.sigma > 0):
         raise AccountingPreconditionError(
             "the LSI recursion needs positive noise multipliers")
+    # W (c sigma)^2 both ways the code computes it: an array square in
+    # lsi_recursion, scalar ** in thm2_curve_sweep.
+    with np.errstate(all="ignore"):
+        var = hp.mechanism_window * (hp.clip * hp.sigma) ** 2
+        var_pow = [hp.mechanism_window * (c * s) ** 2
+                   for c, s in zip(hp.clip, hp.sigma)]
+    bad = np.flatnonzero(~(np.isfinite(var) & np.isfinite(var_pow)))
+    if bad.size:
+        raise AccountingPreconditionError(
+            f"group {bad[0]}: the mechanism variance W (c sigma)^2 is not "
+            "finite (an overflow)")
 
 
 def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -320,32 +196,6 @@ def _fired_epochs(inv_hbar: np.ndarray, hp: HyperParams, crossing):
     return fired
 
 
-def _mu(alpha, hbar, var):
-    return alpha / (alpha + hbar * var)
-
-
-def degradation_mu(inv_hbar: np.ndarray, hp: HyperParams, alpha, group: int,
-                   epoch: int, targeted_groups) -> float | np.ndarray:
-    """Degradation factor mu = alpha / (alpha + hbar * W c^2 sigma^2) for
-    leakage transiting ``group``'s mechanism at ``epoch``.
-
-    ``hbar`` is the accumulated constant of the pre-noise aggregate (0 while
-    the model is still deterministic, so early crossings are undegraded).
-    Groups of the targeted worker pass information through unattenuated
-    (factor 1).  Accepts a scalar or array alpha.
-    """
-    if group in set(targeted_groups):
-        return np.ones_like(np.asarray(alpha, dtype=float)) if np.ndim(alpha) else 1.0
-    fired = _fired_epochs(inv_hbar, hp, epoch)
-    hbar = float(inv_hbar[fired, group])
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr <= 1):
-        raise ValueError("RDP order alpha must exceed 1")
-    var = hp.mechanism_window * (hp.clip[group] * hp.sigma[group]) ** 2
-    mu = _mu(alpha_arr, hbar, var)
-    return mu if alpha_arr.ndim else float(mu)
-
-
 # ---------------------------------------------------------------------------
 # string-topology bound with degradation
 
@@ -391,7 +241,7 @@ class Thm2Sweep:
 
 
 # ---------------------------------------------------------------------------
-# RDP -> (eps, delta)-DP conversion
+# curve tensors (one path per bound) and their reductions
 
 def _check_delta(delta: float) -> None:
     if not 0 < delta <= 1 or math.isinf(1.0 / delta):
@@ -404,32 +254,6 @@ def _check_grid(alpha_grid) -> list[float]:
         raise ValueError("alpha grid entries must exceed 1")
     return grid
 
-
-def rdp_to_dp(curve, delta: float, alpha_grid=DEFAULT_ALPHA_GRID
-              ) -> tuple[float, float]:
-    """Minimize eps_rdp(alpha) + log(1/delta)/(alpha - 1) over the grid.
-
-    ``curve`` is a sequence aligned with the grid.  Ties break toward the
-    smaller order.
-    """
-    _check_delta(delta)
-    grid = _check_grid(alpha_grid)
-    values = [float(v) for v in curve]
-    if len(values) != len(grid):
-        raise ValueError("curve values must align with the alpha grid")
-    if any(v < 0 or not math.isfinite(v) for v in values):
-        raise ValueError("RDP curve values must be finite and nonnegative")
-    penalty = math.log(1.0 / delta)
-    best_eps, best_alpha = math.inf, None
-    for a, v in zip(grid, values):
-        candidate = v + penalty / (a - 1.0)
-        if candidate < best_eps:
-            best_eps, best_alpha = candidate, a
-    return best_eps, float(best_alpha)
-
-
-# ---------------------------------------------------------------------------
-# curve tensors (one path per bound) and their reductions
 
 def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
     try:
@@ -485,17 +309,17 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
         raise ValueError("horizon must be >= 1")
     alphas = np.array(_check_grid(alpha_grid))
     offset = _block_offset(variant)
+    budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
+                             lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
     _lsi_preconditions(hp)
     if not structure.is_string:
         raise AccountingPreconditionError(
             "the degradation bound requires a string structure")
-    budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
-                             lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
     _, inv_hbar = lsi_recursion(structure, hp, beta, horizon)
-    # Scalar ** as in _group_budgets and degradation_mu, not an array square.
+    # Scalar ** as in _group_budgets, not an array square.
     var = np.array([hp.mechanism_window * (c * s) ** 2
                     for c, s in zip(hp.clip, hp.sigma)])
-    mu = _mu(alphas, inv_hbar[:, :, None], var[:, None])
+    mu = alphas / (alphas + inv_hbar[:, :, None] * var[:, None])
     groups, dist = structure.groups_of_worker, structure.distances
     defined = structure.admissible_observers[hp.threat_model]
     classes = np.full(defined.shape, -1)
@@ -605,3 +429,7 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     j = best[workers]
     return workers, np.stack([envelopes[workers, j], grid[j], eps[workers]],
                              axis=1)
+
+
+# Read here by perfbench/checks.py; last, as ``oracles`` imports this module.
+from .oracles import per_step_rdp, propagation_oracle_counts, rdp_to_dp  # noqa: E402,F401

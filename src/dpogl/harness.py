@@ -303,20 +303,9 @@ _TOP_LEVEL_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _hyper_params(config: ExperimentConfig) -> HyperParams:
-    return HyperParams(
-        num_groups=config.num_groups(),
-        epochs=config.epochs,
-        inter_group_period=config.inter_group_period,
-        local_iterations=config.local_iterations,
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        clip=config.clip,
-        sigma=config.sigma,
-        participation=config.participation,
-        algorithm=config.algorithm,
-        threat_model=config.threat_model,
-        seed=config.seed,
-    )
+    return HyperParams(num_groups=config.num_groups(), **{
+        f.name: getattr(config, f.name) for f in fields(HyperParams)
+        if f.name != "num_groups"})
 
 
 # ---------------------------------------------------------------------------

@@ -185,14 +185,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def build_adjacency(structure: GroupStructure) -> np.ndarray:
     """Boolean (M, M) adjacency: groups share a worker; diagonal is True."""
-    M = structure.num_groups
-    members = [set(g) for g in structure.members_of_group]
-    adj = np.eye(M, dtype=bool)
-    for a in range(M):
-        for b in range(a + 1, M):
-            if members[a] & members[b]:
-                adj[a, b] = adj[b, a] = True
-    return adj
+    members = structure.member_mask.astype(float)  # shared-worker counts
+    return (members @ members.T) > 0
 
 
 def distance_matrix(adjacency: np.ndarray) -> np.ndarray:

@@ -99,14 +99,7 @@ class HyperParams:
     @property
     def mechanism_window(self) -> int:
         """W, the epochs covered by one mechanism: 1 for dpogl, S for dpogl_plus."""
-        return mechanism_window(self.algorithm, self.inter_group_period)
-
-
-def mechanism_window(algorithm: str, period: int) -> int:
-    """Window length W of ``algorithm`` at inter-group period ``period``."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    return period if algorithm == "dpogl_plus" else 1
+        return self.inter_group_period if self.algorithm == "dpogl_plus" else 1
 
 
 def is_intergroup_epoch(t: int, period: int) -> bool:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dpogl import accountant as acc
+from dpogl import oracles as orc
 from dpogl import models
 from dpogl.data import dirichlet_partition, make_synthetic, stratified_split
 from dpogl.harness import ExperimentConfig, run_experiment
@@ -74,13 +75,13 @@ def test_criterion_01_single_group_linear_budget():
     hp = _hp(1, inter_group_period=1)
     t = 4
     for alpha in (2.0, 3.0, 4.0):
-        eps_step = acc.per_step_rdp(alpha, 2.0, 1.0)
+        eps_step = orc.per_step_rdp(alpha, 2.0, 1.0)
         assert eps_step == 2.0 * alpha / 4.0
         for n in range(4):
             for i in range(4):
                 if n == i:
                     continue
-                bound = acc.thm1_pair_bound(structure, hp, alpha, n, i, t)
+                bound = orc.thm1_pair_bound(structure, hp, alpha, n, i, t)
                 assert bound == 3.0 * eps_step
                 assert bound / eps_step == 3.0  # exactly three budget units
     assert time.monotonic() - start < 1.0
@@ -93,7 +94,7 @@ def test_criterion_02_string_delay_and_degradation():
     hp = _hp(2, inter_group_period=2)
     alpha, t, beta = 3.0, 4, 1.0
 
-    counts = {(n, i): sum(acc.thm1_pair_counts(structure, 2, n, i, t).values())
+    counts = {(n, i): sum(orc.thm1_pair_counts(structure, 2, n, i, t).values())
               for n in range(3) for i in range(3) if n != i}
     assert counts == {(0, 1): 3, (0, 2): 2, (1, 0): 5,
                       (1, 2): 5, (2, 0): 2, (2, 1): 3}
@@ -126,16 +127,16 @@ def test_criterion_03_interval_mechanism_single_budget():
     hp = _hp(2, algorithm="dpogl_plus", threat_model="tm2",
              inter_group_period=2)
     alpha, t, beta = 3.0, 4, 1.0
-    eps_step = acc.per_step_rdp(alpha, 2.0, 1.0)
+    eps_step = orc.per_step_rdp(alpha, 2.0, 1.0)
     eps_full = alpha / (2.0 * 2.0 ** 2)
 
-    assert acc.thm1_pair_bound(structure, hp, alpha, 0, 2, t) == eps_step
-    assert acc.thm1_pair_bound(structure, hp, alpha, 2, 0, t) == eps_step
+    assert orc.thm1_pair_bound(structure, hp, alpha, 0, 2, t) == eps_step
+    assert orc.thm1_pair_bound(structure, hp, alpha, 2, 0, t) == eps_step
     degraded = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
     assert degraded[0, 2, 0] == eps_full
     assert degraded[2, 0, 0] == eps_full
     for n, i in ((0, 1), (1, 0), (1, 2), (2, 1)):
-        assert acc.thm1_pair_bound(structure, hp, alpha, n, i, t) is None
+        assert orc.thm1_pair_bound(structure, hp, alpha, n, i, t) is None
         assert math.isnan(degraded[n, i, 0])
 
     mat = alpha * acc.delay_curve_matrix(structure, hp, t)
@@ -163,10 +164,10 @@ def test_criterion_04_delay_counts_match_propagation_oracle():
                             if (algorithm == "dpogl_plus"
                                     and _shares_group(structure, n, i)):
                                 continue  # trusted pair: no count defined
-                            closed = acc.thm1_pair_counts(
+                            closed = orc.thm1_pair_counts(
                                 structure, period, n, i, t,
                                 algorithm=algorithm)
-                            oracle = acc.propagation_oracle_counts(
+                            oracle = orc.propagation_oracle_counts(
                                 structure, period, t, n, i, algorithm)
                             assert ({k: v for k, v in closed.items() if v}
                                     == {k: v for k, v in oracle.items() if v})
@@ -193,9 +194,9 @@ def test_criterion_05_interval_variant_removes_period_factor():
                         if n == i or _shares_group(structure, n, i):
                             continue
                         for alpha in (2.0, 3.0):
-                            base = acc.thm1_pair_bound(structure, hp_base,
+                            base = orc.thm1_pair_bound(structure, hp_base,
                                                        alpha, n, i, t)
-                            plus = acc.thm1_pair_bound(structure, hp_plus,
+                            plus = orc.thm1_pair_bound(structure, hp_plus,
                                                        alpha, n, i, t)
                             assert plus * period == base
                             checked += 1
@@ -223,14 +224,14 @@ def test_criterion_06_degradation_never_exceeds_delay_bound():
         _, inv_hbar = acc.lsi_recursion(structure, hp, beta, t)
         for g in range(m):
             for epoch in range(1, t + 1):
-                mu = acc.degradation_mu(inv_hbar, hp, alpha, g, epoch, ())
+                mu = orc.degradation_mu(inv_hbar, hp, alpha, g, epoch, ())
                 assert 0.0 < mu <= 1.0
         curves = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
         for n in range(m + 1):
             for i in range(m + 1):
                 if n == i:
                     continue
-                base = acc.thm1_pair_bound(structure, hp, alpha, n, i, t)
+                base = orc.thm1_pair_bound(structure, hp, alpha, n, i, t)
                 assert float(curves[n, i, 0]) <= base + 1e-12
                 pairs_checked += 1
     assert time.monotonic() - start < 30.0
@@ -446,8 +447,8 @@ def test_criterion_12_dp_conversion_grid_refinement():
         participation = float(rng.uniform(0.3, 1.0))
         t = int(rng.integers(2, 201))
         weight = (t - 1) * 2.0 * participation ** 2 / sigma ** 2
-        eps_coarse, _ = acc.rdp_to_dp(weight * np.asarray(grid), delta, grid)
-        eps_fine, _ = acc.rdp_to_dp(weight * np.asarray(fine), delta, fine)
+        eps_coarse, _ = orc.rdp_to_dp(weight * np.asarray(grid), delta, grid)
+        eps_fine, _ = orc.rdp_to_dp(weight * np.asarray(fine), delta, fine)
         assert eps_fine > 0.0
         assert eps_fine <= eps_coarse <= 1.02 * eps_fine
     assert time.monotonic() - start < 10.0

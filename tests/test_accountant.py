@@ -5,6 +5,9 @@ import collections
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +16,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
+import dpogl
 from dpogl import accountant as acc
+from dpogl import oracles as orc
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
 from dpogl.trainer import HyperParams, is_intergroup_epoch
@@ -35,23 +40,23 @@ def make_hp(num_groups, **overrides):
 # per-step budgets and block counts
 
 def test_per_step_rdp_closed_forms():
-    assert acc.per_step_rdp(3.0, 2.0, 0.5) == 2 * 0.25 * 3.0 / 4.0
-    assert acc.per_step_rdp(3.0, 2.0, 1.0, "full") == 3.0 / 8.0
+    assert orc.per_step_rdp(3.0, 2.0, 0.5) == 2 * 0.25 * 3.0 / 4.0
+    assert orc.per_step_rdp(3.0, 2.0, 1.0, "full") == 3.0 / 8.0
     # at full participation the sampled form is exactly 4x the exact Gaussian
-    assert acc.per_step_rdp(5.0, 1.7, 1.0) == 4 * acc.per_step_rdp(5.0, 1.7, 1.0, "full")
+    assert orc.per_step_rdp(5.0, 1.7, 1.0) == 4 * orc.per_step_rdp(5.0, 1.7, 1.0, "full")
 
 
 def test_per_step_rdp_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        acc.per_step_rdp(1.0, 2.0)
+        orc.per_step_rdp(1.0, 2.0)
     with pytest.raises(acc.AccountingPreconditionError):
-        acc.per_step_rdp(2.0, 0.0)
+        orc.per_step_rdp(2.0, 0.0)
     with pytest.raises(ValueError):
-        acc.per_step_rdp(2.0, 2.0, 1.5)
+        orc.per_step_rdp(2.0, 2.0, 1.5)
     with pytest.raises(ValueError):
-        acc.per_step_rdp(2.0, 2.0, 0.5, "full")
+        orc.per_step_rdp(2.0, 2.0, 0.5, "full")
     with pytest.raises(ValueError):
-        acc.per_step_rdp(2.0, 2.0, 1.0, "exotic")
+        orc.per_step_rdp(2.0, 2.0, 1.0, "exotic")
 
 
 def test_delivered_block_count_hand_values():
@@ -83,7 +88,7 @@ def test_variant_dominance_and_monotonicity():
     hp = make_hp(3)
     prev_bound = 0.0
     for t in range(1, 15):
-        b = acc.thm1_pair_bound(st, hp, 2.0, 0, 3, t)
+        b = orc.thm1_pair_bound(st, hp, 2.0, 0, 3, t)
         assert b >= prev_bound
         prev_bound = b
 
@@ -94,21 +99,21 @@ def test_variant_dominance_and_monotonicity():
 def test_pair_counts_basic_contract():
     st = chain(2)
     with pytest.raises(ValueError):
-        acc.thm1_pair_counts(st, 2, 1, 1, 4)
+        orc.thm1_pair_counts(st, 2, 1, 1, 4)
     with pytest.raises(ValueError):
-        acc.thm1_pair_counts(st, 2, 0, 1, 4, algorithm="dpogl_plus")
+        orc.thm1_pair_counts(st, 2, 0, 1, 4, algorithm="dpogl_plus")
     disconnected = GroupStructure(4, [[0, 1], [2, 3]])
-    assert acc.thm1_pair_counts(disconnected, 2, 0, 3, 9) == {0: 0}
+    assert orc.thm1_pair_counts(disconnected, 2, 0, 3, 9) == {0: 0}
     # no epoch before the first: an in-group count of t - 1 would go negative
     string, hp = chain(2), make_hp(2, participation=1.0)
     plus = make_hp(2, algorithm="dpogl_plus", threat_model="tm2")
     for t in (0, -3):
         with pytest.raises(ValueError, match="t must be >= 1"):
-            acc.thm1_pair_counts(string, 2, 0, 1, t)
+            orc.thm1_pair_counts(string, 2, 0, 1, t)
         with pytest.raises(ValueError, match="t must be >= 1"):
-            acc.thm1_pair_bound(string, hp, 2.0, 0, 1, t)
+            orc.thm1_pair_bound(string, hp, 2.0, 0, 1, t)
         with pytest.raises(ValueError, match="t must be >= 1"):
-            acc.thm1_pair_bound(string, plus, 2.0, 0, 1, t)  # trusted pair
+            orc.thm1_pair_bound(string, plus, 2.0, 0, 1, t)  # trusted pair
         with pytest.raises(ValueError, match="t must be >= 1"):
             acc.delay_curve_matrix(string, hp, t)
 
@@ -119,11 +124,11 @@ def test_thm1_pair_bound_reads_the_algorithm():
     st = chain(2)
     hp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2",
                  inter_group_period=2, sigma=2.0, participation=1.0)
-    assert acc.thm1_pair_bound(st, hp, 3.0, 0, 1, 4) is None
-    assert acc.thm1_pair_bound(st, hp, 3.0, 0, 2, 4) == 1.5
-    assert acc.thm1_pair_bound(st, make_hp(2), 3.0, 0, 2, 4) == 3.0
+    assert orc.thm1_pair_bound(st, hp, 3.0, 0, 1, 4) is None
+    assert orc.thm1_pair_bound(st, hp, 3.0, 0, 2, 4) == 1.5
+    assert orc.thm1_pair_bound(st, make_hp(2), 3.0, 0, 2, 4) == 3.0
     with pytest.raises(ValueError):
-        acc.thm1_pair_bound(st, hp, 3.0, 1, 1, 4)
+        orc.thm1_pair_bound(st, hp, 3.0, 1, 1, 4)
 
 
 def test_oracle_matches_closed_form_on_a_chain():
@@ -134,8 +139,8 @@ def test_oracle_matches_closed_form_on_a_chain():
                 for i in range(4):
                     if n == i:
                         continue
-                    want = acc.propagation_oracle_counts(st, S, t, n, i)
-                    got = acc.thm1_pair_counts(st, S, n, i, t)
+                    want = orc.propagation_oracle_counts(st, S, t, n, i)
+                    got = orc.thm1_pair_counts(st, S, n, i, t)
                     assert want == got, (S, t, n, i)
 
 
@@ -147,19 +152,19 @@ def test_oracle_first_crossing_is_zero_lag():
     S = 3
     # worker 2 observes group 1 only; group 0 fires at every epoch
     t_first = next(t for t in range(1, 12)
-                   if acc.propagation_oracle_counts(st, S, t, 0, 2)[0] > 0)
+                   if orc.propagation_oracle_counts(st, S, t, 0, 2)[0] > 0)
     assert t_first == S + 1
-    assert acc.thm1_pair_counts(st, S, 0, 2, S + 1)[0] == S
+    assert orc.thm1_pair_counts(st, S, 0, 2, S + 1)[0] == S
 
 
 def test_oracle_rejects_bad_queries():
     st = chain(2)
     with pytest.raises(ValueError):
-        acc.propagation_oracle_counts(st, 2, 0, 0, 1)
+        orc.propagation_oracle_counts(st, 2, 0, 0, 1)
     with pytest.raises(ValueError):
-        acc.propagation_oracle_counts(st, 2, 3, 1, 1)
+        orc.propagation_oracle_counts(st, 2, 3, 1, 1)
     with pytest.raises(ValueError):
-        acc.propagation_oracle_counts(st, 2, 3, 0, 1, algorithm="other")
+        orc.propagation_oracle_counts(st, 2, 3, 0, 1, algorithm="other")
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +362,23 @@ def test_degradation_mu_formula_and_limits():
     var = (0.5 * 2.0) ** 2
     for epoch in (1, 3, 5):
         for g in (0, 1):
-            mu = acc.degradation_mu(inv_hbar, hp, alpha, g, epoch, targeted_groups=())
+            mu = orc.degradation_mu(inv_hbar, hp, alpha, g, epoch, targeted_groups=())
             assert mu == alpha / (alpha + inv_hbar[epoch, g] * var)
             assert 0 < mu <= 1
     # epoch 1 has a deterministic pre-noise aggregate: no attenuation yet
-    assert acc.degradation_mu(inv_hbar, hp, alpha, 0, 1, ()) == 1.0
+    assert orc.degradation_mu(inv_hbar, hp, alpha, 0, 1, ()) == 1.0
     # more accumulated randomness can only attenuate harder
-    assert (acc.degradation_mu(inv_hbar, hp, alpha, 0, 5, ())
-            <= acc.degradation_mu(inv_hbar, hp, alpha, 0, 3, ()))
+    assert (orc.degradation_mu(inv_hbar, hp, alpha, 0, 5, ())
+            <= orc.degradation_mu(inv_hbar, hp, alpha, 0, 3, ()))
     # the targeted worker's groups pass its information through unattenuated
-    assert acc.degradation_mu(inv_hbar, hp, alpha, 0, 5, targeted_groups={0}) == 1.0
-    arr = acc.degradation_mu(inv_hbar, hp, np.array([2.0, 4.0]), 1, 3, ())
+    assert orc.degradation_mu(inv_hbar, hp, alpha, 0, 5, targeted_groups={0}) == 1.0
+    arr = orc.degradation_mu(inv_hbar, hp, np.array([2.0, 4.0]), 1, 3, ())
     assert arr.shape == (2,)
     assert np.all((arr > 0) & (arr <= 1))
     with pytest.raises(ValueError):
-        acc.degradation_mu(inv_hbar, hp, 1.0, 0, 3, ())
+        orc.degradation_mu(inv_hbar, hp, 1.0, 0, 3, ())
     with pytest.raises(ValueError):
-        acc.degradation_mu(inv_hbar, hp, 2.0, 0, 7, ())
+        orc.degradation_mu(inv_hbar, hp, 2.0, 0, 7, ())
 
 
 def test_degradation_mu_plus_window_indexing():
@@ -386,11 +391,11 @@ def test_degradation_mu_plus_window_indexing():
     var = S * (0.5 * 2.0) ** 2
     # epoch 3 = first post-mechanism model; consumes window 0, which fired
     # at epoch 2
-    mu = acc.degradation_mu(inv_hbar, hp, alpha, 1, 3, ())
+    mu = orc.degradation_mu(inv_hbar, hp, alpha, 1, 3, ())
     assert mu == alpha / (alpha + inv_hbar[2, 1] * var)
     for bad_epoch in (1, 2, 4):  # window start or mid-window epochs
         with pytest.raises(ValueError):
-            acc.degradation_mu(inv_hbar, hp, alpha, 1, bad_epoch, ())
+            orc.degradation_mu(inv_hbar, hp, alpha, 1, bad_epoch, ())
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +446,7 @@ def test_thm2_never_exceeds_thm1_at_full_participation():
                 if n == i:
                     continue
                 t2 = curves[n, i, 0]
-                t1 = acc.thm1_pair_bound(st, hp, alpha, n, i, t)
+                t1 = orc.thm1_pair_bound(st, hp, alpha, n, i, t)
                 assert t2 <= t1 + 1e-12, (M, t, n, i)
 
 
@@ -519,7 +524,7 @@ def test_rdp_to_dp_prefers_interior_order():
     delta = 1e-5
     K = 0.01
     grid = acc.DEFAULT_ALPHA_GRID
-    eps, alpha_star = acc.rdp_to_dp([K * a for a in grid], delta)
+    eps, alpha_star = orc.rdp_to_dp([K * a for a in grid], delta)
     manual = min(K * a + math.log(1 / delta) / (a - 1) for a in grid)
     assert eps == pytest.approx(manual, rel=1e-15)
     assert alpha_star in grid
@@ -529,23 +534,23 @@ def test_rdp_to_dp_prefers_interior_order():
 def test_rdp_to_dp_edge_cases():
     grid = (2.0, 4.0, 8.0)
     # delta = 1 removes the penalty entirely
-    eps, alpha_star = acc.rdp_to_dp([0.2, 0.4, 0.8], 1.0, grid)
+    eps, alpha_star = orc.rdp_to_dp([0.2, 0.4, 0.8], 1.0, grid)
     assert (eps, alpha_star) == (0.2, 2.0)
     # all-zero curve: the penalty alone decides, largest order wins
-    eps0, a0 = acc.rdp_to_dp([0.0, 0.0, 0.0], 1e-5, grid)
+    eps0, a0 = orc.rdp_to_dp([0.0, 0.0, 0.0], 1e-5, grid)
     assert a0 == 8.0
     assert eps0 == pytest.approx(math.log(1e5) / 7.0)
     # ties break toward the smaller order
-    epst, at = acc.rdp_to_dp([1.0, 1.0, 1.0], 1.0, grid)
+    epst, at = orc.rdp_to_dp([1.0, 1.0, 1.0], 1.0, grid)
     assert at == 2.0
     with pytest.raises(ValueError):
-        acc.rdp_to_dp([1.0, 2.0], 1e-5, grid)
+        orc.rdp_to_dp([1.0, 2.0], 1e-5, grid)
     with pytest.raises(ValueError):
-        acc.rdp_to_dp([1.0, -2.0, 3.0], 1e-5, grid)
+        orc.rdp_to_dp([1.0, -2.0, 3.0], 1e-5, grid)
     with pytest.raises(ValueError):
-        acc.rdp_to_dp([1.0, 2.0, 3.0], 0.0, grid)
+        orc.rdp_to_dp([1.0, 2.0, 3.0], 0.0, grid)
     with pytest.raises(ValueError):
-        acc.rdp_to_dp([1.0, 2.0, 3.0], 1e-5, (0.5, 2.0))
+        orc.rdp_to_dp([1.0, 2.0, 3.0], 1e-5, (0.5, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +584,7 @@ def test_privacy_matrix_agrees_with_scalar_bounds():
                     continue
                 for k, alpha in enumerate(grid):
                     assert curves[n, i, k] == pytest.approx(
-                        acc.thm1_pair_bound(st, hp, alpha, n, i, 9, variant),
+                        orc.thm1_pair_bound(st, hp, alpha, n, i, 9, variant),
                         rel=1e-12)
 
 
@@ -619,9 +624,9 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
     assert np.array_equal(np.isnan(curves),
                           np.repeat(~admissible[:, :, None], len(grid), axis=2))
     for n, i in zip(*np.nonzero(admissible)):
-        counts = acc.propagation_oracle_counts(
+        counts = orc.propagation_oracle_counts(
             structure, hp.inter_group_period, t, n, i, hp.algorithm)
-        want = [sum(count * acc.per_step_rdp(a, hp.sigma[m], hp.participation[m])
+        want = [sum(count * orc.per_step_rdp(a, hp.sigma[m], hp.participation[m])
                     for m, count in counts.items()) for a in grid]
         np.testing.assert_allclose(curves[n, i], want, rtol=1e-12, atol=0)
 
@@ -630,7 +635,7 @@ def _delay_K_with_round_trip_weights(structure, hp, t, variant):
     """K as delay_curve_matrix built it with the weight
     per_step_rdp(2.0, sigma, pi) / 2.0 and one branch per variant."""
     S = hp.inter_group_period
-    weights = np.array([acc.per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
+    weights = np.array([orc.per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
                         for s, p in zip(hp.sigma, hp.participation)])
     rt = structure.worker_distances
     k = (t - 1) // S
@@ -742,7 +747,7 @@ def test_privacy_matrix_masks_trusted_cells():
     matp = 2.0 * acc.delay_curve_matrix(st, hpp, 6)
     assert math.isnan(matp[0, 1])
     assert matp[0, 2] == pytest.approx(
-        acc.thm1_pair_bound(st, hpp, 2.0, 0, 2, 6), rel=1e-12)
+        orc.thm1_pair_bound(st, hpp, 2.0, 0, 2, 6), rel=1e-12)
 
 
 def test_privacy_matrix_dp_zeros_and_conversion():
@@ -751,7 +756,7 @@ def test_privacy_matrix_dp_zeros_and_conversion():
     dp = acc.dp_matrix_from_curves(acc.delay_curve_matrix(st, hp, 8), 1e-5)
     # disjoint clusters never exchange anything
     assert dp[0, 5] == 0.0 and dp[3, 1] == 0.0
-    eps, _ = acc.rdp_to_dp([acc.thm1_pair_bound(st, hp, a, 0, 1, 8)
+    eps, _ = orc.rdp_to_dp([orc.thm1_pair_bound(st, hp, a, 0, 1, 8)
                             for a in acc.DEFAULT_ALPHA_GRID], 1e-5)
     assert dp[0, 1] == pytest.approx(eps, rel=1e-12)
     assert math.isnan(dp[2, 2])
@@ -760,9 +765,9 @@ def test_privacy_matrix_dp_zeros_and_conversion():
 def _scalar_pwp_row(st, hp, n, t, delta, grid=acc.DEFAULT_ALPHA_GRID):
     """Per-worker envelope and conversion from the scalar references."""
     adversaries = admissible_adversaries(st, hp.threat_model, n)
-    curve = [max(acc.thm1_pair_bound(st, hp, a, n, i, t) for i in adversaries)
+    curve = [max(orc.thm1_pair_bound(st, hp, a, n, i, t) for i in adversaries)
              for a in grid]
-    return curve, acc.rdp_to_dp(curve, delta, grid)
+    return curve, orc.rdp_to_dp(curve, delta, grid)
 
 
 def test_pwp_bounds_and_curve_assembly_agree():
@@ -787,8 +792,8 @@ def test_pwp_bounds_and_curve_assembly_agree():
         for i in range(8):
             if n == i:
                 continue
-            want, _ = acc.rdp_to_dp(
-                [acc.thm1_pair_bound(st, hp, a, n, i, t) for a in grid], delta)
+            want, _ = orc.rdp_to_dp(
+                [orc.thm1_pair_bound(st, hp, a, n, i, t) for a in grid], delta)
             assert dp[n, i] == pytest.approx(want, rel=1e-12)
 
 
@@ -841,7 +846,7 @@ def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
         for w in range(1, acc.delivered_block_count(t, S, rho, variant) + 1):
             factor = np.ones_like(alphas)
             for j in range(1, rho + 1):
-                factor = factor * acc.degradation_mu(
+                factor = factor * orc.degradation_mu(
                     inv_hbar, hp, alphas, path[j], S * (w + j - 1) + 1,
                     groups_n)
             total = total + per_block * eps * factor
@@ -1110,14 +1115,20 @@ REFERENCES = {"per_step_rdp", "thm1_pair_counts", "thm1_pair_bound",
               "rdp_to_dp"}
 
 
-def test_pipeline_does_not_name_the_references():
-    """No module-level function or class that the pipeline entry points
-    reach, directly or through each other, names a reference: the checks
-    stay independent of the code they check."""
-    tree = ast.parse(Path(acc.__file__).read_text(encoding="utf-8"))
-    defs = {node.name: node for node in tree.body
+def _module_defs(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert REFERENCES <= defs.keys()
+
+
+def test_pipeline_does_not_name_the_references():
+    """The references are defined in ``oracles``, not in ``accountant``,
+    and no module-level function or class that the pipeline entry points
+    reach, directly or through each other, names one: the checks stay
+    independent of the code they check."""
+    assert REFERENCES <= _module_defs(orc).keys()
+    defs = _module_defs(acc)
+    assert not REFERENCES & defs.keys()
     todo = ["delay_curve_matrix", "thm2_curve_sweep", "dp_matrix_from_curves",
             "pwp_rows_from_curves"]
     reached = set()
@@ -1134,3 +1145,65 @@ def test_pipeline_does_not_name_the_references():
     # the walk follows calls: the sweep reaches the recursion and the class
     assert {"lsi_recursion", "Thm2Sweep", "delivered_block_count",
             "_fired_epochs", "_check_delta"} <= reached
+
+
+ALLOWED_FROM_ACCOUNTANT = {"AccountingPreconditionError", "DEFAULT_ALPHA_GRID"}
+
+
+def _accountant_imports(source):
+    """What ``source`` takes from ``accountant`` beyond the allowed names:
+    imported names, or the module itself."""
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".accountant", "dpogl.accountant"):
+                taken |= {alias.name for alias in node.names}
+            elif module in (".", "dpogl"):
+                taken |= {alias.name for alias in node.names
+                          if alias.name == "accountant"}
+        elif isinstance(node, ast.Import):
+            taken |= {alias.name for alias in node.names
+                      if alias.name == "dpogl.accountant"}
+    return taken - ALLOWED_FROM_ACCOUNTANT
+
+
+def test_oracles_import_no_pipeline_rule():
+    """``oracles`` takes only the precondition error and the default grid
+    from ``accountant``, so the references cannot call a pipeline rule."""
+    source = Path(orc.__file__).read_text(encoding="utf-8")
+    assert _accountant_imports(source) == set()
+    # the check sees each way of reaching a pipeline rule
+    for extra, taken in [
+            ("from .accountant import delivered_block_count",
+             {"delivered_block_count"}),
+            ("from dpogl.accountant import _fired_epochs, DEFAULT_ALPHA_GRID",
+             {"_fired_epochs"}),
+            ("from . import accountant", {"accountant"}),
+            ("import dpogl.accountant", {"dpogl.accountant"})]:
+        assert _accountant_imports(source + "\n" + extra + "\n") == taken
+
+
+def test_oracles_import_in_a_fresh_interpreter():
+    """``oracles`` imports from ``accountant``, whose last line imports
+    three names back from ``oracles``: the cycle must resolve in a fresh
+    interpreter."""
+    src = str(Path(orc.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import dpogl.oracles as o, dpogl.accountant as a; "
+         "assert a.rdp_to_dp is o.rdp_to_dp"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+
+
+def test_accountant_reexports_three_oracles():
+    """``perfbench/checks.py`` reads these three names from ``accountant``."""
+    for name in ("per_step_rdp", "propagation_oracle_counts", "rdp_to_dp"):
+        assert getattr(acc, name) is getattr(orc, name)
+
+
+def test_no_oracle_is_exported():
+    assert len(dpogl.__all__) == 28
+    assert not REFERENCES & set(dpogl.__all__)
+    assert "oracles" not in dpogl.__all__

@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from dpogl import accountant as acc
+from dpogl import oracles as orc
 from dpogl import harness
 from dpogl import topology
 from dpogl.cli import main as cli_main
@@ -290,6 +292,33 @@ def test_extreme_group_budgets_are_refused(tmp_path, capsys, overrides):
     assert "accounting disabled: group 2: " in capsys.readouterr().err
 
 
+def test_overflowing_mechanism_variance_is_refused(tmp_path, capsys):
+    """W (c sigma)^2 that overflows is refused with the group named.  Its
+    budget alpha / (2 sigma^2) is still a normal float, so the budget check
+    passes; the infinite variance used to make NaN and 0 mu factors and
+    print exact zeros for connected pairs, with RuntimeWarnings."""
+    overrides = dict(structure=STRING4, bound="degradation", participation=1.0,
+                     epochs=12, local_iterations=1, learning_rate=0.01,
+                     clip=[0.05, 1e10, 0.05, 0.05],
+                     sigma=[2.0, 1e150, 2.0, 2.0], heatmap_epochs=[12])
+    hp = harness._hyper_params(make_config(tmp_path, **overrides))
+    string = topology.GroupStructure(9, STRING4["members_of_group"])
+    path = write_config(tmp_path, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sweep in (acc.lsi_recursion, acc.thm2_curve_sweep):
+            with pytest.raises(acc.AccountingPreconditionError,
+                               match="^group 1: the mechanism variance"):
+                sweep(string, hp, 1.0, 12)
+        assert cli_main(["account", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["accounting_error"].startswith(
+        "group 1: the mechanism variance W (c sigma)^2 is not finite")
+    assert manifest["outputs"] == []
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["manifest.json"]
+    assert "accounting disabled: group 1: " in capsys.readouterr().err
+
+
 def test_delta_with_infinite_reciprocal_is_refused(tmp_path, capsys):
     """log(1/delta) would be inf in every eps_dp of pwp.csv."""
     for delta in (1e-320, 5e-324, 5.5e-309):
@@ -305,7 +334,7 @@ def test_delta_with_infinite_reciprocal_is_refused(tmp_path, capsys):
             acc.pwp_rows_from_curves(K, topology.GroupStructure(2, [[0], [1]]),
                                      "tm1", delta)
         with pytest.raises(ValueError, match="delta"):
-            acc.rdp_to_dp([0.5], delta, (2.0,))
+            orc.rdp_to_dp([0.5], delta, (2.0,))
     # the smallest normal delta still has a finite reciprocal
     make_config(tmp_path, delta=2.2250738585072014e-308)
 
