@@ -31,10 +31,11 @@ vectorised across classes, and a gather: the cost grows with classes x
 blocks plus epochs x blocks x classes, not with pairs x epochs x structure
 rebuilds, and memory with classes x blocks.
 
-Both delay-count variants follow one block rule: by epoch t a source rho >= 1
-hops away has delivered max(0, floor((t-1)/S) - rho + offset) blocks, block w
-arriving at epoch S*(w + rho - offset) + 1.  The offset is 1 under
-``examples_consistent`` (default; the worked examples), 0 under ``as_printed``.
+Both bounds and both delay-count variants follow one block rule,
+``_delivered_blocks``: by epoch t a source rho >= 1 hops away has delivered
+max(0, floor((t-1)/S) - rho + offset) blocks, so block w arrives at epoch
+S*(w + rho - offset) + 1.  The offset is 1 under ``examples_consistent``
+(default; the worked examples), 0 under ``as_printed``.
 """
 
 from __future__ import annotations
@@ -85,23 +86,18 @@ def _block_offset(variant: str) -> int:
     return _BLOCK_OFFSETS[variant]
 
 
-def delivered_block_count(t: int, period: int, rho: float, variant: str) -> int:
-    """How many S-epoch blocks from a source at group distance rho >= 1 have
-    been delivered to the observer by epoch t."""
-    offset = _block_offset(variant)
-    if t < 1 or period < 1:
-        raise ValueError("t and period must be >= 1")
-    if math.isinf(rho):
-        return 0
-    if rho < 1:
-        raise ValueError("delivered_block_count is for cross-group sources (rho >= 1)")
-    return max(0, (t - 1) // period - int(rho) + offset)
+def _delivered_blocks(t, period: int, rho, offset: int):
+    """S-epoch blocks that a source at group distance ``rho`` (>= 1, or inf:
+    0 blocks) has delivered to the observer by epoch t; elementwise."""
+    return np.maximum(0, (t - 1) // period - rho + offset)
 
 
 # ---------------------------------------------------------------------------
 # log-Sobolev recursion (full participation) and crossing epochs
 
-def _lsi_preconditions(hp: HyperParams) -> None:
+def _lsi_preconditions(hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    """The mechanism variance W (c sigma)^2 as an array square (for
+    ``lsi_recursion``) and by scalar ``**`` (for the sweep's mu factors)."""
     if not np.all(hp.participation == 1.0):
         raise AccountingPreconditionError(
             "the LSI recursion is defined for full participation only")
@@ -110,17 +106,16 @@ def _lsi_preconditions(hp: HyperParams) -> None:
     if not np.all(hp.sigma > 0):
         raise AccountingPreconditionError(
             "the LSI recursion needs positive noise multipliers")
-    # W (c sigma)^2 both ways the code computes it: an array square in
-    # lsi_recursion, scalar ** in thm2_curve_sweep.
     with np.errstate(all="ignore"):
         var = hp.mechanism_window * (hp.clip * hp.sigma) ** 2
-        var_pow = [hp.mechanism_window * (c * s) ** 2
-                   for c, s in zip(hp.clip, hp.sigma)]
+        var_pow = np.array([hp.mechanism_window * (c * s) ** 2
+                            for c, s in zip(hp.clip, hp.sigma)])
     bad = np.flatnonzero(~(np.isfinite(var) & np.isfinite(var_pow)))
     if bad.size:
         raise AccountingPreconditionError(
             f"group {bad[0]}: the mechanism variance W (c sigma)^2 is not "
             "finite (an overflow)")
+    return var, var_pow
 
 
 def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -141,7 +136,7 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     ``inv_a`` (at an inter-group epoch, the merge of the worker's groups)
     and their spread ``inv_h`` are carried as per-group member sums.
     """
-    _lsi_preconditions(hp)
+    mechanism_var, _ = _lsi_preconditions(hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not 0.0 <= beta < math.inf:
@@ -149,7 +144,6 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     M = structure.num_groups
     S, W = hp.inter_group_period, hp.mechanism_window
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
-    mechanism_var = W * (hp.clip * hp.sigma) ** 2
     spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
     inv_b = np.zeros((horizon + 2, M))
     inv_hbar = np.zeros((horizon + 1, M))
@@ -208,15 +202,18 @@ class Thm2Sweep:
     worker; K is the largest number of groups of any worker.  Block slot b
     is the (b + 1)-th block delivered from that source; B is the block
     count of a source at distance 1, the most any source delivers by the
-    horizon.  Padding slots hold zero budgets and ``first = horizon + 1``,
-    so they are never delivered.
+    horizon.  By epoch t a slot has delivered ``_delivered_blocks`` of its
+    distance ``rho``: none for shared and padding slots (``rho = inf``), and
+    never a block slot past its count by the horizon, which holds zeros.
     """
 
     horizon: int
+    period: int          # S
+    offset: int          # the variant's block offset
     classes: np.ndarray  # (N, N) class of each pair; -1 marks undefined cells
     shared: np.ndarray   # (C, K, G) per-epoch budget of a shared source, else 0
-    first: np.ndarray    # (C, K, B) epoch from which block b + 1 is delivered
-    terms: np.ndarray    # (C, K, B, G) attenuated budget of that block
+    rho: np.ndarray      # (C, K) distance of a block-delivering source, else inf
+    terms: np.ndarray    # (C, K, B, G) attenuated budget of block b + 1
 
     def at(self, t: int) -> np.ndarray:
         """(N, N, G) curve tensor at epoch t; NaN marks trusted cells.
@@ -227,12 +224,13 @@ class Thm2Sweep:
         """
         if not 1 <= t <= self.horizon:
             raise ValueError(f"epoch {t} is outside the sweep's 1..{self.horizon}")
-        C, K, B = self.first.shape
+        C, K, B = self.terms.shape[:3]
+        blocks = _delivered_blocks(t, self.period, self.rho, self.offset)
         total = np.zeros((C + 1, self.shared.shape[-1]))
         for k in range(K):
             total[:C] += self.shared[:, k] * (t - 1)
             for b in range(B):
-                delivered = np.flatnonzero(self.first[:, k, b] <= t)
+                delivered = np.flatnonzero(blocks[:, k] > b)
                 if not delivered.size:
                     break  # later blocks arrive later still
                 total[delivered] += self.terms[delivered, k, b]
@@ -279,7 +277,7 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
     weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
                              lambda s, p: 2.0 * p ** 2 / s ** 2)
     rt = structure.worker_distances  # (M, N) source-group -> worker distance
-    blocks = np.maximum(0.0, (t - 1) // S - rt + offset)  # 0 where rt is inf
+    blocks = _delivered_blocks(t, S, rt, offset)
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
     K = (structure.member_mask.T * weights) @ counts
@@ -311,17 +309,14 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     offset = _block_offset(variant)
     budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
                              lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
-    _lsi_preconditions(hp)
+    _, var = _lsi_preconditions(hp)  # scalar **, as in _group_budgets
     if not structure.is_string:
         raise AccountingPreconditionError(
             "the degradation bound requires a string structure")
     _, inv_hbar = lsi_recursion(structure, hp, beta, horizon)
-    # Scalar ** as in _group_budgets, not an array square.
-    var = np.array([hp.mechanism_window * (c * s) ** 2
-                    for c, s in zip(hp.clip, hp.sigma)])
     mu = alphas / (alphas + inv_hbar[:, :, None] * var[:, None])
     groups, dist = structure.groups_of_worker, structure.distances
-    defined = structure.admissible_observers[hp.threat_model]
+    defined = _observer_mask(structure, hp.threat_model)
     classes = np.full(defined.shape, -1)
     class_index: dict[tuple, int] = {}
     for n, i in zip(*np.nonzero(defined)):
@@ -333,10 +328,10 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                                                len(class_index))
     S = hp.inter_group_period
     per_block = S // hp.mechanism_window
-    num_blocks = delivered_block_count(horizon, S, 1, variant)
+    num_blocks = _delivered_blocks(horizon, S, 1, offset)
     shape = (len(class_index), max(map(len, groups)))  # (C, K)
     shared = np.zeros((*shape, alphas.size))
-    first = np.full((*shape, num_blocks), horizon + 1)
+    rho_of_slot = np.full(shape, math.inf)
     terms = np.zeros((*shape, num_blocks, alphas.size))
     for c, (groups_n, destinations) in enumerate(class_index):
         for k, (m_src, m_dst) in enumerate(zip(groups_n, destinations)):
@@ -349,16 +344,16 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
             # hop j is the one at distance j from the source.
             on_path = np.flatnonzero(dist[m_src] + dist[m_dst] == rho)
             path = on_path[np.argsort(dist[m_src, on_path])]
-            w = np.arange(1, delivered_block_count(horizon, S, rho, variant) + 1)
+            w = np.arange(1, _delivered_blocks(horizon, S, rho, offset) + 1)
             factor = np.ones((w.size, alphas.size))
             for j in range(1, rho + 1):
                 if path[j] in groups_n:
                     continue  # the targeted worker's groups do not attenuate
                 fired = _fired_epochs(inv_hbar, hp, S * (w + j - 1) + 1)
                 factor = factor * mu[fired, path[j]]
-            first[c, k, :w.size] = S * (w + rho - offset) + 1
+            rho_of_slot[c, k] = rho
             terms[c, k, :w.size] = per_block * budgets[m_src] * factor
-    return Thm2Sweep(horizon, classes, shared, first, terms)
+    return Thm2Sweep(horizon, S, offset, classes, shared, rho_of_slot, terms)
 
 
 def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:

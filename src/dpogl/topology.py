@@ -101,9 +101,9 @@ class GroupStructure:
         """(M, N) distance from each group to the nearest group of each
         worker (0 for the worker's own groups)."""
         dist = self.distances
-        return _read_only(np.array(
-            [dist[:, list(groups)].min(axis=1)
-             for groups in self.groups_of_worker]).T)
+        per_set = np.array([dist[:, list(groups)].min(axis=1)
+                            for groups in self.group_sets])
+        return _read_only(per_set[self.group_set_of_worker].T)
 
     @cached_property
     def is_string(self) -> bool:
@@ -197,16 +197,19 @@ def distance_matrix(adjacency: np.ndarray) -> np.ndarray:
     is 0).
     """
     M = adjacency.shape[0]
-    dist = np.full((M, M), INFINITE_DISTANCE)
+    neighbors = [np.flatnonzero(row).tolist() for row in adjacency]
+    dist = np.empty((M, M))
     for src in range(M):
-        dist[src, src] = 0.0
+        hops = [INFINITE_DISTANCE] * M
+        hops[src] = 0.0
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for v in np.nonzero(adjacency[u])[0]:
-                if math.isinf(dist[src, v]):
-                    dist[src, v] = dist[src, u] + 1
+            for v in neighbors[u]:
+                if math.isinf(hops[v]):
+                    hops[v] = hops[u] + 1
                     queue.append(v)
+        dist[src] = hops
     return dist
 
 

@@ -59,20 +59,22 @@ def test_per_step_rdp_rejects_bad_inputs():
         orc.per_step_rdp(2.0, 2.0, 1.0, "exotic")
 
 
+def _blocks(t, S, rho, variant):
+    return acc._delivered_blocks(t, S, rho, acc._block_offset(variant))
+
+
 def test_delivered_block_count_hand_values():
     # S=2: k = floor((t-1)/2); rho=1 delivers k blocks under the strict gate,
     # k+1-rho ... under the example-consistent gate
     for t, want in [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (9, 4)]:
-        assert acc.delivered_block_count(t, 2, 1, "examples_consistent") == want
+        assert _blocks(t, 2, 1, "examples_consistent") == want
     for t, want in [(1, 0), (3, 0), (5, 1), (7, 2)]:
-        assert acc.delivered_block_count(t, 2, 1, "as_printed") == want
-    assert acc.delivered_block_count(4, 2, 2, "examples_consistent") == 0
-    assert acc.delivered_block_count(5, 2, 2, "examples_consistent") == 1
-    assert acc.delivered_block_count(100, 3, math.inf, "examples_consistent") == 0
+        assert _blocks(t, 2, 1, "as_printed") == want
+    assert _blocks(4, 2, 2, "examples_consistent") == 0
+    assert _blocks(5, 2, 2, "examples_consistent") == 1
+    assert _blocks(100, 3, math.inf, "examples_consistent") == 0
     with pytest.raises(ValueError):
-        acc.delivered_block_count(4, 2, 0, "examples_consistent")
-    with pytest.raises(ValueError):
-        acc.delivered_block_count(4, 2, 1, "wrong")
+        _blocks(4, 2, 1, "wrong")
 
 
 def test_variant_dominance_and_monotonicity():
@@ -80,8 +82,8 @@ def test_variant_dominance_and_monotonicity():
     for rho in (1, 2, 3):
         prev = 0
         for t in range(1, 20):
-            ec = acc.delivered_block_count(t, 3, rho, "examples_consistent")
-            ap = acc.delivered_block_count(t, 3, rho, "as_printed")
+            ec = _blocks(t, 3, rho, "examples_consistent")
+            ap = _blocks(t, 3, rho, "as_printed")
             assert ap <= ec <= ap + 1
             assert ec >= prev
             prev = ec
@@ -825,8 +827,10 @@ def test_pwp_bounds_contract():
 
 def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
     """Straight-line degradation bound of one pair at one epoch: the loop
-    the pair-class sweep replaced, built on ``degradation_mu``."""
+    the pair-class sweep replaced, built on ``degradation_mu``, with its own
+    block rule."""
     S = hp.inter_group_period
+    offset = {"examples_consistent": 1, "as_printed": 0}[variant]
     per_block = S // hp.mechanism_window
     dist = distance_matrix(build_adjacency(st))
     groups_n = set(st.groups_of_worker[n])
@@ -843,7 +847,7 @@ def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
         path = sorted((g for g in range(st.num_groups)
                        if dist[m_src, g] + dist[m_dst, g] == rho),
                       key=lambda g: dist[m_src, g])
-        for w in range(1, acc.delivered_block_count(t, S, rho, variant) + 1):
+        for w in range(1, max(0, (t - 1) // S - rho + offset) + 1):
             factor = np.ones_like(alphas)
             for j in range(1, rho + 1):
                 factor = factor * orc.degradation_mu(
@@ -1143,7 +1147,7 @@ def test_pipeline_does_not_name_the_references():
         assert not named & REFERENCES, f"{name} names {sorted(named & REFERENCES)}"
         todo.extend(named & defs.keys())
     # the walk follows calls: the sweep reaches the recursion and the class
-    assert {"lsi_recursion", "Thm2Sweep", "delivered_block_count",
+    assert {"lsi_recursion", "Thm2Sweep", "_delivered_blocks",
             "_fired_epochs", "_check_delta"} <= reached
 
 
@@ -1175,8 +1179,8 @@ def test_oracles_import_no_pipeline_rule():
     assert _accountant_imports(source) == set()
     # the check sees each way of reaching a pipeline rule
     for extra, taken in [
-            ("from .accountant import delivered_block_count",
-             {"delivered_block_count"}),
+            ("from .accountant import _delivered_blocks",
+             {"_delivered_blocks"}),
             ("from dpogl.accountant import _fired_epochs, DEFAULT_ALPHA_GRID",
              {"_fired_epochs"}),
             ("from . import accountant", {"accountant"}),

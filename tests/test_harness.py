@@ -534,9 +534,10 @@ def test_pwp_text_matches_reference_bitwise(epochs):
                      for line in _reference_pwp_lines(*epoch)]
 
 
-# SHA-256 of every file of five small runs: the first four recorded before
+# SHA-256 of every file of six small runs: the first four recorded before
 # the writers formatted each distinct value once, the fifth before the
-# degradation sweep was built in one pass.  Recorded with numpy 2.4.6 (Python
+# degradation sweep was built in one pass, the sixth before the delay path
+# computed its weights directly.  Recorded with numpy 2.4.6 (Python
 # 3.11.7, x86-64): metrics.csv depends on the floating-point summation order
 # of the numpy build, so another build may change its digest.
 GOLDEN_RUNS = {
