@@ -357,8 +357,11 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
 
 
 def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:
-    """Refuse a negative or non-finite curve value (NaN is skipped) with two
-    whole-array reductions; for K the largest value is max(K) * max(alpha)."""
+    """Refuse an (N, N, G) tensor whose G is not the grid size, and a
+    negative or non-finite curve value (NaN is skipped) with two whole-array
+    reductions; for K the largest value is max(K) * max(alpha)."""
+    if curves.ndim == 3 and curves.shape[-1] != grid.size:
+        raise ValueError("curve tensor must align with the alpha grid")
     top = np.fmax.reduce(curves, axis=None, initial=0.0)
     if (np.isinf(top * grid.max() if curves.ndim == 2 else top)
             or np.fmin.reduce(curves, axis=None, initial=0.0) < 0):
@@ -374,8 +377,6 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
-    if curves.ndim == 3 and curves.shape[-1] != grid.size:
-        raise ValueError("curve tensor must align with the alpha grid")
     _check_curve_values(curves, grid)
     penalty = math.log(1.0 / delta) / (grid - 1.0)
     eps = np.full(curves.shape[:2], np.inf)
@@ -400,8 +401,9 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     ascending order; the others are omitted.  Row r of ``table`` ((k, 3)
     float64) holds ``eps_rdp, alpha_star, eps_dp`` of worker ``workers[r]``:
     its envelope at the best order, that order, and the converted DP bound.
-    Identically-zero envelopes convert to an exact 0.  Curves with a
-    negative or non-finite value are refused, as by ``dp_matrix_from_curves``.
+    Identically-zero envelopes convert to an exact 0.  A tensor that does
+    not align with the grid, and curves with a negative or non-finite value,
+    are refused, as by ``dp_matrix_from_curves``.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))

@@ -3,7 +3,10 @@
 Subcommands:
   run <config.json>       train, then write the privacy reports
   account <config.json>   privacy reports only (accounting is structural)
-  distances <structure.json>  print group-to-group / group-to-worker distances
+  distances <config.json> print the group-to-group / group-to-worker hop
+                          distances of the structure that run and account
+                          build from the same config (LB included); writes
+                          nothing
 
 ``--out``, ``--heatmap-epochs``, ``--variant`` and ``--threat`` override the
 corresponding config fields; the OGL_SEED environment variable overrides the
@@ -20,8 +23,7 @@ import sys
 from pathlib import Path
 
 from .accountant import VARIANTS
-from .harness import ConfigError, ExperimentConfig, run_experiment
-from .topology import GroupStructure
+from .harness import ConfigError, ExperimentConfig, prepare, run_experiment
 from .trainer import THREAT_MODELS
 
 
@@ -43,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threat", choices=THREAT_MODELS,
                        help="override the config's threat model")
     d = sub.add_parser("distances",
-                       help="print propagation distances for a structure")
-    d.add_argument("structure", help="path to a structure JSON file")
+                       help="print the hop distances of a config's structure")
+    d.add_argument("config", help="path to a JSON experiment config")
     return parser
 
 
@@ -56,24 +58,30 @@ def _parse_epoch_list(text: str) -> list[int]:
             "--heatmap-epochs must be comma-separated integers") from None
 
 
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of the ``what`` file; any failure is a ConfigError."""
+def _load_config(path: str) -> dict:
+    """The JSON object in the config file at ``path``, with the OGL_SEED
+    override applied; any failure is a ConfigError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} file is not UTF-8 text: {exc}") from exc
-
-
-def _cmd_run(args, with_training: bool) -> int:
-    text = _read_text(args.config, "config")
-    try:
-        raw = json.loads(text)
+        raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    env_seed = os.environ.get("OGL_SEED")
+    if env_seed is not None:
+        try:
+            raw["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError("OGL_SEED must be an integer") from None
+    return raw
+
+
+def _cmd_run(args, with_training: bool) -> int:
+    raw = _load_config(args.config)
     if args.out is not None:
         raw["output_dir"] = args.out
     if args.heatmap_epochs is not None:
@@ -82,12 +90,6 @@ def _cmd_run(args, with_training: bool) -> int:
         raw["variant"] = args.variant
     if args.threat is not None:
         raw["threat_model"] = args.threat
-    env_seed = os.environ.get("OGL_SEED")
-    if env_seed is not None:
-        try:
-            raw["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError("OGL_SEED must be an integer") from None
     config = ExperimentConfig.from_dict(raw)
     manifest = run_experiment(config, with_training=with_training)
     for name in [*manifest["outputs"], "manifest.json"]:
@@ -99,11 +101,8 @@ def _cmd_run(args, with_training: bool) -> int:
 
 
 def _cmd_distances(args) -> int:
-    text = _read_text(args.structure, "structure")
-    try:
-        structure = GroupStructure.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"structure: {exc}") from exc
+    structure = prepare(ExperimentConfig.from_dict(
+        _load_config(args.config)))[3]
     dist, to_worker = structure.distances, structure.worker_distances
     M, N = structure.num_groups, structure.num_workers
 

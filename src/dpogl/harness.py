@@ -322,17 +322,25 @@ def _build_dataset(config: ExperimentConfig) -> Dataset:
                           config.seed)
 
 
-def _build_structure(config: ExperimentConfig, train_set: Dataset,
-                     partition) -> GroupStructure:
-    s = config.structure
+def prepare(config: ExperimentConfig
+            ) -> tuple[Dataset, Dataset, list[np.ndarray], GroupStructure]:
+    """The ``(train_set, test_set, partition, structure)`` that ``config``
+    describes; writes nothing.  An LB structure is built from the labels
+    that the partition deals to each worker."""
+    d, s = config.data, config.structure
+    train_set, test_set = stratified_split(_build_dataset(config),
+                                           d["test_fraction"], config.seed)
+    partition = dirichlet_partition(train_set, s["num_workers"],
+                                    d["dirichlet_beta"], config.seed)
     if "members_of_group" in s:
-        return GroupStructure(s["num_workers"], s["members_of_group"],
-                              kind=s["kind"])
-    if s["kind"] == "LB":
-        labels = worker_labels(train_set, partition)
-        return generate_structure("LB", s["num_workers"], s["num_groups"],
-                                  labels)
-    return generate_structure(s["kind"], s["num_workers"], s["num_groups"])
+        structure = GroupStructure(s["num_workers"], s["members_of_group"],
+                                   kind=s["kind"])
+    else:
+        labels = (worker_labels(train_set, partition)
+                  if s["kind"] == "LB" else None)
+        structure = generate_structure(s["kind"], s["num_workers"],
+                                       s["num_groups"], labels)
+    return train_set, test_set, partition, structure
 
 
 def _float_texts(values, nan_text: str = "nan") -> np.ndarray:
@@ -425,15 +433,10 @@ def run_experiment(config: ExperimentConfig, with_training: bool = True
     ``with_training=False`` runs the accounting stage only (the privacy
     reports are structural, so no trained model is needed).
     """
-    dataset = _build_dataset(config)  # first: a bad data.csv leaves no dir
+    # First: bad data or an unbuildable structure leaves no directory.
+    train_set, test_set, partition, structure = prepare(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_set, test_set = stratified_split(dataset,
-                                           config.data["test_fraction"],
-                                           config.seed)
-    partition = dirichlet_partition(train_set, config.structure["num_workers"],
-                                    config.data["dirichlet_beta"], config.seed)
-    structure = _build_structure(config, train_set, partition)
     hp = _hyper_params(config)
     outputs: list[str] = []
     if with_training:

@@ -9,7 +9,6 @@ groups along adjacency hops, which is what the privacy accountant exploits.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -145,37 +144,6 @@ class GroupStructure:
         for m in self.groups_of_worker[worker]:
             out.update(self.members_of_group[m])
         return frozenset(out)
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "N": self.num_workers,
-            "M": self.num_groups,
-            "members_of_group": [list(g) for g in self.members_of_group],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupStructure":
-        """Parse ``to_json`` output; ``N``, ``M`` and worker ids must be JSON
-        integers."""
-        payload = json.loads(text)
-        structure = cls(
-            num_workers=_json_int(payload["N"], "N"),
-            members_of_group=tuple(
-                tuple(_json_int(w, f"group {m} worker id") for w in g)
-                for m, g in enumerate(payload["members_of_group"])),
-            kind=payload.get("kind"),
-        )
-        if "M" in payload and _json_int(payload["M"], "M") != structure.num_groups:
-            raise ValueError("M does not match the number of listed groups")
-        return structure
-
-
-def _json_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{label} must be an integer, not {value!r}")
-    return value
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

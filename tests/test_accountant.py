@@ -1095,6 +1095,18 @@ def test_coefficient_heatmap_edge_cells():
         acc.dp_matrix_from_curves(K, 1e-5)
 
 
+def test_curve_tensor_must_align_with_the_grid():
+    """An (N, N, G) tensor whose G is not the grid size is refused by both
+    reductions, not broadcast or indexed out of range."""
+    structure = generate_structure("RI", 6, 3)
+    for size in (1, 5):
+        curves = np.ones((6, 6, size))
+        with pytest.raises(ValueError, match="align with the alpha grid"):
+            acc.dp_matrix_from_curves(curves, 1e-5)
+        with pytest.raises(ValueError, match="align with the alpha grid"):
+            acc.pwp_rows_from_curves(curves, structure, "tm1", 1e-5)
+
+
 def test_heatmap_conversion_of_a_tensor_holds_per_order_temporaries():
     """Converting a (256, 256, 24) tensor allocates at most 3 MB beyond its
     input: (N, N) temporaries for one order at a time."""

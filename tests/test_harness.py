@@ -698,6 +698,11 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         path = write_config(tmp_path, data={"csv": str(bad_value)})
         assert cli_main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        # neither is an LB structure that the partition cannot build
+        path = write_config(tmp_path, structure={
+            "kind": "LB", "num_workers": 6, "num_groups": 3})
+        assert cli_main([command, str(path)]) == 1
+        assert "worker 3 has no labels" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -708,26 +713,44 @@ def test_cli_accounting_failure_still_exits_zero(tmp_path, capsys):
 
 
 def test_cli_distances(tmp_path, capsys):
-    ring = tmp_path / "ring.json"
-    ring.write_text(generate_structure("RI", 8, 4).to_json())
+    ring = write_config(tmp_path, structure={"kind": "RI", "num_workers": 8,
+                                             "num_groups": 4})
     assert cli_main(["distances", str(ring)]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0] == "group-to-group distance"
     assert out[2] == "0,0,1,2,1"
     assert "group-to-worker distance" in out
     assert cli_main(["distances", str(tmp_path / "absent.json")]) == 2
-    broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps({"N": 3, "M": 2,
-                                  "members_of_group": [[0, 1]]}))
-    assert cli_main(["distances", str(broken)]) == 2
-    fractional = tmp_path / "fractional.json"
-    fractional.write_text(json.dumps({"N": 3.7,
-                                      "members_of_group": [[0, 1], [1, 2]]}))
+    orphan = write_config(tmp_path, structure={"num_workers": 3,
+                                               "members_of_group": [[0, 1]]})
+    assert cli_main(["distances", str(orphan)]) == 2
+    fractional = write_config(tmp_path, structure={
+        "num_workers": 3.7, "members_of_group": [[0, 1], [1, 2]]})
     capsys.readouterr()
     assert cli_main(["distances", str(fractional)]) == 2
-    assert "config error" in capsys.readouterr().err
-    latin = tmp_path / "latin.json"
-    latin.write_bytes(b'{"N": 2, "kind": "\xe9", "members_of_group": [[0, 1]]}')
-    assert cli_main(["distances", str(latin)]) == 2
-    assert "config error: structure file is not UTF-8" in \
+    assert "config error: field 'structure.num_workers'" in \
         capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"epochs": 3, "output_dir": "r\xe9sultats"}')
+    assert cli_main(["distances", str(latin)]) == 2
+    assert "config error: config file is not UTF-8" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # distances writes nothing
+
+
+def test_cli_distances_of_an_lb_structure(tmp_path, capsys):
+    """distances prints the structure that ``prepare`` builds from the
+    realized partition: here a 4-group LB string."""
+    path = write_config(tmp_path, seed=0, structure={
+        "kind": "LB", "num_workers": 8, "num_groups": 4}, data={
+        "num_classes": 4, "dims": 3, "per_class": 20, "dirichlet_beta": 0.1})
+    structure = harness.prepare(
+        ExperimentConfig.from_dict(json.loads(path.read_text())))[3]
+    assert cli_main(["distances", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    M = structure.num_groups
+    printed = [[float(x) for x in line.split(",")[1:]]
+               for line in lines[2:M + 2] + lines[M + 4:]]
+    assert printed[:M] == structure.distances.tolist()
+    assert printed[M:] == structure.worker_distances.tolist()
+    assert structure.distances.max() == 3  # not a one-hop structure

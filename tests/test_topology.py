@@ -1,6 +1,5 @@
 """Group structures, adjacency/distance computations, and generators."""
 
-import json
 import math
 
 import numpy as np
@@ -35,25 +34,6 @@ def test_structure_validation_errors():
         GroupStructure(3, [[0, -1]])
     with pytest.raises(ValueError):  # worker 2 in no group
         GroupStructure(3, [[0, 1]])
-
-
-def test_json_round_trip():
-    st = generate_structure("RI", 8, 4)
-    clone = GroupStructure.from_json(st.to_json())
-    assert clone.kind == "RI"
-    assert clone.num_workers == st.num_workers
-    assert clone.members_of_group == st.members_of_group
-    bad = st.to_json().replace('"M": 4', '"M": 5')
-    with pytest.raises(ValueError):
-        GroupStructure.from_json(bad)
-    # N, M and worker ids must be JSON integers: no truncation, no coercion
-    for payload in ({"N": 3.7, "members_of_group": [[0, 1], [1, 2]]},
-                    {"N": 3, "M": 2.0, "members_of_group": [[0, 1], [1, 2]]},
-                    {"N": 3, "members_of_group": [[0, 1.9], [1, 2]]},
-                    {"N": 3, "members_of_group": [[0, True], [1, 2]]},
-                    {"N": 3, "members_of_group": [[0, "1"], [1, 2]]}):
-        with pytest.raises(ValueError, match="must be an integer"):
-            GroupStructure.from_json(json.dumps(payload))
 
 
 def test_adjacency_and_distances_on_a_chain():

@@ -14,7 +14,10 @@ The runs are:
   ring4-lists-...         delay ``account`` on a 4-group RI ring with
                           per-group sigma and participation lists, under
                           both algorithms (dpogl_plus requires tm2), both
-                          variants and S = 1 and 3.
+                          variants and S = 1 and 3;
+  lb-string4              ``run`` on an LB structure, the only run whose
+                          structure is built from the data partition (here
+                          a 4-group string).
 
 Each run writes into its own temporary directory.  The script prints one
 ``run file sha256`` line per file, then, on the last line, the SHA-256 of
@@ -105,6 +108,12 @@ def runs() -> dict[str, tuple[dict, bool]]:
     table["desk_default"] = (desk, True)
     for name, raw in {**_degradation_strings(), **_delay_lists()}.items():
         table[name] = (raw, False)
+    table["lb-string4"] = ({
+        "seed": 0, "epochs": 12, "inter_group_period": 3,
+        "heatmap_epochs": [6, 12],
+        "data": {"num_classes": 4, "dims": 3, "per_class": 20,
+                 "dirichlet_beta": 0.1},
+        "structure": {"kind": "LB", "num_workers": 8, "num_groups": 4}}, True)
     return table
 
 
