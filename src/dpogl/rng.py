@@ -5,9 +5,15 @@ seed and a (purpose, *subkeys) tuple, e.g. ("noise", group, epoch).  Distinct
 keys give statistically independent counter-based streams, and the draw made
 under a key never depends on what was drawn under any other key, so sequential
 and reordered execution produce bit-identical runs.
+
+``_streams`` keys many of ``derive_stream``'s streams in one vectorised pass
+and yields each as the same re-keyed generator: consume a stream before
+taking the next one.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,3 +42,50 @@ def derive_stream(master_seed: int, purpose: str, *subkeys: int) -> np.random.Ge
             raise ValueError("stream subkeys must be nonnegative")
         parts.append(k)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(parts)))
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """The (k, 2) uint64 Philox keys of k SeedSequences, from the (k, w) uint32
+    words each makes of its parts: numpy's SeedSequence mixing into a pool of
+    4 words and ``generate_state(2, np.uint64)`` (NEP 19 keeps both stable),
+    run on whole columns.  The hashmix calls that mix one word into 3 or 4
+    pool words take successive constants, so they run as one block."""
+    def consts(init, mult, count):  # init * mult**r mod 2**32, r = 0..count
+        return np.cumprod(np.array([init] + [mult] * count, np.uint32), dtype=np.uint32)[:, None]
+
+    def hashmix(value, c):  # row r hashes with c[r], then c[r + 1]
+        value = (value ^ c[:-1]) * c[1:]
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = np.uint32(0xca01f9dd) * x - np.uint32(0x4973f715) * y
+        return out ^ out >> 16
+
+    k, w = entropy.shape
+    a = consts(0x43b0d7e5, 0x931e8875, 16 + 4 * max(w - 4, 0))
+    pool = np.zeros((4, k), np.uint32)
+    pool[:w] = entropy.T[:4]
+    pool = hashmix(pool, a[:5])
+    for src in range(4):  # each pool word into the three others
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], a[4 + 3 * src:8 + 3 * src]))
+    for j, word in enumerate(entropy.T[4:]):  # each remaining word into all four
+        pool = mix(pool, hashmix(word, a[16 + 4 * j:21 + 4 * j]))
+    out = hashmix(pool, consts(0x8b51f9dd, 0x58f38ded, 4)).astype(np.uint64)
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+
+
+def _streams(master_seed: int, keys: list[tuple]) -> Iterator[np.random.Generator]:
+    """``derive_stream(master_seed, *key)`` for each (purpose, *subkeys) of ``keys``
+    (subkeys below 2**32, as many in each key): one generator, re-keyed for
+    each with counter 0 and no buffered uint32, which ``permuted`` would read."""
+    if not keys:
+        return
+    seed = [master_seed >> s & 0xFFFFFFFF for s in range(0, master_seed.bit_length() or 1, 32)]
+    entropy = np.array([[*seed, _PURPOSES[p], *sub] for p, *sub in keys], np.uint32)
+    bitgen, zeros = np.random.Philox(key=0), np.zeros(4, np.uint64)
+    stream = np.random.Generator(bitgen)
+    for key in _philox_keys(entropy):
+        bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield stream

@@ -17,13 +17,14 @@ Each epoch trains every sampled (group, worker) in one batched SGD.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
 from .data import Dataset
-from .rng import derive_stream
+from .rng import _streams
 from .topology import GroupStructure
 
 ALGORITHMS = ("dpogl", "dpogl_plus")
@@ -143,28 +144,29 @@ def poisson_sample(members: tuple[int, ...], rate: float,
     return [w for w, hit in zip(members, mask) if hit]
 
 
-def mechanism_noise(seed: int, group: int, epoch: int, dim: int, std: float) -> np.ndarray:
+def mechanism_noise(rng: np.random.Generator, dim: int, std: float) -> np.ndarray:
+    """One mechanism's Gaussian noise of std ``std``, drawn from ``rng``."""
     if std == 0.0:
         return np.zeros(dim)
-    return std * derive_stream(seed, "noise", group, epoch).standard_normal(dim)
+    return std * rng.standard_normal(dim)
 
 
-def _batch_plan(shard: np.ndarray, hp: HyperParams, group: int, epoch: int,
-                worker: int) -> np.ndarray:
+def _batch_plan(shard: np.ndarray, hp: HyperParams, streams: Iterator) -> np.ndarray:
     """(L, b) sample ids of one worker's local batches, b = min(B, shard size).
 
-    Batches are drawn uniformly without replacement from the worker's own
-    (group, epoch, worker) stream, reshuffling whenever fewer than a full
-    batch remains.  An empty shard gives an (L, 0) plan and draws nothing.
+    Batches are drawn uniformly without replacement from the next of
+    ``streams``, the job's (group, epoch, worker) stream as ``_streams`` keys
+    it in bulk, reshuffling whenever fewer than a full batch remains: one
+    ``permuted`` call shuffles ceil(L / (n // b)) rows.  An empty shard gives
+    an (L, 0) plan and takes no stream.
     """
     L, n = hp.local_iterations, len(shard)
     if n == 0:
         return np.empty((L, 0), dtype=np.int64)
     b = min(hp.batch_size, n)
     per_shuffle = n // b
-    rng = derive_stream(hp.seed, "batch", group, epoch, worker)
-    perms = [rng.permutation(n)[:per_shuffle * b] for _ in range(-(-L // per_shuffle))]
-    return shard[np.concatenate(perms).reshape(-1, b)[:L]]
+    perms = next(streams).permuted(np.arange(n)[None].repeat(-(-L // per_shuffle), 0), axis=1)
+    return shard[perms[:, :per_shuffle * b].reshape(-1, b)[:L]]
 
 
 def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
@@ -187,14 +189,15 @@ def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
     return out
 
 
-def _mechanism(hp: HyperParams, accum: np.ndarray, group: int, epoch: int) -> np.ndarray:
+def _mechanism(hp: HyperParams, accum: np.ndarray, group: int,
+               noise: np.random.Generator) -> np.ndarray:
     """Sum of the window's per-worker updates, each clipped at sqrt(W) c, in
-    worker order, plus one noise draw of std sqrt(W) c sigma."""
+    worker order, plus one draw from ``noise`` of std sqrt(W) c sigma."""
     root_w = math.sqrt(hp.mechanism_window)
     clipped = sum((clip_update(row, root_w * float(hp.clip[group])) for row in accum),
                   np.zeros(accum.shape[1]))
     std = root_w * float(hp.clip[group] * hp.sigma[group]) if hp.sigma[group] > 0 else 0.0
-    return clipped + mechanism_noise(hp.seed, group, epoch, accum.shape[1], std)
+    return clipped + mechanism_noise(noise, accum.shape[1], std)
 
 
 @dataclass
@@ -263,10 +266,13 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     trajectory = [theta.copy()]
     metrics: list[EpochMetrics] = []
     for t in range(1, hp.epochs + 1):
-        if (t - 1) % W == 0:  # window start
+        # A window's start takes the sampling streams, its end the noise streams.
+        opens, closes = (t - 1) % W == 0, t % W == 0
+        streams = _streams(hp.seed, [(p, m, t) for p in ["sampling"] * opens + ["noise"] * closes
+                                     for m in range(hp.num_groups)])
+        if opens:
             anchor = theta
-            sampled = [poisson_sample(members, float(hp.participation[m]),
-                                      derive_stream(hp.seed, "sampling", m, t))
+            sampled = [poisson_sample(members, float(hp.participation[m]), next(streams))
                        for m, members in enumerate(structure.members_of_group)]
             accum = [np.zeros((len(workers), v)) for workers in sampled]
         jobs = [(m, n) for m, workers in enumerate(sampled) for n in workers]
@@ -275,7 +281,8 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
             starts = personalize(structure, theta)[owner]
         else:
             starts = theta[[m for m, _ in jobs]]
-        plans = [_batch_plan(partition[n], hp, m, t, n) for m, n in jobs]
+        batch = _streams(hp.seed, [("batch", m, t, n) for m, n in jobs if len(partition[n])])
+        plans = [_batch_plan(partition[n], hp, batch) for _, n in jobs]
         deltas = local_train(starts, plans, design, train.labels, train.num_classes,
                              hp.learning_rate) - starts
         new_theta = np.empty_like(theta)
@@ -283,8 +290,8 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
         for m, rows in enumerate(np.split(deltas, bounds)):
             accum[m] += rows
             scale = float(hp.participation[m]) * len(structure.members_of_group[m])
-            if t % W == 0:  # window complete: clipped, noised mechanism
-                new_theta[m] = anchor[m] + _mechanism(hp, accum[m], m, t) / scale
+            if closes:  # window complete: clipped, noised mechanism
+                new_theta[m] = anchor[m] + _mechanism(hp, accum[m], m, next(streams)) / scale
             else:
                 new_theta[m] = theta[m] + sum(rows, np.zeros(v)) / scale
         theta = new_theta

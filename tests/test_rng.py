@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
-from dpogl.rng import derive_stream
+from dpogl.rng import _philox_keys, _streams, derive_stream
 
 
 def test_same_key_same_draws():
@@ -60,3 +62,58 @@ def test_stream_matches_philox_keyed_from_seed_sequence():
         assert np.array_equal(got.standard_normal(40), want.standard_normal(40))
         assert np.array_equal(got.integers(0, 2 ** 62, 40),
                               want.integers(0, 2 ** 62, 40))
+
+
+def _words(part):
+    """The uint32 words, low word first, that SeedSequence makes of a
+    nonnegative int: [0] for 0, one word per started 32 bits otherwise."""
+    words = [part & 0xFFFFFFFF]
+    while part >> 32 * len(words):
+        words.append(part >> 32 * len(words) & 0xFFFFFFFF)
+    return words
+
+
+@hs.composite
+def part_rows(draw):
+    """1-6 keys of (master seed, purpose code, 0-5 subkeys), whose parts have
+    the same word count position by position, as one bulk pass needs."""
+    widths = draw(hs.lists(hs.integers(1, 3), min_size=2, max_size=7))
+    parts = [hs.integers(0, 2 ** 32 - 1) if w == 1
+             else hs.integers(2 ** (32 * w - 32), 2 ** (32 * w) - 1) for w in widths]
+    return draw(hs.lists(hs.tuples(*parts), min_size=1, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(part_rows())
+@example([(0, 1)])
+@example([(0, 3, 0, 0, 0), (1, 3, 0, 0, 1)])
+@example([(2 ** 40 + 3, 2, 2 ** 32, 0, 2 ** 64 - 1, 2 ** 32 - 1, 0)])
+def test_bulk_keys_match_seed_sequence(rows):
+    """One vectorised pass gives each key the Philox key its SeedSequence
+    generates, with multi-word seeds and subkeys and more than 4 words."""
+    entropy = np.array([[w for part in row for w in _words(part)] for row in rows],
+                       np.uint32)
+    want = [np.random.SeedSequence(list(row)).generate_state(2, np.uint64) for row in rows]
+    assert np.array_equal(_philox_keys(entropy), np.array(want))
+
+
+def test_rekeyed_streams_draw_as_fresh_streams():
+    """Each stream of ``_streams`` draws what ``derive_stream`` draws under its
+    key, although all of them are one generator: a stream that leaves a
+    buffered uint32 behind does not leak it into the next."""
+    keys = [("batch", 1, 2, 3), ("batch", 0, 0, 0), ("batch", 5, 2 ** 32 - 1, 9)]
+    for seed in (0, 7, 2 ** 40 + 3):
+        streams = _streams(seed, keys)
+        for key in keys:
+            got, want = next(streams), derive_stream(seed, *key)
+            for rng in (got, want):
+                assert rng.bit_generator.state["has_uint32"] == 0
+            assert np.array_equal(got.permuted(np.arange(5)), want.permuted(np.arange(5)))
+            while not got.bit_generator.state["has_uint32"]:  # leave half a uint64
+                assert got.integers(0, 2 ** 32, dtype=np.uint32) == want.integers(
+                    0, 2 ** 32, dtype=np.uint32)
+        assert next(streams, None) is None
+    streams = _streams(3, [("sampling", 0, 1), ("noise", 0, 1), ("noise", 2, 1)])
+    for key in [("sampling", 0, 1), ("noise", 0, 1), ("noise", 2, 1)]:
+        assert np.array_equal(next(streams).random(9), derive_stream(3, *key).random(9))
+    assert list(_streams(3, [])) == []

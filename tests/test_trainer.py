@@ -15,7 +15,7 @@ from dpogl import models
 from dpogl.data import make_synthetic
 from dpogl.rng import derive_stream
 from dpogl.topology import GroupStructure, generate_structure
-from dpogl.trainer import (HyperParams, clip_update, is_intergroup_epoch,
+from dpogl.trainer import (HyperParams, _batch_plan, clip_update, is_intergroup_epoch,
                            local_train, mechanism_noise, personalize,
                            poisson_sample, run_training)
 
@@ -110,7 +110,7 @@ def _reference_training(structure, hp, train, partition, test=None):
                     delta_sum += clip_update(accum[m][n], window_clip)
                 std = (math.sqrt(W) * float(hp.clip[m] * hp.sigma[m])
                        if hp.sigma[m] > 0 else 0.0)
-                delta_sum += mechanism_noise(hp.seed, m, t, v, std)
+                delta_sum += mechanism_noise(derive_stream(hp.seed, "noise", m, t), v, std)
                 theta[m] = anchor[m] + delta_sum / scale
             else:
                 theta[m] = snapshot[m] + raw_sum / scale
@@ -211,13 +211,35 @@ def test_poisson_sample_is_per_member_independent():
 
 
 def test_mechanism_noise_statistics_and_keying():
-    assert np.array_equal(mechanism_noise(0, 1, 2, 8, 0.0), np.zeros(8))
-    z1 = mechanism_noise(0, 1, 2, 2000, 1.5)
-    z2 = mechanism_noise(0, 1, 2, 2000, 1.5)
+    """The noise is std times the stream's standard normals; std 0 draws nothing."""
+    rng = derive_stream(0, "noise", 1, 2)
+    assert np.array_equal(mechanism_noise(rng, 8, 0.0), np.zeros(8))
+    z1 = mechanism_noise(rng, 2000, 1.5)
+    z2 = mechanism_noise(derive_stream(0, "noise", 1, 2), 2000, 1.5)
     assert np.array_equal(z1, z2)
-    z3 = mechanism_noise(0, 1, 3, 2000, 1.5)
+    assert np.array_equal(z1, 1.5 * derive_stream(0, "noise", 1, 2).standard_normal(2000))
+    z3 = mechanism_noise(derive_stream(0, "noise", 1, 3), 2000, 1.5)
     assert not np.array_equal(z1, z3)
     assert abs(z1.std() - 1.5) < 0.1
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 6, 20, 23])
+def test_batch_plan_matches_reference_batches(n):
+    """One ``permuted`` call per plan draws what the reference's sequential
+    reshuffles draw (B = 4, L = 5: n = 1, n < B, n = B, B < n < 2B and
+    n >= L B), and leaves the stream where they leave it; an empty shard
+    takes no stream."""
+    hp = simple_hp(batch_size=4, local_iterations=5)
+    shard = 7 + 3 * np.arange(n)
+    for seed in range(20):
+        rng, ref = derive_stream(seed, "batch", 1, 2, 3), derive_stream(seed, "batch", 1, 2, 3)
+        streams = iter([rng])
+        plan = _batch_plan(shard, hp, streams)
+        assert (next(streams, None) is None) == (n > 0)
+        want = (shard[np.stack(_reference_batches(n, hp, ref))] if n
+                else np.empty((5, 0), dtype=np.int64))
+        assert plan.dtype == want.dtype and np.array_equal(plan, want)
+        assert rng.random() == ref.random()
 
 
 def test_local_train_full_batch_equals_gradient_descent():
@@ -292,7 +314,7 @@ def test_epoch_dpogl_matches_manual_composition():
         xL = _reference_local_sgd(x0, ds.features[idx], ds.labels[idx], 2, hp,
                                   derive_stream(21, "batch", group, epoch, n))
         delta_sum += clip_update(xL - x0, 0.3)
-    delta_sum += mechanism_noise(21, group, epoch, v, 0.3 * 1.3)
+    delta_sum += mechanism_noise(derive_stream(21, "noise", group, epoch), v, 0.3 * 1.3)
     want = snapshot[group] + delta_sum / (0.8 * 2)
     assert np.array_equal(got, want)
 
@@ -334,7 +356,7 @@ def test_epoch_dpoglplus_window_mechanism():
         xL = _reference_local_sgd(x0, ds.features[idx], ds.labels[idx], 2, hp,
                                   derive_stream(5, "batch", 0, 2, n))
         delta_sum += clip_update(accum[n] + (xL - x0), math.sqrt(2) * 0.4)
-    delta_sum += mechanism_noise(5, 0, 2, v, math.sqrt(2) * 0.4 * 0.9)
+    delta_sum += mechanism_noise(derive_stream(5, "noise", 0, 2), v, math.sqrt(2) * 0.4 * 0.9)
     assert np.array_equal(out2, anchor + delta_sum / scale)
 
 
@@ -360,6 +382,10 @@ def _reference_case(name):
                           inter_group_period=3, epochs=9, clip=0.1,
                           participation=0.7, seed=8),
                 ds, _consecutive_shards([3, 4, 2, 5, 3, 4, 3, 2, 4, 5, 3, 4]), test)
+    if name == "two_word_seed_and_noise_free_group":  # seed words [3, 256]
+        return (ring, simple_hp(num_groups=3, epochs=5, sigma=[1.0, 0.0, 2.0],
+                                participation=0.8, seed=2 ** 40 + 3),
+                ds, _consecutive_shards([4, 6, 0, 5, 3, 8]), test)
     assert name == "no_test_set"
     return (ring, simple_hp(num_groups=3, epochs=4, seed=9), ds,
             _consecutive_shards([7, 7, 7, 7, 7, 7]), None)
@@ -367,7 +393,8 @@ def _reference_case(name):
 
 @pytest.mark.parametrize("name", ["shards_below_batch", "empty_shard",
                                   "worker_sampled_in_two_groups",
-                                  "dpogl_plus_period_3", "no_test_set"])
+                                  "dpogl_plus_period_3",
+                                  "two_word_seed_and_noise_free_group", "no_test_set"])
 def test_run_training_matches_per_worker_reference(name):
     structure, hp, train, partition, test = _reference_case(name)
     if name == "worker_sampled_in_two_groups":  # participation 1: all sampled
