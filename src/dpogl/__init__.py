@@ -7,7 +7,7 @@ a propagation-delay bound and a degradation-aware refinement of it, both in
 the Renyi framework with conversion to (eps, delta)-DP.
 """
 
-from .accountant import (DEFAULT_ALPHA_GRID, VARIANTS, AccountingPreconditionError,
+from .accountant import (DEFAULT_ALPHA_GRID, AccountingPreconditionError,
                          delay_curve_matrix, dp_matrix_from_curves,
                          lsi_recursion, pwp_rows_from_curves, thm2_curve_sweep)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
@@ -21,7 +21,7 @@ from .trainer import (EpochMetrics, HyperParams, TrainingResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ALPHA_GRID", "VARIANTS", "AccountingPreconditionError",
+    "DEFAULT_ALPHA_GRID", "AccountingPreconditionError",
     "delay_curve_matrix", "dp_matrix_from_curves", "lsi_recursion",
     "pwp_rows_from_curves", "thm2_curve_sweep",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",

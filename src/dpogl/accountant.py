@@ -31,11 +31,10 @@ vectorised across classes, and a gather: the cost grows with classes x
 blocks plus epochs x blocks x classes, not with pairs x epochs x structure
 rebuilds, and memory with classes x blocks.
 
-Both bounds and both delay-count variants follow one block rule,
-``_delivered_blocks``: by epoch t a source rho >= 1 hops away has delivered
-max(0, floor((t-1)/S) - rho + offset) blocks, so block w arrives at epoch
-S*(w + rho - offset) + 1.  The offset is 1 under ``examples_consistent``
-(default; the worked examples), 0 under ``as_printed``.
+Both bounds follow one block rule, ``_delivered_blocks``: by epoch t a
+source rho >= 1 hops away has delivered max(0, floor((t-1)/S) - rho + 1)
+blocks, so block w arrives at epoch S*(w + rho - 1) + 1.  This is what the
+simulator delivers: ``oracles.propagation_oracle_counts`` unrolls it.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ DEFAULT_ALPHA_GRID = (
     1.25, 1.375, 1.5, 1.75, 2.0, 2.25, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0,
     10.0, 14.0, 20.0, 28.0, 40.0, 56.0, 80.0, 112.0, 160.0, 224.0, 256.0,
 )
-
-_BLOCK_OFFSETS = {"examples_consistent": 1, "as_printed": 0}
-VARIANTS = tuple(_BLOCK_OFFSETS)
-
 
 class AccountingPreconditionError(ValueError):
     """A precondition of a bound does not hold: a group budget that is not
@@ -80,16 +75,10 @@ def _group_budgets(hp: HyperParams, name: str, budget) -> np.ndarray:
     return budgets
 
 
-def _block_offset(variant: str) -> int:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    return _BLOCK_OFFSETS[variant]
-
-
-def _delivered_blocks(t, period: int, rho, offset: int):
+def _delivered_blocks(t, period: int, rho):
     """S-epoch blocks that a source at group distance ``rho`` (>= 1, or inf:
     0 blocks) has delivered to the observer by epoch t; elementwise."""
-    return np.maximum(0, (t - 1) // period - rho + offset)
+    return np.maximum(0, (t - 1) // period - rho + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +198,6 @@ class Thm2Sweep:
 
     horizon: int
     period: int          # S
-    offset: int          # the variant's block offset
     classes: np.ndarray  # (N, N) class of each pair; -1 marks undefined cells
     shared: np.ndarray   # (C, K, G) per-epoch budget of a shared source, else 0
     rho: np.ndarray      # (C, K) distance of a block-delivering source, else inf
@@ -225,7 +213,7 @@ class Thm2Sweep:
         if not 1 <= t <= self.horizon:
             raise ValueError(f"epoch {t} is outside the sweep's 1..{self.horizon}")
         C, K, B = self.terms.shape[:3]
-        blocks = _delivered_blocks(t, self.period, self.rho, self.offset)
+        blocks = _delivered_blocks(t, self.period, self.rho)
         total = np.zeros((C + 1, self.shared.shape[-1]))
         for k in range(K):
             total[:C] += self.shared[:, k] * (t - 1)
@@ -260,8 +248,8 @@ def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
         raise ValueError("threat_model must be 'tm1' or 'tm2'") from None
 
 
-def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
-                       variant: str = "examples_consistent") -> np.ndarray:
+def delay_curve_matrix(structure: GroupStructure, hp: HyperParams,
+                       t: int) -> np.ndarray:
     """(N, N) delay coefficients K at epoch t: the curve of pair (n, i) is
     alpha * K[n, i].  NaN marks trusted cells.
 
@@ -270,14 +258,13 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
     alpha.  Cells are undefined on the diagonal and, under tm2 (which
     dpogl_plus requires), for in-group pairs.
     """
-    offset = _block_offset(variant)
     if t < 1:
         raise ValueError("t must be >= 1")
     S = hp.inter_group_period
     weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
                              lambda s, p: 2.0 * p ** 2 / s ** 2)
     rt = structure.worker_distances  # (M, N) source-group -> worker distance
-    blocks = _delivered_blocks(t, S, rt, offset)
+    blocks = _delivered_blocks(t, S, rt)
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
     K = (structure.member_mask.T * weights) @ counts
@@ -286,8 +273,7 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams, t: int,
 
 
 def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
-                     horizon: int, alpha_grid=DEFAULT_ALPHA_GRID,
-                     variant: str = "examples_consistent") -> Thm2Sweep:
+                     horizon: int, alpha_grid=DEFAULT_ALPHA_GRID) -> Thm2Sweep:
     """Degradation-aware curves of every pair at any epoch 1..horizon;
     strings only.
 
@@ -306,7 +292,6 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     alphas = np.array(_check_grid(alpha_grid))
-    offset = _block_offset(variant)
     budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
                              lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
     _, var = _lsi_preconditions(hp)  # scalar **, as in _group_budgets
@@ -328,7 +313,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                                                len(class_index))
     S = hp.inter_group_period
     per_block = S // hp.mechanism_window
-    num_blocks = _delivered_blocks(horizon, S, 1, offset)
+    num_blocks = _delivered_blocks(horizon, S, 1)
     shape = (len(class_index), max(map(len, groups)))  # (C, K)
     shared = np.zeros((*shape, alphas.size))
     rho_of_slot = np.full(shape, math.inf)
@@ -344,7 +329,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
             # hop j is the one at distance j from the source.
             on_path = np.flatnonzero(dist[m_src] + dist[m_dst] == rho)
             path = on_path[np.argsort(dist[m_src, on_path])]
-            w = np.arange(1, _delivered_blocks(horizon, S, rho, offset) + 1)
+            w = np.arange(1, _delivered_blocks(horizon, S, rho) + 1)
             factor = np.ones((w.size, alphas.size))
             for j in range(1, rho + 1):
                 if path[j] in groups_n:
@@ -353,7 +338,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                 factor = factor * mu[fired, path[j]]
             rho_of_slot[c, k] = rho
             terms[c, k, :w.size] = per_block * budgets[m_src] * factor
-    return Thm2Sweep(horizon, S, offset, classes, shared, rho_of_slot, terms)
+    return Thm2Sweep(horizon, S, classes, shared, rho_of_slot, terms)
 
 
 def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:

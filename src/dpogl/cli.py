@@ -8,9 +8,8 @@ Subcommands:
                           build from the same config (LB included); writes
                           nothing
 
-``--out``, ``--heatmap-epochs``, ``--variant`` and ``--threat`` override the
-corresponding config fields; the OGL_SEED environment variable overrides the
-config seed.
+``--out``, ``--heatmap-epochs`` and ``--threat`` override the corresponding
+config fields; the OGL_SEED environment variable overrides the config seed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-from .accountant import VARIANTS
 from .harness import ConfigError, ExperimentConfig, prepare, run_experiment
 from .trainer import THREAT_MODELS
 
@@ -40,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override the config's output_dir")
         p.add_argument("--heatmap-epochs", metavar="T1,T2,...",
                        help="heatmap epochs, e.g. 50,100,200")
-        p.add_argument("--variant", choices=VARIANTS,
-                       help="delivered-block counting convention")
         p.add_argument("--threat", choices=THREAT_MODELS,
                        help="override the config's threat model")
     d = sub.add_parser("distances",
@@ -86,8 +82,6 @@ def _cmd_run(args, with_training: bool) -> int:
         raw["output_dir"] = args.out
     if args.heatmap_epochs is not None:
         raw["heatmap_epochs"] = _parse_epoch_list(args.heatmap_epochs)
-    if args.variant is not None:
-        raw["variant"] = args.variant
     if args.threat is not None:
         raw["threat_model"] = args.threat
     config = ExperimentConfig.from_dict(raw)

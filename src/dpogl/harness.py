@@ -195,7 +195,6 @@ class ExperimentConfig:
     sigma: float | tuple
     participation: float | tuple
     delta: float
-    variant: str
     bound: str
     alpha_grid: tuple
     heatmap_epochs: tuple
@@ -263,8 +262,6 @@ class ExperimentConfig:
                                      "participation", part_entry),
             delta=_as_number(_pluck(raw, "delta", 1e-5), "delta", minimum=0.0,
                              exclusive=True, maximum=1.0),
-            variant=_as_choice(_pluck(raw, "variant", "examples_consistent"),
-                               "variant", accountant.VARIANTS),
             bound=_as_choice(_pluck(raw, "bound", "delay"), "bound",
                              BOUND_METHODS),
             alpha_grid=alpha_grid,
@@ -401,11 +398,10 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
     elif config.bound == "degradation":
         beta = smoothness_bound(train_set.features)
         curves_at = accountant.thm2_curve_sweep(structure, hp, beta, epochs[-1],
-                                                grid, config.variant).at
+                                                grid).at
     else:  # (N, N) coefficients K standing for the linear curves alpha * K
         def curves_at(t: int) -> np.ndarray:
-            return accountant.delay_curve_matrix(structure, hp, t,
-                                                 config.variant)
+            return accountant.delay_curve_matrix(structure, hp, t)
 
     written: list[str] = []
     pwp_lines: list[str] = []
@@ -458,7 +454,6 @@ def run_experiment(config: ExperimentConfig, with_training: bool = True
         "seed": config.seed,
         "algorithm": config.algorithm,
         "threat_model": config.threat_model,
-        "variant": config.variant,
         "bound": config.bound,
         "outputs": sorted(outputs),
         "accounting_error": accounting_error,

@@ -18,9 +18,6 @@ from .accountant import DEFAULT_ALPHA_GRID, AccountingPreconditionError
 from .topology import GroupStructure, build_adjacency
 from .trainer import ALGORITHMS, HyperParams, is_intergroup_epoch
 
-_VARIANT_OFFSETS = {"examples_consistent": 1, "as_printed": 0}
-
-
 def per_step_rdp(alpha: float, sigma: float, participation: float = 1.0,
                  mode: str = "sampled") -> float:
     """Per-epoch RDP budget of one group mechanism.
@@ -45,8 +42,7 @@ def per_step_rdp(alpha: float, sigma: float, participation: float = 1.0,
 
 
 def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
-                     t: int, variant: str = "examples_consistent",
-                     algorithm: str = "dpogl") -> dict[int, int]:
+                     t: int, algorithm: str = "dpogl") -> dict[int, int]:
     """Delivered per-source-group mechanism counts for the pair (n, i).
 
     A cross source group contributes S / W mechanisms per delivered block
@@ -58,9 +54,8 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
         raise ValueError("a worker is trusted with its own data; need n != i")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if period < 1 or variant not in _VARIANT_OFFSETS or algorithm not in ALGORITHMS:
-        raise ValueError(f"need period >= 1, variant in {tuple(_VARIANT_OFFSETS)} "
-                         f"and algorithm in {ALGORITHMS}")
+    if period < 1 or algorithm not in ALGORITHMS:
+        raise ValueError(f"need period >= 1 and algorithm in {ALGORITHMS}")
     per_block = 1 if algorithm == "dpogl_plus" else period
     counts: dict[int, int] = {}
     for m_src in structure.groups_of_worker[n]:
@@ -68,14 +63,13 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
         if rho == 0 and algorithm == "dpogl_plus":
             raise ValueError("dpogl_plus defines no bound for in-group pairs")
         # blocks delivered from rho >= 1 hops: 0 when rho is inf
-        blocks = max(0, (t - 1) // period - rho + _VARIANT_OFFSETS[variant])
+        blocks = max(0, (t - 1) // period - rho + 1)
         counts[m_src] = t - 1 if rho == 0 else per_block * int(blocks)
     return counts
 
 
 def thm1_pair_bound(structure: GroupStructure, hp: HyperParams, alpha: float,
-                    n: int, i: int, t: int,
-                    variant: str = "examples_consistent") -> float | None:
+                    n: int, i: int, t: int) -> float | None:
     """Delay-only pairwise RDP bound at order alpha through epoch t.
 
     None marks a pair that shares a group under dpogl_plus (trusted).
@@ -87,7 +81,7 @@ def thm1_pair_bound(structure: GroupStructure, hp: HyperParams, alpha: float,
     if (hp.algorithm == "dpogl_plus"
             and set(structure.groups_of_worker[n]) & set(structure.groups_of_worker[i])):
         return None
-    counts = thm1_pair_counts(structure, hp.inter_group_period, n, i, t, variant,
+    counts = thm1_pair_counts(structure, hp.inter_group_period, n, i, t,
                               hp.algorithm)
     total = 0.0
     for m_src, count in counts.items():

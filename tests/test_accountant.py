@@ -59,34 +59,24 @@ def test_per_step_rdp_rejects_bad_inputs():
         orc.per_step_rdp(2.0, 2.0, 1.0, "exotic")
 
 
-def _blocks(t, S, rho, variant):
-    return acc._delivered_blocks(t, S, rho, acc._block_offset(variant))
-
-
 def test_delivered_block_count_hand_values():
-    # S=2: k = floor((t-1)/2); rho=1 delivers k blocks under the strict gate,
-    # k+1-rho ... under the example-consistent gate
+    # S=2: k = floor((t-1)/2); a source rho hops away has delivered
+    # max(0, k + 1 - rho) blocks
     for t, want in [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (9, 4)]:
-        assert _blocks(t, 2, 1, "examples_consistent") == want
-    for t, want in [(1, 0), (3, 0), (5, 1), (7, 2)]:
-        assert _blocks(t, 2, 1, "as_printed") == want
-    assert _blocks(4, 2, 2, "examples_consistent") == 0
-    assert _blocks(5, 2, 2, "examples_consistent") == 1
-    assert _blocks(100, 3, math.inf, "examples_consistent") == 0
-    with pytest.raises(ValueError):
-        _blocks(4, 2, 1, "wrong")
+        assert acc._delivered_blocks(t, 2, 1) == want
+    assert acc._delivered_blocks(4, 2, 2) == 0
+    assert acc._delivered_blocks(5, 2, 2) == 1
+    assert acc._delivered_blocks(100, 3, math.inf) == 0
 
 
-def test_variant_dominance_and_monotonicity():
+def test_block_count_and_pair_bound_are_monotone():
     st = chain(3)
     for rho in (1, 2, 3):
         prev = 0
         for t in range(1, 20):
-            ec = _blocks(t, 3, rho, "examples_consistent")
-            ap = _blocks(t, 3, rho, "as_printed")
-            assert ap <= ec <= ap + 1
-            assert ec >= prev
-            prev = ec
+            blocks = acc._delivered_blocks(t, 3, rho)
+            assert blocks >= prev
+            prev = blocks
     hp = make_hp(3)
     prev_bound = 0.0
     for t in range(1, 15):
@@ -134,16 +124,21 @@ def test_thm1_pair_bound_reads_the_algorithm():
 
 
 def test_oracle_matches_closed_form_on_a_chain():
-    st = chain(3)
-    for S in (1, 2, 3):
-        for t in range(1, 11):
-            for n in range(4):
-                for i in range(4):
-                    if n == i:
-                        continue
-                    want = orc.propagation_oracle_counts(st, S, t, n, i)
-                    got = orc.thm1_pair_counts(st, S, n, i, t)
-                    assert want == got, (S, t, n, i)
+    """The block rule is what the unrolled simulator delivers: on a 4-group
+    string and an RI 12/4 ring, under both algorithms, S = 1..4 and
+    t = 1..20, the closed-form counts equal the propagation oracle for every
+    pair (dpogl_plus defines none for pairs that share a group)."""
+    for st in (chain(4), generate_structure("RI", 12, 4)):
+        groups = st.groups_of_worker
+        pairs = list(itertools.permutations(range(st.num_workers), 2))
+        for algorithm, S, t in itertools.product(("dpogl", "dpogl_plus"),
+                                                 range(1, 5), range(1, 21)):
+            for n, i in pairs:
+                if algorithm == "dpogl_plus" and set(groups[n]) & set(groups[i]):
+                    continue
+                want = orc.propagation_oracle_counts(st, S, t, n, i, algorithm)
+                got = orc.thm1_pair_counts(st, S, n, i, t, algorithm=algorithm)
+                assert want == got, (st.kind, algorithm, S, t, n, i)
 
 
 def test_oracle_first_crossing_is_zero_lag():
@@ -457,8 +452,8 @@ def string_cases(draw):
     """A random open string: groups in a random order along a chain, 1 or 2
     workers shared by each adjacent pair, 0 to 2 private workers per group
     and random worker labels; full participation with per-group clip and
-    noise, an algorithm and threat model, S in 1..4, a variant, a
-    smoothness constant and a horizon."""
+    noise, an algorithm and threat model, S in 1..4, a smoothness constant
+    and a horizon."""
     M = draw(hs.integers(1, 5))
     order = draw(hs.permutations(range(M)))
     members = [[] for _ in range(M)]
@@ -481,8 +476,7 @@ def string_cases(draw):
     hp = make_hp(M, epochs=max(horizon, S), inter_group_period=S,
                  algorithm=algorithm, threat_model=threat_model,
                  clip=draw(per_group), sigma=draw(per_group))
-    variant = draw(hs.sampled_from(acc.VARIANTS))
-    return structure, hp, variant, draw(hs.floats(0.1, 50.0)), horizon
+    return structure, hp, draw(hs.floats(0.1, 50.0)), horizon
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -492,12 +486,12 @@ def test_degradation_never_exceeds_delay_on_random_strings(case):
     """Every epoch's degradation curves are undefined exactly where the
     delay curves alpha * K are, and no defined cell exceeds its delay
     cell; the same holds for the two DP heatmaps."""
-    structure, hp, variant, beta, horizon = case
+    structure, hp, beta, horizon = case
     assert structure.is_string
     grid = np.array(acc.DEFAULT_ALPHA_GRID)
-    sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, variant=variant)
+    sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon)
     for t in range(1, horizon + 1):
-        K = acc.delay_curve_matrix(structure, hp, t, variant)
+        K = acc.delay_curve_matrix(structure, hp, t)
         degradation, delay = sweep.at(t), K[..., None] * grid
         assert np.array_equal(np.isnan(degradation), np.isnan(delay))
         defined = ~np.isnan(delay)
@@ -573,21 +567,19 @@ def test_admissible_adversaries_by_threat_model():
 
 def test_privacy_matrix_agrees_with_scalar_bounds():
     """The delay curves alpha * K equal the scalar pair bound at every
-    order, under both block-count variants."""
+    order."""
     st = generate_structure("RI", 8, 4)
     hp = make_hp(4, participation=0.6, sigma=[1.0, 2.0, 1.5, 2.5])
     grid = (1.5, 3.0, 8.0)
-    for variant in acc.VARIANTS:
-        curves = acc.delay_curve_matrix(st, hp, 9, variant)[..., None] * grid
-        for n in range(8):
-            assert np.isnan(curves[n, n]).all()
-            for i in range(8):
-                if n == i:
-                    continue
-                for k, alpha in enumerate(grid):
-                    assert curves[n, i, k] == pytest.approx(
-                        orc.thm1_pair_bound(st, hp, alpha, n, i, 9, variant),
-                        rel=1e-12)
+    curves = acc.delay_curve_matrix(st, hp, 9)[..., None] * grid
+    for n in range(8):
+        assert np.isnan(curves[n, n]).all()
+        for i in range(8):
+            if n == i:
+                continue
+            for k, alpha in enumerate(grid):
+                assert curves[n, i, k] == pytest.approx(
+                    orc.thm1_pair_bound(st, hp, alpha, n, i, 9), rel=1e-12)
 
 
 @hs.composite
@@ -633,18 +625,15 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
         np.testing.assert_allclose(curves[n, i], want, rtol=1e-12, atol=0)
 
 
-def _delay_K_with_round_trip_weights(structure, hp, t, variant):
+def _delay_K_with_round_trip_weights(structure, hp, t):
     """K as delay_curve_matrix built it with the weight
-    per_step_rdp(2.0, sigma, pi) / 2.0 and one branch per variant."""
+    per_step_rdp(2.0, sigma, pi) / 2.0."""
     S = hp.inter_group_period
     weights = np.array([orc.per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
                         for s, p in zip(hp.sigma, hp.participation)])
     rt = structure.worker_distances
     k = (t - 1) // S
-    if variant == "examples_consistent":
-        blocks = np.maximum(0.0, k - rt + 1.0)
-    else:
-        blocks = np.maximum(0.0, k - rt)
+    blocks = np.maximum(0.0, k - rt + 1.0)
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1
     K = (structure.member_mask.T * weights) @ counts
@@ -660,7 +649,7 @@ def weight_cases(draw):
         hp, sigma=draw(hs.lists(hs.floats(0.05, 20.0), min_size=M, max_size=M)),
         participation=draw(hs.lists(hs.floats(0.0, 1.0, exclude_min=True),
                                     min_size=M, max_size=M)))
-    return structure, hp, t, draw(hs.sampled_from(acc.VARIANTS))
+    return structure, hp, t
 
 
 def _lists_ring_case():
@@ -669,7 +658,7 @@ def _lists_ring_case():
     hp = make_hp(4, epochs=15, inter_group_period=3,
                  sigma=[1.5952888379372823, 2.0, 0.7, 3.3],
                  participation=[0.8133073424482733, 0.7, 1.0, 0.25])
-    return generate_structure("RI", 12, 4), hp, 15, "as_printed"
+    return generate_structure("RI", 12, 4), hp, 15
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -677,17 +666,17 @@ def _lists_ring_case():
 @example(_lists_ring_case())
 def test_delay_weights_match_round_trip_bitwise(case):
     """delay_curve_matrix's direct weight 2 pi^2 / sigma^2 and its block
-    offset give K bit for bit as the per_step_rdp round trip did.  Below
+    rule give K bit for bit as the per_step_rdp round trip did.  Below
     the normal range the round trip's halving rounds a second time, so
     only normal weights are compared; an exact 0 weight is refused."""
-    structure, hp, t, variant = case
-    want, weights = _delay_K_with_round_trip_weights(structure, hp, t, variant)
+    structure, hp, t = case
+    want, weights = _delay_K_with_round_trip_weights(structure, hp, t)
     if not np.all(weights > 0):
         with pytest.raises(acc.AccountingPreconditionError, match="group"):
-            acc.delay_curve_matrix(structure, hp, t, variant)
+            acc.delay_curve_matrix(structure, hp, t)
         return
     assume(np.all(weights >= np.finfo(float).tiny))
-    got = acc.delay_curve_matrix(structure, hp, t, variant)
+    got = acc.delay_curve_matrix(structure, hp, t)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -825,12 +814,11 @@ def test_pwp_bounds_contract():
     assert table.dtype == np.float64 and table.shape == (0, 3)
 
 
-def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
+def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas):
     """Straight-line degradation bound of one pair at one epoch: the loop
     the pair-class sweep replaced, built on ``degradation_mu``, with its own
     block rule."""
     S = hp.inter_group_period
-    offset = {"examples_consistent": 1, "as_printed": 0}[variant]
     per_block = S // hp.mechanism_window
     dist = distance_matrix(build_adjacency(st))
     groups_n = set(st.groups_of_worker[n])
@@ -847,7 +835,7 @@ def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas, variant):
         path = sorted((g for g in range(st.num_groups)
                        if dist[m_src, g] + dist[m_dst, g] == rho),
                       key=lambda g: dist[m_src, g])
-        for w in range(1, max(0, (t - 1) // S - rho + offset) + 1):
+        for w in range(1, max(0, (t - 1) // S - rho + 1) + 1):
             factor = np.ones_like(alphas)
             for j in range(1, rho + 1):
                 factor = factor * orc.degradation_mu(
@@ -881,23 +869,22 @@ def test_thm2_curve_matrix_matches_pairwise_calls():
         (chain(3), {"inter_group_period": 8, "epochs": 2,
                     "threat_model": "tm2"}),
     ]
-    for (structure, overrides), variant in itertools.product(cases, acc.VARIANTS):
+    for structure, overrides in cases:
         _check_sweep_against_pairs(structure, make_hp(structure.num_groups,
-                                                      **overrides), variant)
+                                                      **overrides))
 
 
-def _check_sweep_against_pairs(structure, hp, variant):
+def _check_sweep_against_pairs(structure, hp):
     grid = (1.5, 2.0, 3.0, 6.0, 40.0)
     alphas = np.array(grid)
     beta = 1.4
     horizon = hp.epochs + 5  # a heatmap epoch may lie past the horizon T
-    sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid, variant)
+    sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid)
     _, inv_hbar = acc.lsi_recursion(structure, hp, beta, horizon)
     N = structure.num_workers
     admissible = structure.admissible_observers[hp.threat_model]
     for t in (1, 2, 5, hp.epochs, horizon):
-        curves = acc.thm2_curve_sweep(structure, hp, beta, t, grid,
-                                      variant).at(t)
+        curves = acc.thm2_curve_sweep(structure, hp, beta, t, grid).at(t)
         assert curves.shape == (N, N, len(grid))
         assert np.array_equal(curves, sweep.at(t), equal_nan=True)
         for n in range(N):
@@ -907,8 +894,7 @@ def _check_sweep_against_pairs(structure, hp, variant):
                     continue
                 assert np.array_equal(
                     curves[n, i],
-                    _thm2_reference(structure, hp, inv_hbar, n, i, t, alphas,
-                                    variant))
+                    _thm2_reference(structure, hp, inv_hbar, n, i, t, alphas))
     with pytest.raises(ValueError):
         sweep.at(horizon + 1)
 
@@ -1220,6 +1206,6 @@ def test_accountant_reexports_three_oracles():
 
 
 def test_no_oracle_is_exported():
-    assert len(dpogl.__all__) == 28
+    assert len(dpogl.__all__) == 27
     assert not REFERENCES & set(dpogl.__all__)
     assert "oracles" not in dpogl.__all__

@@ -18,7 +18,7 @@ def _load_tool():
 
 def test_artifact_digest_runs_are_fixed_and_valid():
     table = _load_tool().runs()
-    assert len(table) == 54  # a dict: the 54 names are distinct
+    assert len(table) == 44  # a dict: the 44 names are distinct
     for raw, with_training in table.values():
         assert isinstance(with_training, bool)
         ExperimentConfig.from_dict(raw)

@@ -48,7 +48,6 @@ def test_defaults_are_resolved(tmp_path):
     assert config.clip == 0.05
     assert config.sigma == 2.0
     assert config.delta == 1e-5
-    assert config.variant == "examples_consistent"
     assert config.bound == "delay"
     assert config.alpha_grid == tuple(acc.DEFAULT_ALPHA_GRID)
     assert config.data["test_fraction"] == 0.2
@@ -69,7 +68,7 @@ def test_defaults_are_resolved(tmp_path):
     (dict(participation=1.5), "participation"),
     (dict(delta=0.0), "delta"),
     (dict(delta=1.5), "delta"),
-    (dict(variant="other"), "variant"),
+    (dict(variant="other"), "variant"),  # no such field: refused as unknown
     (dict(bound="tightest"), "bound"),
     (dict(alpha_grid=[]), "alpha_grid"),
     (dict(alpha_grid=[2.0, 1.0]), "alpha_grid[1]"),
@@ -187,7 +186,7 @@ def test_pwp_csv_matches_accountant(tmp_path):
         by_epoch.setdefault(int(t), []).append(
             (int(n), float(eps_rdp), float(alpha_star), float(eps_dp)))
     for t in range(1, config.epochs + 1):
-        curves = acc.delay_curve_matrix(structure, hp, t, config.variant)
+        curves = acc.delay_curve_matrix(structure, hp, t)
         workers, table = acc.pwp_rows_from_curves(
             curves, structure, hp.threat_model, config.delta, config.alpha_grid)
         want = [(w, *row) for w, row in zip(workers.tolist(), table.tolist())]
@@ -535,16 +534,17 @@ def test_pwp_text_matches_reference_bitwise(epochs):
 
 
 # SHA-256 of every file of six small runs: the first four recorded before
-# the writers formatted each distinct value once, the fifth before the
-# degradation sweep was built in one pass, the sixth before the delay path
-# computed its weights directly.  Recorded with numpy 2.4.6 (Python
-# 3.11.7, x86-64): metrics.csv depends on the floating-point summation order
-# of the numpy build, so another build may change its digest.
+# the writers formatted each distinct value once, the last two before the
+# block rule lost its second counting convention, and every manifest.json
+# after that (the manifest and config hash no longer hold a ``variant``).
+# Recorded with numpy 2.4.6 (Python 3.11.7, x86-64): metrics.csv depends on
+# the floating-point summation order of the numpy build, so another build
+# may change its digest.
 GOLDEN_RUNS = {
     "run_dpogl_tm1": (True, dict(heatmap_epochs=[3, 6]), {
         "heatmap_epoch_3.csv": "187fea00e8ef91aea4d72814c50c04e1351e9cbe485f316690ecb62e0cf54277",
         "heatmap_epoch_6.csv": "af1e05ba5eac288387bc131ed961937bfd75a359527af8dd7de26fcd64d1a277",
-        "manifest.json": "bb4288a7e29db38c0b12d50304743589e3973e2acb7a68413290ccc04f4b8b4c",
+        "manifest.json": "bb97777ca1048fa7fc277aa026091fb47120fd276cc36178d476901589283ea1",
         "metrics.csv": "f66b13293da2fdf1640cab8aa3c6f84f29c48505a3865582f1be6403408c05df",
         "pwp.csv": "6a25c48397e86bbafe1c61a228a3ba3aac2086cefd6d5f1c1e9a704f68a3e891",
     }),
@@ -553,7 +553,7 @@ GOLDEN_RUNS = {
                                       heatmap_epochs=[4, 6]), {
         "heatmap_epoch_4.csv": "bff725a003198a1240742901c962157bf56443c2fcfb49b634b33da0567dda23",
         "heatmap_epoch_6.csv": "31235eef9cd23578223bb187cc564759577df51c78ad385f3f711e0f46882b93",
-        "manifest.json": "50e84591aeb269d9feba551eccc552e985475ba30696ed72d655a1134e3599dd",
+        "manifest.json": "9ccb69b5a7ebc2084769896014ddbaf7d6aa9d217c2e1f604991e55f8cdea81d",
         "metrics.csv": "ceebc7ed9405a383f60f40b4b5cf40600feabf9291248c5a2c541f60b7c165b1",
         "pwp.csv": "4373f6b231131b16fbc933ce62d722ba8b59262404c59f8421ef9c701dde652f",
     }),
@@ -563,7 +563,7 @@ GOLDEN_RUNS = {
         "heatmap_epoch_10.csv": "f607d63093c5237ce61c429a7d0284392fae51b7cde8f53c569feacc1252b6df",
         "heatmap_epoch_13.csv": "357c113ab3ee0277a3a78432943100bdfbffb42ed48a70db554b3ca4b3a2ef9a",
         "heatmap_epoch_5.csv": "3c14b4ec7feb63d6b50d19a6b2fd9ab3ea8b74ea31a6fb1a9b6527b54d37aba0",
-        "manifest.json": "4cddc6609e348cda9cd69270da1493d54fa4a6c5ddc677df12845b34188062dd",
+        "manifest.json": "a2cf96f770bff2b961cb6530065c2515904101565366f8577809fd4604e45dce",
         "pwp.csv": "8a3fdcd1e70ceaffa32639b854d6f93980a7bf6c05b9bfea698309be7369343e",
     }),
     "account_degradation": (False, dict(
@@ -574,40 +574,40 @@ GOLDEN_RUNS = {
                    "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6]]}), {
         "heatmap_epoch_12.csv": "e8dc8edfc5e6543bb6995cec3eacceed49f73fb493144417c9c253634fb226b7",
         "heatmap_epoch_6.csv": "b3981a64695ec09a64ad1dea70867728ed8a06005fb0af85ee9998ed36a345c6",
-        "manifest.json": "eb23fcce594c431a81c75922c69e9767ddc38e27d841538baacc8c58f5ad07c0",
+        "manifest.json": "0b277f26ca9cab9352d77ea0dfa1fbea01abe2b736bf044f462aad9879e7feff",
         "pwp.csv": "22241904f2c1d3cf1d4eafc2975cac4bb48a3b65bd5af11ccc8de676e9f7a323",
     }),
-    # the window convention of dpogl_plus and the strict as_printed arrival
-    # gate; one local step at a small learning rate keeps mu above 0
-    "account_degradation_plus_as_printed": (False, dict(
+    # the window convention of dpogl_plus; one local step at a small
+    # learning rate keeps mu above 0
+    "account_degradation_plus": (False, dict(
         bound="degradation", algorithm="dpogl_plus", threat_model="tm2",
-        variant="as_printed", inter_group_period=3, participation=1.0,
+        inter_group_period=3, participation=1.0,
         clip=0.5, sigma=1.0, local_iterations=1, learning_rate=0.01,
         epochs=18, heatmap_epochs=[12, 18, 21],
         data={"num_classes": 3, "dims": 2, "per_class": 20},
         structure={"num_workers": 9,
                    "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6],
                                         [6, 7, 8]]}), {
-        "heatmap_epoch_12.csv": "282a6801ae522ea0cca6509e72d0abcf69f4026364448ffaef6386c0bae86561",
+        "heatmap_epoch_12.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
         "heatmap_epoch_18.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
         "heatmap_epoch_21.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
-        "manifest.json": "5fa98de6819c5178aaa60283fb5ad0c9a354f608905552ba5b2bb3bddace2581",
-        "pwp.csv": "92390790127bdbba2a2176c5edb64fda779820a6c86458d43ff5038ac3b9f7e0",
+        "manifest.json": "269e172d94a01064beb099bb6252acc48ec064da58ae2c592f39eba5bffdc1ac",
+        "pwp.csv": "e8f40563b69bf352fd594ed851949b82eb9eea0e420ac55d5c3cdf244d2fe045",
     }),
-    # the strict as_printed gate on the delay path, with per-group lists;
-    # group 0's delay weight 2 pi^2 / sigma^2 rounds differently under
-    # array ``**`` than under scalar ``**``
-    "account_delay_lists_as_printed": (False, dict(
-        variant="as_printed", inter_group_period=3, epochs=15,
+    # the delay path with per-group lists; group 0's delay weight
+    # 2 pi^2 / sigma^2 rounds differently under array ``**`` than under
+    # scalar ``**``
+    "account_delay_lists": (False, dict(
+        inter_group_period=3, epochs=15,
         heatmap_epochs=[6, 15, 18],
         sigma=[1.5952888379372823, 2.0, 0.7, 3.3],
         participation=[0.8133073424482733, 0.7, 1.0, 0.25],
         structure={"kind": "RI", "num_workers": 12, "num_groups": 4}), {
-        "heatmap_epoch_15.csv": "36a41c15cbb7347aaabdbb3294b7138a0abed7e5189fbaf527e366d0fa4e5e92",
-        "heatmap_epoch_18.csv": "1acb0bbb1986ee29f1139c9e9de0c674b45fc9608717e2252349bdee015b615d",
-        "heatmap_epoch_6.csv": "3a3175bcabf1eda97b9e4e567e73baa744abc948491c1ecc5143148116a0aebe",
-        "manifest.json": "dbe78700ac78e45f6c70e3a71a9dfdf08f865b605e6802f0fb74e00fde14bc8e",
-        "pwp.csv": "b85268ef676bcae2b963e07a086f25cd7e52838478171080d17fe717dc48588e",
+        "heatmap_epoch_15.csv": "4a7de603654a5ce4c93e23a0ec3d2db46b69835ab18ea0592fedc93980f8a204",
+        "heatmap_epoch_18.csv": "3b4136e7f066b24c946be06ca2e1d5f23dba5907a0b92c30be5f1baf2bc48de7",
+        "heatmap_epoch_6.csv": "0a5c130fa87d02c53784d04ea2666ce3117b2bcd314255f1cf3bc76a9677ad83",
+        "manifest.json": "4c538796fa32abafaa4960fb65ea46df04329cacb1afe5b6d0f5d6af33e93c6a",
+        "pwp.csv": "ebdd366901794230b74fe32ec7b3816f0446c1cc8712a3f6761530d15ea8a652",
     }),
 }
 
@@ -647,14 +647,16 @@ def test_cli_run_and_account(tmp_path, capsys):
 def test_cli_overrides(tmp_path):
     path = write_config(tmp_path)
     assert cli_main(["account", str(path), "--out", str(tmp_path / "o2"),
-                     "--heatmap-epochs", "2,5", "--variant", "as_printed",
-                     "--threat", "tm2"]) == 0
+                     "--heatmap-epochs", "2,5", "--threat", "tm2"]) == 0
     manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
-    assert manifest["variant"] == "as_printed"
+    assert "variant" not in manifest
     assert manifest["threat_model"] == "tm2"
     assert "heatmap_epoch_2.csv" in manifest["outputs"]
     assert "heatmap_epoch_5.csv" in manifest["outputs"]
     assert "heatmap_epoch_4.csv" not in manifest["outputs"]
+    with pytest.raises(SystemExit) as exit_info:  # no such flag
+        cli_main(["account", str(path), "--variant", "as_printed"])
+    assert exit_info.value.code == 2
 
 
 def test_cli_env_seed_override(tmp_path, monkeypatch):
@@ -678,6 +680,9 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     assert cli_main(["run", str(wrong)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    removed = write_config(tmp_path, variant="as_printed")
+    assert cli_main(["account", str(removed)]) == 2
+    assert "config error: unknown field 'variant'" in capsys.readouterr().err
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"epochs": 3, "output_dir": "r\xe9sultats"}')
     for command in ("run", "account"):

@@ -9,12 +9,12 @@ The runs are:
                           (``run`` or ``account``), from perfbench/workloads.py;
   desk_default            configs/desk_default.json under ``run``;
   string4-...             degradation ``account`` on a 4-group open string
-                          under both algorithms, both variants, tm1 and tm2
-                          (dpogl_plus requires tm2) and S = 1 and 3;
+                          under both algorithms, tm1 and tm2 (dpogl_plus
+                          requires tm2) and S = 1 and 3;
   ring4-lists-...         delay ``account`` on a 4-group RI ring with
                           per-group sigma and participation lists, under
-                          both algorithms (dpogl_plus requires tm2), both
-                          variants and S = 1 and 3;
+                          both algorithms (dpogl_plus requires tm2) and
+                          S = 1 and 3;
   lb-string4              ``run`` on an LB structure, the only run whose
                           structure is built from the data partition (here
                           a 4-group string).
@@ -53,17 +53,16 @@ def _degradation_strings() -> dict[str, dict]:
     string = {"num_workers": 9,
               "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6], [6, 7, 8]]}
     runs = {}
-    for algorithm, threat_model, variant, period in itertools.product(
-            ("dpogl", "dpogl_plus"), ("tm1", "tm2"),
-            ("examples_consistent", "as_printed"), (1, 3)):
+    for algorithm, threat_model, period in itertools.product(
+            ("dpogl", "dpogl_plus"), ("tm1", "tm2"), (1, 3)):
         if algorithm == "dpogl_plus" and threat_model == "tm1":
             continue
-        name = f"string4-{algorithm}-{threat_model}-{variant}-S{period}"
+        name = f"string4-{algorithm}-{threat_model}-S{period}"
         # One local step at a small learning rate keeps the LSI spread
         # small enough that the mu factors do not underflow to 0, so the
         # attenuated block budgets show in the text.
         runs[name] = {"seed": 0, "algorithm": algorithm,
-                      "threat_model": threat_model, "variant": variant,
+                      "threat_model": threat_model,
                       "inter_group_period": period, "epochs": 24,
                       "local_iterations": 1, "learning_rate": 0.01,
                       "clip": 0.5, "sigma": 1.0, "participation": 1.0,
@@ -75,15 +74,14 @@ def _degradation_strings() -> dict[str, dict]:
 
 def _delay_lists() -> dict[str, dict]:
     runs = {}
-    for (algorithm, threat_model), variant, period in itertools.product(
-            (("dpogl", "tm1"), ("dpogl_plus", "tm2")),
-            ("examples_consistent", "as_printed"), (1, 3)):
-        name = f"ring4-lists-{algorithm}-{threat_model}-{variant}-S{period}"
+    for (algorithm, threat_model), period in itertools.product(
+            (("dpogl", "tm1"), ("dpogl_plus", "tm2")), (1, 3)):
+        name = f"ring4-lists-{algorithm}-{threat_model}-S{period}"
         # Group 0's (sigma, participation) is a pair whose delay weight
         # 2 pi^2 / sigma^2 differs in the last bit between scalar and array
         # ``**``, so the text shows how the weight is rounded.
         runs[name] = {"seed": 0, "algorithm": algorithm,
-                      "threat_model": threat_model, "variant": variant,
+                      "threat_model": threat_model,
                       "inter_group_period": period, "epochs": 15,
                       "sigma": [1.5952888379372823, 2.0, 0.7, 3.3],
                       "participation": [0.8133073424482733, 0.7, 1.0, 0.25],
