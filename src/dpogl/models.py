@@ -5,8 +5,8 @@ as a (num_classes, dims + 1) matrix whose last column is the bias.  The
 functions take features that already carry the bias column (``augment``,
 applied once per dataset) and broadcast over leading axes: a (k, v) stack
 of models with (k, b, dims + 1) batches, or with one shared (b, dims + 1)
-batch, gives k results.  Each uses ``@`` on its own (b, dims + 1) slice,
-which on numpy's BLAS path is bit-identical to that model computed alone.
+batch, gives k results.  On numpy's BLAS path a row of a product of two or
+more rows is bit-identical whatever the other rows are; 1-row ones use gemv.
 """
 
 from __future__ import annotations
@@ -42,10 +42,17 @@ def loss(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
 
 def gradient(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
              num_classes: int) -> np.ndarray:
-    """Gradient of ``loss`` at each model, shaped like ``params``."""
+    """Gradient of ``loss`` at each model, shaped like ``params``.
+
+    Label -1 marks padding, an all-zero row: its probabilities are -0.0, so
+    its products in the sums over rows are -0.0, the exact additive identity,
+    and each model divides by its count of real rows: bit for bit unpadded.
+    """
     probs = np.exp(_log_softmax(_logits(params, design, num_classes)))
+    probs[labels < 0] = -0.0
     probs -= labels[..., None] == np.arange(num_classes)
-    return (np.swapaxes(probs, -1, -2) @ design).reshape(params.shape) / labels.shape[-1]
+    count = (labels >= 0).sum(axis=-1)[..., None]
+    return (np.swapaxes(probs, -1, -2) @ design).reshape(params.shape) / count
 
 
 def predict(params: np.ndarray, design: np.ndarray, num_classes: int) -> np.ndarray:

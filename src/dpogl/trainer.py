@@ -130,11 +130,15 @@ def personalize(structure: GroupStructure, theta: np.ndarray) -> np.ndarray:
 
 
 def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale ``delta`` down to norm ``clip_norm`` when it exceeds it."""
+    """Scale each row of ``delta`` (its last axis) down to norm ``clip_norm``.
+
+    Each row equals ``row / max(1.0, norm / clip_norm)`` bit for bit: the
+    1 x 1 ``row @ row`` is ``np.linalg.norm``'s ``ddot``; ``fmax`` ignores NaN.
+    """
     if not clip_norm > 0:
         raise ValueError("clip_norm must be positive")
-    norm = float(np.linalg.norm(delta))
-    return delta / max(1.0, norm / clip_norm)
+    norm = np.sqrt(delta[..., None, :] @ delta[..., :, None])[..., 0]
+    return delta / np.fmax(1.0, norm / clip_norm)
 
 
 def poisson_sample(members: tuple[int, ...], rate: float,
@@ -176,14 +180,19 @@ def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
 
     ``plans[j]`` holds job j's (L, b) sample ids into ``design`` (features
     with the bias column) and ``labels``; a job with an empty plan keeps its
-    start.  Jobs are bucketed by batch length b and never padded, because
-    padding would change the batch mean.  Each local iteration is one
-    batched gradient per bucket, bit-identical to stepping each job alone.
+    start.  Jobs with b = 1 (gemv) share one bucket; the rest share one padded
+    by id -1, an appended zero row of label -1 (``models.gradient``).  Each
+    local iteration is one gradient per bucket, bit-identical to each job alone.
     """
     out = starts.copy()
-    for jobs in _buckets([plan.shape[1] for plan in plans]):
+    design, labels = np.vstack([design, np.zeros(design.shape[1])]), np.append(labels, -1)
+    widths = np.array([plan.shape[1] for plan in plans])
+    for jobs in filter(len, (np.flatnonzero(widths == 1), np.flatnonzero(widths > 1))):
+        steps = np.full((len(plans[0]), len(jobs), widths[jobs].max()), -1)
+        for k, j in enumerate(jobs):
+            steps[:, k, :widths[j]] = plans[j]
         x = out[jobs]
-        for step in np.stack([plans[j] for j in jobs], axis=1):  # (k, b) ids
+        for step in steps:  # (k, b) ids
             x -= learning_rate * models.gradient(x, design[step], labels[step], num_classes)
         out[jobs] = x
     return out
@@ -194,8 +203,8 @@ def _mechanism(hp: HyperParams, accum: np.ndarray, group: int,
     """Sum of the window's per-worker updates, each clipped at sqrt(W) c, in
     worker order, plus one draw from ``noise`` of std sqrt(W) c sigma."""
     root_w = math.sqrt(hp.mechanism_window)
-    clipped = sum((clip_update(row, root_w * float(hp.clip[group])) for row in accum),
-                  np.zeros(accum.shape[1]))
+    clipped = np.add.reduce(clip_update(accum, root_w * float(hp.clip[group])),
+                            axis=0, initial=0.0)
     std = root_w * float(hp.clip[group] * hp.sigma[group]) if hp.sigma[group] > 0 else 0.0
     return clipped + mechanism_noise(noise, accum.shape[1], std)
 
@@ -214,23 +223,27 @@ class TrainingResult:
 
 
 def _epoch_metrics(structure: GroupStructure, theta: np.ndarray,
-                   train: tuple[np.ndarray, np.ndarray], shards: list,
-                   test: tuple[np.ndarray, np.ndarray] | None, num_classes: int,
-                   epoch: int) -> EpochMetrics:
+                   train: tuple[np.ndarray, np.ndarray], row_blocks: np.ndarray,
+                   shards: list, test: tuple[np.ndarray, np.ndarray] | None,
+                   num_classes: int, epoch: int) -> EpochMetrics:
     """Average train loss and test accuracy of the personalised models.
 
-    ``train`` and ``test`` are (design, labels) pairs; ``shards`` lists
-    (workers, (k, size) sample ids) per nonempty shard size.  Accuracy is
-    scored once per distinct group set and loss once per shard size; both
-    are averaged in worker order, as a per-worker loop would.
+    ``train``, ``test``: (design, labels); ``shards``: (workers, (k, size)
+    sample ids) per nonempty shard size; ``row_blocks[r]``: r * sets + the
+    group set of row r's worker.  One product scores every set on every row,
+    so shards of size >= 2 get ``models.loss`` bit for bit (see ``models``);
+    size 1 keeps that call.  Accuracy: once per set; both in worker order.
     """
     set_models = personalize(structure, theta)
     owner = structure.group_set_of_worker
     design, labels = train
+    blocks = (design @ set_models.reshape(-1, design.shape[1]).T).reshape(-1, num_classes)
+    logp = models._log_softmax(blocks[row_blocks])[np.arange(len(design)), labels]
     losses = {}
     for workers, ids in shards:
-        losses.update(zip(workers, models.loss(set_models[owner[workers]], design[ids],
-                                               labels[ids], num_classes)))
+        losses.update(zip(workers, -logp[ids].mean(axis=-1) if ids.shape[1] > 1 else
+                          models.loss(set_models[owner[workers]], design[ids],
+                                      labels[ids], num_classes)))
     accs = [] if test is None else models.accuracy(set_models, *test, num_classes)[owner]
     return EpochMetrics(
         epoch=epoch,
@@ -255,11 +268,16 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
         raise ValueError("hyper-parameters were built for a different group count")
     if len(partition) != structure.num_workers:
         raise ValueError("partition must assign a shard to every worker")
+    if sum(map(len, partition)) > len(set().union(*map(set, partition))):
+        raise ValueError("partition shards must be disjoint")
     W = hp.mechanism_window
     v = models.param_dim(train.features.shape[1], train.num_classes)
     design = models.augment(train.features)
     shards = [(workers, np.array([partition[n] for n in workers]))
               for workers in _buckets([len(shard) for shard in partition])]
+    row_blocks = np.arange(len(design)) * len(structure.group_sets)
+    for workers, ids in shards:
+        row_blocks[ids] += structure.group_set_of_worker[workers][:, None]
     test_xy = ((models.augment(test.features), test.labels)
                if test is not None and len(test) else None)
     theta = np.zeros((structure.num_groups, v))
@@ -293,9 +311,9 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
             if closes:  # window complete: clipped, noised mechanism
                 new_theta[m] = anchor[m] + _mechanism(hp, accum[m], m, next(streams)) / scale
             else:
-                new_theta[m] = theta[m] + sum(rows, np.zeros(v)) / scale
+                new_theta[m] = theta[m] + np.add.reduce(rows, axis=0, initial=0.0) / scale
         theta = new_theta
         trajectory.append(theta.copy())
-        metrics.append(_epoch_metrics(structure, theta, (design, train.labels), shards,
-                                      test_xy, train.num_classes, t))
+        metrics.append(_epoch_metrics(structure, theta, (design, train.labels), row_blocks,
+                                      shards, test_xy, train.num_classes, t))
     return TrainingResult(trajectory=trajectory, metrics=metrics)

@@ -1,8 +1,11 @@
-"""Multinomial logistic model: gradient correctness and smoothness."""
+"""Multinomial logistic model: gradient correctness, padding and smoothness."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dpogl import models
+from dpogl.trainer import local_train
 
 
 def rng(seed=0):
@@ -72,3 +75,46 @@ def test_smoothness_bound_dominates_observed_curvature():
             g0 = models.gradient(theta, x[k:k + 1], y[k:k + 1], 3)
             ratio = np.linalg.norm(g1 - g0) / np.linalg.norm(step)
             assert ratio <= beta * (1 + 1e-6)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(seed=hs.integers(0, 2 ** 32 - 1), dims=hs.integers(1, 6),
+       num_classes=hs.integers(2, 5), scale=hs.sampled_from([0.0, 0.3, 4.0]),
+       zero_column=hs.booleans(), one_label=hs.booleans())
+def test_padded_gradient_is_bitwise(seed, dims, num_classes, scale, zero_column,
+                                    one_label):
+    """Padding is exact, bit for bit, on stacked models.
+
+    For every batch length b in 2..8 padded to 8 with all-zero rows of label
+    -1, ``gradient`` equals the unpadded gradient: the padded products are
+    -0.0 and each model divides by its real rows.  ``local_train`` pads by
+    the id of such a row, so its jobs of b = 1..8 each equal stepping that
+    job alone.  The 1-row job is kept apart from the merged bucket, not
+    merged: its product is a gemv, whose sums may differ from a gemm row's.
+    """
+    r = rng(seed)
+    k, v = 3, models.param_dim(dims, num_classes)
+    features = r.standard_normal((40, dims))
+    if zero_column:
+        features[:, 0] = 0.0
+    labels = r.integers(0, num_classes, size=40)
+    if one_label:
+        labels[:] = labels[0]
+    design = models.augment(features)
+    theta = scale * r.standard_normal((k, v))
+    ids = r.integers(0, 40, size=(k, 8))
+    for b in range(2, 9):
+        x, y = design[ids].copy(), labels[ids].copy()
+        x[:, b:], y[:, b:] = 0.0, -1
+        want = models.gradient(theta, design[ids[:, :b]], labels[ids[:, :b]], num_classes)
+        got = models.gradient(theta, x, y, num_classes)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    starts = scale * r.standard_normal((8, v))
+    plans = [r.integers(0, 40, size=(3, b)) for b in range(1, 9)]
+    got = local_train(starts, plans, design, labels, num_classes, 0.5)
+    for start, plan, row in zip(starts, plans, got):
+        x = start.copy()
+        for step in plan:
+            x -= 0.5 * models.gradient(x, design[step], labels[step], num_classes)
+        assert np.array_equal(row.view(np.uint64), x.view(np.uint64))

@@ -199,6 +199,34 @@ def test_clip_update_invariants():
         clip_update(np.ones(3), 0.0)
 
 
+def test_clip_update_is_row_wise_and_bitwise():
+    """Each row of a stacked call is the 1-D rule ``row / max(1.0, norm / c)``
+    bit for bit: zero rows, a row exactly at the bound, c = inf, and a row
+    holding NaN, whose ``max(1.0, nan)`` is 1.0 (``np.maximum`` would give
+    NaN and blank the row's other entries)."""
+    rng = np.random.default_rng(1)
+    rows = rng.standard_normal((64, 36)) * rng.uniform(0.01, 10, size=(64, 1))
+    rows[1] = 0.0
+    rows[2] = -0.0
+    rows[3] = 0.0
+    rows[3, [0, 7]] = 3.0, 4.0  # norm exactly 5, the bound below
+    rows[4, 2] = np.nan
+    rows[5, 0] = np.inf
+    def bits(a):
+        return np.asarray(a).view(np.uint64)
+
+    with np.errstate(invalid="ignore"):  # the inf row gives inf / inf
+        for c in (5.0, 0.3, 1e-300, np.inf):
+            want = [row / max(1.0, float(np.linalg.norm(row)) / c) for row in rows]
+            assert np.array_equal(bits(clip_update(rows, c)), bits(want))
+            assert np.array_equal(bits(clip_update(rows.reshape(4, 16, 36), c)),
+                                  bits(np.reshape(want, (4, 16, 36))))
+            for row, one in zip(rows, want):
+                assert np.array_equal(bits(clip_update(row, c)), bits(one))
+        assert np.array_equal(clip_update(rows, 5.0)[3], rows[3])
+        assert np.isfinite(np.delete(clip_update(rows, 5.0)[4], 2)).all()
+
+
 def test_poisson_sample_is_per_member_independent():
     members = tuple(range(10))
     picked = poisson_sample(members, 1.0, derive_stream(0, "sampling", 0, 1))
@@ -429,6 +457,48 @@ def test_epoch_metrics_match_per_worker_loop():
         assert all(0 <= m.avg_test_acc <= 1 for m in result.metrics)
 
 
+def _shard_size_metrics(structure, theta, train, partition, test):
+    """(average train loss, average test accuracy) with one stacked
+    ``models.loss`` call per shard size, averaged in worker order."""
+    set_models = personalize(structure, theta)
+    owner = structure.group_set_of_worker
+    design = models.augment(train.features)
+    losses = {}
+    for size in sorted({len(shard) for shard in partition} - {0}):
+        workers = [n for n, shard in enumerate(partition) if len(shard) == size]
+        ids = np.array([partition[n] for n in workers])
+        losses.update(zip(workers, models.loss(set_models[owner[workers]], design[ids],
+                                               train.labels[ids], train.num_classes)))
+    accs = ([] if test is None else
+            models.accuracy(set_models, models.augment(test.features), test.labels,
+                            test.num_classes)[owner])
+    return (float(np.mean([losses[n] for n in sorted(losses)])) if losses else math.nan,
+            float(np.mean(accs)) if len(accs) else math.nan)
+
+
+@pytest.mark.parametrize("name", ["shards_below_batch", "empty_shard",
+                                  "worker_sampled_in_two_groups",
+                                  "dpogl_plus_period_3",
+                                  "two_word_seed_and_noise_free_group", "no_test_set",
+                                  "sizes_one_and_zero"])
+def test_whole_array_metrics_match_shard_size_losses(name):
+    """``_epoch_metrics``, as ``run_training`` reports it, equals one stacked
+    ``models.loss`` per shard size bit for bit: one product over every train
+    row and group set, each row's own set, then each size's (k, size) mean.
+    The last case has shards of sizes 1 and 0 and no test set."""
+    if name == "sizes_one_and_zero":
+        structure, hp, train, _, _ = _reference_case("no_test_set")
+        partition, test = _consecutive_shards([1, 0, 4, 1, 0, 2]), None
+    else:
+        structure, hp, train, partition, test = _reference_case(name)
+    result = run_training(structure, hp, train, partition, test)
+    for theta, got in zip(result.trajectory[1:], result.metrics):
+        want = _shard_size_metrics(structure, theta, train, partition, test)
+        assert np.array_equal(np.array([got.avg_train_loss, got.avg_test_acc]).view(np.uint64),
+                              np.array(want).view(np.uint64))
+    assert all(math.isnan(m.avg_test_acc) for m in result.metrics) == (test is None)
+
+
 def test_dpoglplus_with_period_one_equals_dpogl():
     """S=1 windows are single epochs, so the interval mechanism degenerates
     to the per-epoch mechanism, stream for stream."""
@@ -468,6 +538,8 @@ def test_run_training_contract_and_determinism():
         run_training(st, simple_hp(num_groups=3), ds, partition)
     with pytest.raises(ValueError):
         run_training(st, hp, ds, partition[:-1])
+    with pytest.raises(ValueError, match="disjoint"):  # one train row, two workers
+        run_training(st, hp, ds, [partition[0], partition[1], partition[2], partition[0][:1]])
 
 
 def test_training_without_test_set_reports_nan_accuracy():
