@@ -9,7 +9,7 @@ the Renyi framework with conversion to (eps, delta)-DP.
 
 from .accountant import (DEFAULT_ALPHA_GRID, AccountingPreconditionError,
                          delay_curve_matrix, dp_matrix_from_curves,
-                         lsi_recursion, pwp_rows_from_curves, thm2_curve_sweep)
+                         pwp_rows_from_curves, thm2_curve_sweep)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .harness import ConfigError, ExperimentConfig, run_experiment
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ALPHA_GRID", "AccountingPreconditionError",
-    "delay_curve_matrix", "dp_matrix_from_curves", "lsi_recursion",
-    "pwp_rows_from_curves", "thm2_curve_sweep",
+    "delay_curve_matrix", "dp_matrix_from_curves", "pwp_rows_from_curves",
+    "thm2_curve_sweep",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",
     "stratified_split", "worker_labels",
     "ConfigError", "ExperimentConfig", "run_experiment",

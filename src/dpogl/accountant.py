@@ -84,9 +84,10 @@ def _delivered_blocks(t, period: int, rho):
 # ---------------------------------------------------------------------------
 # log-Sobolev recursion (full participation) and crossing epochs
 
-def _lsi_preconditions(hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
-    """The mechanism variance W (c sigma)^2 as an array square (for
-    ``lsi_recursion``) and by scalar ``**`` (for the sweep's mu factors)."""
+def _lsi_preconditions(hp: HyperParams) -> np.ndarray:
+    """(M,) mechanism variance W (c sigma)^2 of each group, with scalar
+    ``**`` as in ``_group_budgets``; the recursion's noise and the sweep's
+    mu factors both read it."""
     if not np.all(hp.participation == 1.0):
         raise AccountingPreconditionError(
             "the LSI recursion is defined for full participation only")
@@ -96,36 +97,34 @@ def _lsi_preconditions(hp: HyperParams) -> tuple[np.ndarray, np.ndarray]:
         raise AccountingPreconditionError(
             "the LSI recursion needs positive noise multipliers")
     with np.errstate(all="ignore"):
-        var = hp.mechanism_window * (hp.clip * hp.sigma) ** 2
-        var_pow = np.array([hp.mechanism_window * (c * s) ** 2
-                            for c, s in zip(hp.clip, hp.sigma)])
-    bad = np.flatnonzero(~(np.isfinite(var) & np.isfinite(var_pow)))
+        var = np.array([hp.mechanism_window * (c * s) ** 2
+                        for c, s in zip(hp.clip, hp.sigma)])
+    bad = np.flatnonzero(~np.isfinite(var))
     if bad.size:
         raise AccountingPreconditionError(
             f"group {bad[0]}: the mechanism variance W (c sigma)^2 is not "
             "finite (an overflow)")
-    return var, var_pow
+    return var
 
 
 def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
-                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Track per-epoch LSI reciprocals up to ``horizon`` epochs and return
-    ``(inv_b, inv_hbar)``.
+                  horizon: int) -> np.ndarray:
+    """(horizon + 1, M) LSI reciprocals ``inv_hbar`` of each group's
+    pre-noise aggregate, through epoch ``horizon``.
 
     All values are reciprocals (0 encodes a deterministic point mass), so
-    every recursion step is a plain addition.  ``inv_b[t]`` ((horizon + 2,
-    M)) refers to the model at epoch t.  ``inv_hbar`` ((horizon + 1, M),
-    slot 0 unused) is filled at the epochs where a mechanism fires, the last
-    epoch of each W-epoch window (every epoch for dpogl, multiples of S for
-    dpogl_plus), and is 0 elsewhere.
+    every recursion step is a plain addition.  Row t is filled at the
+    epochs where a mechanism fires, the last epoch of each W-epoch window
+    (every epoch for dpogl, multiples of S for dpogl_plus), and is 0
+    elsewhere; row 0 is unused.
 
-    Inside a W-epoch window the model takes raw updates; at the window's
-    last epoch the mechanism adds W c^2 sigma^2 of noise over the whole
-    window, and the next window starts from its output.  The worker inits
-    ``inv_a`` (at an inter-group epoch, the merge of the worker's groups)
-    and their spread ``inv_h`` are carried as per-group member sums.
+    Inside a W-epoch window the model ``inv_b`` takes raw updates; at the
+    window's last epoch the mechanism adds W c^2 sigma^2 of noise over the
+    whole window, and the next window starts from its output.  The worker
+    inits ``inv_a`` (at an inter-group epoch, the merge of the worker's
+    groups) and their spread ``inv_h`` are carried as per-group member sums.
     """
-    mechanism_var, _ = _lsi_preconditions(hp)
+    mechanism_var = _lsi_preconditions(hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if not 0.0 <= beta < math.inf:
@@ -134,34 +133,29 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     S, W = hp.inter_group_period, hp.mechanism_window
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
     spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
-    inv_b = np.zeros((horizon + 2, M))
     inv_hbar = np.zeros((horizon + 1, M))
-    h_sum = np.zeros(M)  # member sum of the previous epoch's inv_h
-    inv_e = np.zeros(M)  # the last fired mechanism's output
-    for t in range(1, horizon + 2):
-        window_start = (t - 1) % W == 0
-        if not window_start:
-            inv_b[t] = inv_b[t - 1] + sizes ** 2 * h_sum
-        elif t > 1:  # the previous window's mechanism fired at epoch t - 1
-            inv_b[t] = inv_b[t - W] + sizes ** 2 * inv_e
-        if t > horizon:
-            break
-        if window_start:
+    inv_b = window_b = np.zeros(M)  # the model at epoch t and at its window's start
+    inv_e = np.zeros(M)  # the last fired mechanism's output; 0 before the first
+    for t in range(1, horizon + 1):
+        if (t - 1) % W:  # inside a window: raw updates
+            inv_b = inv_b + sizes ** 2 * h_sum
+        else:  # a window starts from the mechanism fired at t - 1
+            inv_b = window_b = window_b + sizes ** 2 * inv_e
             window_h_sum = np.zeros(M)  # running sum of h_sum over the window
         # The merge sums each worker's groups in order, and the member sum
         # runs over an (M, N) array with zeros for non-members: a matmul
         # merge or a members-only sum rounds differently.
         if is_intergroup_epoch(t, S):
-            inv_a = np.array([sum(inv_b[t, m] for m in groups)
+            inv_a = np.array([sum(inv_b[m] for m in groups)
                               for groups in structure.groups_of_worker])
         else:
-            inv_a = inv_b[t][:, None]
+            inv_a = inv_b[:, None]
         h_sum = (spread * np.where(structure.member_mask, inv_a, 0.0)).sum(axis=1)
         window_h_sum = window_h_sum + h_sum
         if t % W == 0:  # the window's mechanism fires
             inv_e = mechanism_var + window_h_sum
-            inv_hbar[t] = inv_b[t - W + 1] + sizes ** 2 * window_h_sum
-    return inv_b, inv_hbar
+            inv_hbar[t] = window_b + sizes ** 2 * window_h_sum
+    return inv_hbar
 
 
 def _fired_epochs(inv_hbar: np.ndarray, hp: HyperParams, crossing):
@@ -294,11 +288,11 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     alphas = np.array(_check_grid(alpha_grid))
     budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
                              lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
-    _, var = _lsi_preconditions(hp)  # scalar **, as in _group_budgets
+    var = _lsi_preconditions(hp)
     if not structure.is_string:
         raise AccountingPreconditionError(
             "the degradation bound requires a string structure")
-    _, inv_hbar = lsi_recursion(structure, hp, beta, horizon)
+    inv_hbar = lsi_recursion(structure, hp, beta, horizon)
     mu = alphas / (alphas + inv_hbar[:, :, None] * var[:, None])
     groups, dist = structure.groups_of_worker, structure.distances
     defined = _observer_mask(structure, hp.threat_model)

@@ -123,7 +123,7 @@ def _parse_structure(raw) -> dict:
         if kind is not None and not isinstance(kind, str):
             raise ConfigError("field 'structure.kind' must be a string")
         try:
-            built = GroupStructure(num_workers, groups, kind=kind)
+            built = GroupStructure(num_workers, groups)
         except ValueError as exc:
             raise ConfigError(f"structure: {exc}") from exc
         return {"kind": kind, "num_workers": num_workers,
@@ -330,8 +330,7 @@ def prepare(config: ExperimentConfig
     partition = dirichlet_partition(train_set, s["num_workers"],
                                     d["dirichlet_beta"], config.seed)
     if "members_of_group" in s:
-        structure = GroupStructure(s["num_workers"], s["members_of_group"],
-                                   kind=s["kind"])
+        structure = GroupStructure(s["num_workers"], s["members_of_group"])
     else:
         labels = (worker_labels(train_set, partition)
                   if s["kind"] == "LB" else None)

@@ -36,7 +36,6 @@ class GroupStructure:
 
     num_workers: int
     members_of_group: tuple[tuple[int, ...], ...]
-    kind: str | None = None
     groups_of_worker: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -106,26 +105,18 @@ class GroupStructure:
 
     @cached_property
     def is_string(self) -> bool:
-        """True when the structure is an open chain under some group ordering.
+        """True when the group adjacency graph is a simple path (an open
+        chain under some group ordering): when the largest group distance
+        is M - 1.
 
-        Requires (a) every worker in at most two groups and (b) the
-        off-diagonal adjacency graph to be a simple path.  A valid band
-        ordering exists exactly when (b) holds: the graph must be connected
-        with M-1 edges and maximum degree 2, which is checked directly (no
-        ordering search needed).
+        A connected graph of diameter M - 1 is a path: a shortest path of
+        M - 1 hops visits every group, and any other edge would shorten it.
+        A disconnected structure has an infinite distance, and one group is
+        a vacuous chain.  A worker in three groups makes them a triangle,
+        which no path holds, so every worker of a string is in at most two
+        groups.
         """
-        if any(len(groups) > 2 for groups in self.groups_of_worker):
-            return False
-        M = self.num_groups
-        if M == 1:
-            return True  # vacuous band
-        off = self.adjacency.copy()
-        np.fill_diagonal(off, False)
-        degrees = off.sum(axis=1)
-        edges = int(off.sum()) // 2
-        if edges != M - 1 or degrees.max(initial=0) > 2:
-            return False
-        return not np.isinf(self.distances).any()
+        return bool(self.distances.max() == self.num_groups - 1)
 
     @cached_property
     def admissible_observers(self) -> MappingProxyType:
@@ -247,4 +238,4 @@ def generate_structure(kind: str, num_workers: int, num_groups: int,
                 ring.append(tuple(sorted(set(seg) | {shared})))
             members = tuple(ring)
 
-    return GroupStructure(num_workers=num_workers, members_of_group=members, kind=kind)
+    return GroupStructure(num_workers=num_workers, members_of_group=members)

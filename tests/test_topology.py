@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
@@ -117,6 +119,41 @@ def test_is_string_rejects_branching_rings_and_busy_workers():
     # 4-cycle closed through worker 4 even though every worker is in <= 2 groups
     cycle = GroupStructure(5, [[0, 1], [1, 2, 4], [2, 3], [3, 4]])
     assert not cycle.is_string
+
+
+def _string_by_degrees(st):
+    """The string test by graph counts: every worker in at most two groups,
+    M - 1 adjacency edges, maximum degree 2 and no infinite distance."""
+    if any(len(groups) > 2 for groups in st.groups_of_worker):
+        return False
+    M = st.num_groups
+    if M == 1:
+        return True
+    off = st.adjacency.copy()
+    np.fill_diagonal(off, False)
+    if int(off.sum()) // 2 != M - 1 or off.sum(axis=1).max() > 2:
+        return False
+    return not np.isinf(st.distances).any()
+
+
+@hs.composite
+def joined_structures(draw):
+    """A structure whose workers each join 1 to 4 of up to 6 groups; groups
+    that no worker joins are dropped."""
+    N, M = draw(hs.integers(1, 8)), draw(hs.integers(1, 6))
+    joined = [draw(hs.sets(hs.integers(0, M - 1), min_size=1,
+                           max_size=min(4, M))) for _ in range(N)]
+    used = sorted(set().union(*joined))
+    return GroupStructure(N, [[w for w in range(N) if g in joined[w]]
+                              for g in used])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(joined_structures())
+def test_is_string_agrees_with_the_degree_count(st):
+    """The diameter rule accepts exactly the structures that the counts of
+    degrees and edges accept."""
+    assert st.is_string is _string_by_degrees(st)
 
 
 def test_structure_facts_match_the_functions_and_are_read_only():
