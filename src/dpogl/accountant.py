@@ -82,7 +82,7 @@ def _delivered_blocks(t, period: int, rho):
 
 
 # ---------------------------------------------------------------------------
-# log-Sobolev recursion (full participation) and crossing epochs
+# log-Sobolev recursion (full participation)
 
 def _lsi_preconditions(hp: HyperParams) -> np.ndarray:
     """(M,) mechanism variance W (c sigma)^2 of each group, with scalar
@@ -156,21 +156,6 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
             inv_e = mechanism_var + window_h_sum
             inv_hbar[t] = window_b + sizes ** 2 * window_h_sum
     return inv_hbar
-
-
-def _fired_epochs(inv_hbar: np.ndarray, hp: HyperParams, crossing):
-    """Epoch(s) whose mechanism a crossing at epoch ``crossing`` reads."""
-    # The crossing-epoch convention differs by algorithm: dpogl reads the
-    # mechanism that fires at crossing epoch e, dpogl_plus the window that
-    # fired at e - 1.  Both are kept because unifying them changes the
-    # degradation artifacts.
-    fired = crossing - 1 if hp.algorithm == "dpogl_plus" else crossing
-    bad = ((fired < 1) | (fired >= len(inv_hbar))
-           | (fired % hp.mechanism_window != 0))
-    if np.any(bad):
-        raise ValueError("no mechanism of the computed LSI horizon fires at "
-                         f"epoch {np.asarray(fired)[bad].min()}")
-    return fired
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +265,12 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
 
     A shared source group adds its full-participation budget per epoch.
     Block w from another source group carries S / W such budgets times one
-    mu factor per path group past the source, read at its crossing epoch
-    S*(w + j - 1) + 1; hop factors are multiplied in j order.
+    mu factor per path group past the source; hop factors are multiplied in
+    j order.  The block enters hop j at crossing epoch e = S*(w + j - 1) + 1
+    and joins the W-epoch window that holds e, whose mechanism fires at
+    W*ceil(e/W): an intermediate hop reads mu there.  The observer's own
+    group (hop rho) is read at e itself, so it attenuates only if a
+    mechanism fires at e, that is only when W = 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -305,8 +294,8 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                         for m in groups[n])
         classes[n, i] = class_index.setdefault((groups[n], nearest),
                                                len(class_index))
-    S = hp.inter_group_period
-    per_block = S // hp.mechanism_window
+    S, W = hp.inter_group_period, hp.mechanism_window
+    per_block = S // W
     num_blocks = _delivered_blocks(horizon, S, 1)
     shape = (len(class_index), max(map(len, groups)))  # (C, K)
     shared = np.zeros((*shape, alphas.size))
@@ -326,9 +315,13 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
             w = np.arange(1, _delivered_blocks(horizon, S, rho) + 1)
             factor = np.ones((w.size, alphas.size))
             for j in range(1, rho + 1):
-                if path[j] in groups_n:
-                    continue  # the targeted worker's groups do not attenuate
-                fired = _fired_epochs(inv_hbar, hp, S * (w + j - 1) + 1)
+                # The targeted worker's groups do not attenuate.  The
+                # observer reads its own group (hop rho) at the crossing
+                # epoch, where no mechanism fires when W > 1; any other hop
+                # reads the close of the window that holds the crossing.
+                if path[j] in groups_n or (j == rho and W > 1):
+                    continue
+                fired = -(-(S * (w + j - 1) + 1) // W) * W
                 factor = factor * mu[fired, path[j]]
             rho_of_slot[c, k] = rho
             terms[c, k, :w.size] = per_block * budgets[m_src] * factor

@@ -146,22 +146,28 @@ def propagation_oracle_counts(structure: GroupStructure, period: int, t: int,
 
 
 def degradation_mu(inv_hbar: np.ndarray, hp: HyperParams, alpha, group: int,
-                   epoch: int, targeted_groups) -> float | np.ndarray:
+                   epoch: int, targeted_groups, observer_groups=()
+                   ) -> float | np.ndarray:
     """Degradation factor mu = alpha / (alpha + hbar * W c^2 sigma^2) for
-    leakage transiting ``group``'s mechanism at crossing epoch ``epoch``.
+    leakage that enters ``group``'s model at crossing epoch ``epoch``.
 
     ``hbar`` is the accumulated constant of the pre-noise aggregate (0 while
     the model is still deterministic, so early crossings are undegraded).
-    dpogl reads the mechanism that fires at the crossing epoch e, dpogl_plus
-    the window that fired at e - 1.  Groups of the targeted worker pass
-    information through unattenuated (factor 1).  Accepts a scalar or array
-    alpha.
+    The block joins the W-epoch window that holds ``epoch`` and leaves the
+    group only through that window's mechanism, the first epoch tau >=
+    ``epoch`` that closes a window (tau % W == 0), whose mu it reads.  An
+    observer's group is read at ``epoch`` itself: factor 1 unless a
+    mechanism fires there.  Groups of the targeted worker pass information
+    through unattenuated (factor 1).  Accepts a scalar or array alpha.
     """
-    if group in set(targeted_groups):
-        return np.ones_like(np.asarray(alpha, dtype=float)) if np.ndim(alpha) else 1.0
     W = hp.mechanism_window
-    fired = epoch - 1 if hp.algorithm == "dpogl_plus" else epoch
-    if not (1 <= fired < len(inv_hbar) and fired % W == 0):
+    fired = epoch
+    while fired % W:  # the trainer's ``closes`` test
+        fired += 1
+    if (group in set(targeted_groups)
+            or (group in set(observer_groups) and fired != epoch)):
+        return np.ones_like(np.asarray(alpha, dtype=float)) if np.ndim(alpha) else 1.0
+    if not 1 <= fired < len(inv_hbar):
         raise ValueError("no mechanism of the computed LSI horizon fires at "
                          f"epoch {fired}")
     hbar = float(inv_hbar[fired, group])

@@ -19,9 +19,10 @@ from hypothesis import strategies as hs
 import dpogl
 from dpogl import accountant as acc
 from dpogl import oracles as orc
+from dpogl.data import Dataset, make_synthetic
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
-from dpogl.trainer import HyperParams, is_intergroup_epoch
+from dpogl.trainer import HyperParams, is_intergroup_epoch, run_training
 
 
 def chain(num_groups):
@@ -377,6 +378,9 @@ def test_degradation_mu_formula_and_limits():
 
 
 def test_degradation_mu_plus_window_indexing():
+    """A crossing at epoch e joins the window that holds e and reads the
+    mechanism that closes it, at W * ceil(e / W); an observer's group is
+    read at e itself, so it attenuates only where a mechanism fires."""
     st = chain(2)
     S = 2
     hp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2",
@@ -384,13 +388,18 @@ def test_degradation_mu_plus_window_indexing():
     inv_hbar = acc.lsi_recursion(st, hp, 1.5, 6)
     alpha = 2.5
     var = S * (0.5 * 2.0) ** 2
-    # epoch 3 = first post-mechanism model; consumes window 0, which fired
-    # at epoch 2
-    mu = orc.degradation_mu(inv_hbar, hp, alpha, 1, 3, ())
-    assert mu == alpha / (alpha + inv_hbar[2, 1] * var)
-    for bad_epoch in (1, 2, 4):  # window start or mid-window epochs
-        with pytest.raises(ValueError):
+    for epoch, fired in ((1, 2), (2, 2), (3, 4), (4, 4)):
+        mu = orc.degradation_mu(inv_hbar, hp, alpha, 1, epoch, ())
+        assert mu == alpha / (alpha + inv_hbar[fired, 1] * var)
+    assert orc.degradation_mu(inv_hbar, hp, alpha, 1, 3, ()) < 1.0
+    for bad_epoch in (0, 7, 8):  # no window, or one that closes past 6
+        with pytest.raises(ValueError, match="fires at epoch"):
             orc.degradation_mu(inv_hbar, hp, alpha, 1, bad_epoch, ())
+    # the observer sees its group's raw models inside a window
+    for epoch in (1, 3, 5, 7):
+        assert orc.degradation_mu(inv_hbar, hp, alpha, 1, epoch, (), {1}) == 1.0
+    assert (orc.degradation_mu(inv_hbar, hp, alpha, 1, 4, (), {1})
+            == orc.degradation_mu(inv_hbar, hp, alpha, 1, 4, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +489,14 @@ def string_cases(draw):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(string_cases())
+@example((chain(4), make_hp(4, epochs=12, inter_group_period=1,
+                            algorithm="dpogl_plus", threat_model="tm2"),
+          1.0, 12))
 def test_degradation_never_exceeds_delay_on_random_strings(case):
     """Every epoch's degradation curves are undefined exactly where the
     delay curves alpha * K are, and no defined cell exceeds its delay
-    cell; the same holds for the two DP heatmaps."""
+    cell; the same holds for the two DP heatmaps.  At S = 1 a dpogl_plus
+    sweep equals the dpogl sweep bitwise: the two train the same."""
     structure, hp, beta, horizon = case
     assert structure.is_string
     grid = np.array(acc.DEFAULT_ALPHA_GRID)
@@ -499,6 +512,58 @@ def test_degradation_never_exceeds_delay_on_random_strings(case):
         assert np.array_equal(np.isnan(heat_degradation), np.isnan(heat_delay))
         defined = ~np.isnan(heat_delay)
         assert np.all(heat_degradation[defined] <= heat_delay[defined])
+    if hp.algorithm == "dpogl_plus" and hp.inter_group_period == 1:
+        # W = 1: both algorithms train the same, so the sweeps are equal
+        base = acc.thm2_curve_sweep(
+            structure, dataclasses.replace(hp, algorithm="dpogl"), beta, horizon)
+        for t in range(1, horizon + 1):
+            assert np.array_equal(sweep.at(t), base.at(t), equal_nan=True)
+
+
+TWO_GROUP_STRING = GroupStructure(5, [[0, 1, 2], [2, 3, 4]])
+
+
+def _two_group_plus_hp(**overrides):
+    return make_hp(2, **{"epochs": 10, "inter_group_period": 3,
+                         "local_iterations": 1, "learning_rate": 0.01,
+                         "clip": 0.5, "sigma": 1.0, "algorithm": "dpogl_plus",
+                         "threat_model": "tm2", **overrides})
+
+
+def test_thm2_plus_credits_no_mechanism_the_observer_never_passes():
+    """Pair (0, 4) on a 2-group string, one hop: every block enters group
+    1 at an inter-group epoch, inside a window, and the observer reads
+    group 1's raw model there.  No mechanism attenuates it, so each cell
+    is the oracle's count at the full budget alpha / (2 sigma^2) = 1."""
+    hp = _two_group_plus_hp()
+    sweep = acc.thm2_curve_sweep(TWO_GROUP_STRING, hp, 1.0, 10, (2.0,))
+    for t, want in ((4, 1.0), (7, 2.0), (10, 3.0)):
+        counts = orc.propagation_oracle_counts(TWO_GROUP_STRING, 3, t, 0, 4,
+                                               "dpogl_plus")
+        assert counts == {0: int(want)}
+        assert sweep.at(t)[0, 4, 0] == counts[0] * 2.0 / (2 * 1.0 ** 2) == want
+
+
+def test_observer_group_changes_inside_its_window():
+    """The trainer side of the observer rule: flipping worker 0's labels
+    first changes group 1's model at epoch 4, the crossing epoch of the
+    first block, and group 1's next mechanism fires only at epoch 6.  So
+    the observer's view of group 1 carries the block before any of group
+    1's noise, and the sweep charges that block in full."""
+    hp = _two_group_plus_hp(epochs=6, batch_size=2)
+    train = make_synthetic(3, 4, 10, seed=0)
+    partition = np.array_split(np.arange(len(train)), 5)
+    labels = train.labels.copy()
+    labels[partition[0]] = (labels[partition[0]] + 1) % train.num_classes
+    flipped = Dataset(train.features, labels, train.num_classes)
+    base = run_training(TWO_GROUP_STRING, hp, train, partition).trajectory
+    other = run_training(TWO_GROUP_STRING, hp, flipped, partition).trajectory
+    changed = [t for t in range(hp.epochs + 1)
+               if not np.array_equal(base[t][1], other[t][1])]
+    assert changed[0] == 4 and is_intergroup_epoch(4, 3)
+    assert 4 % hp.mechanism_window and 6 % hp.mechanism_window == 0
+    sweep = acc.thm2_curve_sweep(TWO_GROUP_STRING, hp, 1.0, 6, (2.0,))
+    assert sweep.at(4)[0, 4, 0] == 1.0
 
 
 def test_thm2_plus_trusted_pairs_and_budget_units():
@@ -838,7 +903,7 @@ def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas):
             for j in range(1, rho + 1):
                 factor = factor * orc.degradation_mu(
                     inv_hbar, hp, alphas, path[j], S * (w + j - 1) + 1,
-                    groups_n)
+                    groups_n, groups_i)
             total = total + per_block * eps * factor
     return total
 
@@ -1163,7 +1228,7 @@ def test_pipeline_does_not_name_the_references():
         todo.extend(named & defs.keys())
     # the walk follows calls: the sweep reaches the recursion and the class
     assert {"lsi_recursion", "Thm2Sweep", "_delivered_blocks",
-            "_fired_epochs", "_check_delta"} <= reached
+            "_check_delta"} <= reached
 
 
 ALLOWED_FROM_ACCOUNTANT = {"AccountingPreconditionError", "DEFAULT_ALPHA_GRID"}
@@ -1196,8 +1261,8 @@ def test_oracles_import_no_pipeline_rule():
     for extra, taken in [
             ("from .accountant import _delivered_blocks",
              {"_delivered_blocks"}),
-            ("from dpogl.accountant import _fired_epochs, DEFAULT_ALPHA_GRID",
-             {"_fired_epochs"}),
+            ("from dpogl.accountant import _lsi_preconditions, DEFAULT_ALPHA_GRID",
+             {"_lsi_preconditions"}),
             ("from . import accountant", {"accountant"}),
             ("import dpogl.accountant", {"dpogl.accountant"})]:
         assert _accountant_imports(source + "\n" + extra + "\n") == taken

@@ -588,11 +588,11 @@ GOLDEN_RUNS = {
         structure={"num_workers": 9,
                    "members_of_group": [[0, 1, 2], [2, 3, 4], [4, 5, 6],
                                         [6, 7, 8]]}), {
-        "heatmap_epoch_12.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
-        "heatmap_epoch_18.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
-        "heatmap_epoch_21.csv": "f4ebe3b62e9c7a2bfec1319680bdb8dd7732bf111d43ee3e6c348b8a46fa29ff",
+        "heatmap_epoch_12.csv": "f397051530c2ebef584a57d219bdd447ac71a02cda9d034483e4dda9531df4de",
+        "heatmap_epoch_18.csv": "d05b1dee91fa1cf57e639162278d10efdc9ae071489c2c6f7244baf392ac04db",
+        "heatmap_epoch_21.csv": "71e84b7ca94cab11c8a27ee79806d42ae75c837730c7e473f2b454447b921a75",
         "manifest.json": "269e172d94a01064beb099bb6252acc48ec064da58ae2c592f39eba5bffdc1ac",
-        "pwp.csv": "e8f40563b69bf352fd594ed851949b82eb9eea0e420ac55d5c3cdf244d2fe045",
+        "pwp.csv": "b1d9e479fbca04c66f28c025e57636ba13e76e98a6e83f664eabe89e01c563a6",
     }),
     # the delay path with per-group lists; group 0's delay weight
     # 2 pi^2 / sigma^2 rounds differently under array ``**`` than under
