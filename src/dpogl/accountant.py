@@ -215,8 +215,11 @@ def _check_delta(delta: float) -> None:
 
 def _check_grid(alpha_grid) -> list[float]:
     grid = [float(a) for a in alpha_grid]
-    if not grid or any(a <= 1 for a in grid):
-        raise ValueError("alpha grid entries must exceed 1")
+    if not grid:
+        raise ValueError("alpha_grid must not be empty")
+    for k, a in enumerate(grid):
+        if not a > 1:
+            raise ValueError(f"alpha_grid[{k}] must exceed 1")
     return grid
 
 

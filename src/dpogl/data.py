@@ -60,8 +60,6 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     labels = labels_f.astype(np.int64)
     if not np.array_equal(labels_f, labels):
         raise ValueError("label column must hold integers")
-    if labels.min() < 0:
-        raise ValueError("labels must be nonnegative")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     return Dataset(feats, labels, num_classes)

@@ -194,7 +194,6 @@ def generate_structure(kind: str, num_workers: int, num_groups: int,
         one worker (the highest-indexed worker of each group, i.e. the first
         worker of the next segment).
     """
-    kind = kind.upper()
     if kind not in STRUCTURE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}; expected one of {STRUCTURE_KINDS}")
     if num_workers < 1:

@@ -44,9 +44,10 @@ def _per_group(value, num_groups: int, name: str) -> np.ndarray:
 class HyperParams:
     """Validated run parameters; per-group fields broadcast from scalars.
 
-    ``clip=inf`` together with ``sigma=0`` is the documented noise-free
-    diagnostic mode; the accountant refuses such configurations, the trainer
-    runs them.
+    ``learning_rate`` must be finite and > 0, each group's ``sigma`` finite
+    and >= 0.  ``clip=inf`` together with ``sigma=0`` is the documented
+    noise-free diagnostic mode; the accountant refuses such configurations,
+    the trainer runs them.
     """
 
     num_groups: int
@@ -71,22 +72,24 @@ class HyperParams:
             raise ValueError("inter_group_period must be >= 1")
         if self.local_iterations < 1:
             raise ValueError("local_iterations must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         for name in ("clip", "sigma", "participation"):
             object.__setattr__(self, name, _per_group(getattr(self, name), self.num_groups, name))
-        if not np.all(self.clip > 0):
-            raise ValueError("clip norms must be positive")
-        if not np.all(self.sigma >= 0):
-            raise ValueError("noise multipliers must be nonnegative")
+        p = self.participation
+        for name, ok, rule in (
+                ("clip", self.clip > 0, "be > 0"),
+                ("sigma", np.isfinite(self.sigma) & (self.sigma >= 0), "be finite and >= 0"),
+                ("participation", (p > 0) & (p <= 1), "lie in (0, 1]")):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise ValueError(f"{name} of group {bad[0]} must {rule}")
         if np.any(np.isinf(self.clip) & (self.sigma > 0)):
             raise ValueError("clip=inf with sigma>0 leaves the noise scale undefined")
-        if not np.all((self.participation > 0) & (self.participation <= 1)):
-            raise ValueError("participation rates must lie in (0, 1]")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.threat_model not in THREAT_MODELS:

@@ -53,6 +53,15 @@ def test_load_csv_round_trip(tmp_path):
             load_csv(str(bad))
 
 
+def test_load_csv_refuses_a_negative_label(tmp_path):
+    path = tmp_path / "negative.csv"
+    path.write_text("0.5,1.5,0\n-1.0,2.0,-1\n0.0,0.0,1\n")
+    with pytest.raises(ValueError, match="labels out of range"):
+        load_csv(str(path))
+    with pytest.raises(ValueError, match="labels out of range"):
+        load_csv(str(path), num_classes=2)
+
+
 def test_stratified_split_is_per_class_and_exact():
     ds = make_synthetic(num_classes=4, dims=3, per_class=25, seed=5)
     train, test = stratified_split(ds, 0.2, seed=5)

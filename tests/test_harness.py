@@ -1,5 +1,6 @@
 """Config validation, artifact layout, determinism, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -88,6 +89,29 @@ def test_field_level_diagnostics(tmp_path, mutation, fragment):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(raw)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("inter_group_period", 0), ("local_iterations", 0),
+    ("batch_size", 0), ("learning_rate", 0.0), ("clip", 0.0),
+    ("sigma", -0.5), ("participation", 0.0), ("participation", 1.5),
+    ("algorithm", "x"), ("delta", 0.0), ("delta", 1e-320),
+    ("alpha_grid", [2.0, 1.0]),
+])
+def test_config_ranges_are_the_library_rules(tmp_path, field, value):
+    """A config refuses a value with the very text of the library type that
+    runs it, so the loader holds no second copy of the rule."""
+    with pytest.raises(ConfigError) as config_err:
+        make_config(tmp_path, **{field: value})
+    with pytest.raises(ValueError) as library_err:
+        if field == "delta":
+            acc._check_delta(value)
+        elif field == "alpha_grid":
+            acc._check_grid(value)
+        else:
+            hp = harness._hyper_params(make_config(tmp_path))
+            dataclasses.replace(hp, **{field: value})
+    assert str(config_err.value) == str(library_err.value)
 
 
 def test_missing_required_fields(tmp_path):
@@ -321,11 +345,12 @@ def test_overflowing_mechanism_variance_is_refused(tmp_path, capsys):
 def test_delta_with_infinite_reciprocal_is_refused(tmp_path, capsys):
     """log(1/delta) would be inf in every eps_dp of pwp.csv."""
     for delta in (1e-320, 5e-324, 5.5e-309):
-        with pytest.raises(ConfigError, match="'delta'"):
+        with pytest.raises(ConfigError, match=r"^delta must lie in \(0, 1\]"):
             make_config(tmp_path, delta=delta)
         assert cli_main(["account", str(write_config(tmp_path,
                                                      delta=delta))]) == 2
-        assert "config error: field 'delta'" in capsys.readouterr().err
+        assert ("config error: delta must lie in (0, 1]"
+                in capsys.readouterr().err)
         K = np.array([[np.nan, 0.5], [0.5, np.nan]])
         with pytest.raises(ValueError, match="delta"):
             acc.dp_matrix_from_curves(K, delta)

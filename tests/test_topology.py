@@ -102,6 +102,12 @@ def test_generate_rejects_unknown_kind():
         generate_structure("XX", 4, 2)
 
 
+def test_generate_takes_one_spelling_of_a_kind():
+    """A config refuses "ri", so the library does too."""
+    with pytest.raises(ValueError, match="unknown structure kind 'ri'"):
+        generate_structure("ri", 6, 3)
+
+
 def test_is_string_accepts_chains_of_any_length():
     for m in range(1, 7):
         assert chain(m).is_string

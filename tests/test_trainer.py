@@ -150,6 +150,16 @@ def test_hyperparams_broadcast_and_validate():
                   inter_group_period=2)
 
 
+def test_hyperparams_refuse_non_finite_rate_and_noise():
+    """An infinite or NaN step size, or an infinite sigma, trains to a NaN
+    model; the refusal names the field (and the group)."""
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^learning_rate must be finite"):
+            simple_hp(learning_rate=rate)
+    with pytest.raises(ValueError, match="^sigma of group 1 must be finite and >= 0$"):
+        simple_hp(sigma=[2.0, math.inf])
+
+
 def test_mechanism_window_is_derived_not_configured():
     assert simple_hp(inter_group_period=3).mechanism_window == 1
     plus = simple_hp(algorithm="dpogl_plus", threat_model="tm2",
