@@ -66,6 +66,11 @@ def accuracy(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
 
 
 def smoothness_bound(features: np.ndarray) -> float:
-    """Smoothness constant of the per-sample loss: max ||(x, 1)||^2 / 4."""
+    """β = max ||(x, 1)||^2 / 4 over the rows of ``features``.
+
+    This is half the per-sample smoothness constant of the K-class softmax
+    loss, max ||(x, 1)||^2 / 2, which bounds its Hessian through
+    (I - 11^T / K) / 2 kron (x, 1)(x, 1)^T (Böhning 1992).
+    """
     norms_sq = (features ** 2).sum(axis=1) + 1.0
     return float(norms_sq.max()) / 4.0

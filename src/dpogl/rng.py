@@ -3,12 +3,16 @@
 Every random draw in a simulation comes from a stream derived from the master
 seed and a (purpose, *subkeys) tuple, e.g. ("noise", group, epoch).  Distinct
 keys give statistically independent counter-based streams, and the draw made
-under a key never depends on what was drawn under any other key, so sequential
-and reordered execution produce bit-identical runs.
+under a key never depends on what was drawn under any other key, nor on when
+the key was made, so sequential and reordered execution produce bit-identical
+runs.
 
-``_streams`` keys many of ``derive_stream``'s streams in one vectorised pass
-and yields each as the same re-keyed generator: consume a stream before
-taking the next one.
+``_streams`` keys all of a run's streams of one purpose in one vectorised
+pass, which the trainer makes once per purpose per run, and yields each as
+the same re-keyed generator: consume a stream before taking the next one.
+NEP 19 keeps ``SeedSequence`` and Philox stable across numpy versions, but
+not ``Generator``'s draws, so the contract is the tests: they hold
+``_streams`` to ``derive_stream``, and ``derive_stream`` to ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -75,17 +79,22 @@ def _philox_keys(entropy: np.ndarray) -> np.ndarray:
     return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
-def _streams(master_seed: int, keys: list[tuple]) -> Iterator[np.random.Generator]:
-    """``derive_stream(master_seed, *key)`` for each (purpose, *subkeys) of ``keys``
-    (subkeys below 2**32, as many in each key): one generator, re-keyed for
-    each with counter 0 and no buffered uint32, which ``permuted`` would read."""
-    if not keys:
-        return
+def _streams(master_seed: int, purpose: str, subkeys) -> Iterator[np.random.Generator]:
+    """``derive_stream(master_seed, purpose, *row)`` for each row of the (k, w)
+    integer array ``subkeys`` (each in [0, 2**32)): one generator, re-keyed
+    for each with counter 0 and no buffered uint32, which ``permuted`` would read."""
+    subkeys = np.asarray(subkeys, np.int64)
+    if subkeys.size and (subkeys.min() < 0 or subkeys.max() >= 2 ** 32):
+        raise ValueError("stream subkeys must lie in [0, 2**32)")
     seed = [master_seed >> s & 0xFFFFFFFF for s in range(0, master_seed.bit_length() or 1, 32)]
-    entropy = np.array([[*seed, _PURPOSES[p], *sub] for p, *sub in keys], np.uint32)
+    entropy = np.empty((len(subkeys), len(seed) + 1 + subkeys.shape[1]), np.uint32)
+    entropy[:, :len(seed) + 1] = [*seed, _PURPOSES[purpose]]
+    entropy[:, len(seed) + 1:] = subkeys
     bitgen, zeros = np.random.Philox(key=0), np.zeros(4, np.uint64)
     stream = np.random.Generator(bitgen)
-    for key in _philox_keys(entropy):
+
+    def rekey(key):
         bitgen.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
                         "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield stream
+        return stream
+    return map(rekey, _philox_keys(entropy))

@@ -132,13 +132,14 @@ def personalize(structure: GroupStructure, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def clip_update(delta: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Scale each row of ``delta`` (its last axis) down to norm ``clip_norm``.
+def clip_update(delta: np.ndarray, clip_norm: float | np.ndarray) -> np.ndarray:
+    """Scale each row of ``delta`` (its last axis) down to norm ``clip_norm``,
+    a scalar or, for a (k, v) ``delta``, a (k, 1) column of one norm per row.
 
-    Each row equals ``row / max(1.0, norm / clip_norm)`` bit for bit: the
-    1 x 1 ``row @ row`` is ``np.linalg.norm``'s ``ddot``; ``fmax`` ignores NaN.
+    Each row equals ``row / max(1.0, norm / c)`` with its own c bit for bit:
+    the 1 x 1 ``row @ row`` is ``np.linalg.norm``'s ``ddot``; ``fmax`` ignores NaN.
     """
-    if not clip_norm > 0:
+    if not np.all(np.asarray(clip_norm) > 0):
         raise ValueError("clip_norm must be positive")
     norm = np.sqrt(delta[..., None, :] @ delta[..., :, None])[..., 0]
     return delta / np.fmax(1.0, norm / clip_norm)
@@ -201,17 +202,6 @@ def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
     return out
 
 
-def _mechanism(hp: HyperParams, accum: np.ndarray, group: int,
-               noise: np.random.Generator) -> np.ndarray:
-    """Sum of the window's per-worker updates, each clipped at sqrt(W) c, in
-    worker order, plus one draw from ``noise`` of std sqrt(W) c sigma."""
-    root_w = math.sqrt(hp.mechanism_window)
-    clipped = np.add.reduce(clip_update(accum, root_w * float(hp.clip[group])),
-                            axis=0, initial=0.0)
-    std = root_w * float(hp.clip[group] * hp.sigma[group]) if hp.sigma[group] > 0 else 0.0
-    return clipped + mechanism_noise(noise, accum.shape[1], std)
-
-
 @dataclass
 class EpochMetrics:
     epoch: int
@@ -256,16 +246,25 @@ def _epoch_metrics(structure: GroupStructure, theta: np.ndarray,
     )
 
 
+def _group_keys(num_groups: int, epochs: range) -> np.ndarray:
+    """(group, epoch) stream subkeys, epoch-major: every group at each epoch."""
+    return np.stack(np.meshgrid(np.arange(num_groups), epochs), axis=-1).reshape(-1, 2)
+
+
 def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
                  partition: list[np.ndarray], test: Dataset | None = None
                  ) -> TrainingResult:
     """Simulate T epochs; deterministic given (structure, hp, data, seed).
 
     Workers are sampled per group at window starts and stay fixed for the
-    window.  Each epoch initialises every sampled (group, worker) job and
-    trains all of them in one ``local_train``; each group then applies its
-    raw update, or at the window's last epoch its mechanism on top of the
-    window-start model, summing deltas in sampled-worker order.
+    window; no draw depends on the models, so each purpose's streams are
+    keyed once per run and every window is sampled before epoch 1.  Each
+    epoch initialises every sampled (group, worker) job and trains all of
+    them in one ``local_train``; then one pass over the epoch's rows applies
+    every group's raw update, or at the window's last epoch its mechanism on
+    top of the window-start model: each row clipped at its group's sqrt(W) c,
+    each group's rows summed in worker order from +0.0 (zero padding leaves
+    such a sum unchanged), plus one noise draw of std sqrt(W) c sigma.
     """
     if hp.num_groups != structure.num_groups:
         raise ValueError("hyper-parameters were built for a different group count")
@@ -273,7 +272,7 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
         raise ValueError("partition must assign a shard to every worker")
     if sum(map(len, partition)) > len(set().union(*map(set, partition))):
         raise ValueError("partition shards must be disjoint")
-    W = hp.mechanism_window
+    M, W = hp.num_groups, hp.mechanism_window
     v = models.param_dim(train.features.shape[1], train.num_classes)
     design = models.augment(train.features)
     shards = [(workers, np.array([partition[n] for n in workers]))
@@ -283,40 +282,48 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
         row_blocks[ids] += structure.group_set_of_worker[workers][:, None]
     test_xy = ((models.augment(test.features), test.labels)
                if test is not None and len(test) else None)
-    theta = np.zeros((structure.num_groups, v))
-    trajectory = [theta.copy()]
+    sampling = _streams(hp.seed, "sampling", _group_keys(M, range(1, hp.epochs + 1, W)))
+    windows = []  # each job's group and worker, group-major, and where the padded sums put it
+    for _ in range(1, hp.epochs + 1, W):
+        picks = [poisson_sample(members, float(hp.participation[m]), next(sampling))
+                 for m, members in enumerate(structure.members_of_group)]
+        counts = np.array([len(workers) for workers in picks])
+        windows.append((np.repeat(np.arange(M), counts),
+                        np.array([n for workers in picks for n in workers], np.int64),
+                        np.arange(counts.max()) < counts[:, None]))
+    jobs = [windows[(t - 1) // W] for t in range(1, hp.epochs + 1)]
+    nonempty = np.array([len(shard) > 0 for shard in partition])
+    batch = _streams(hp.seed, "batch", np.concatenate([np.empty((0, 3), np.int64)] + [
+        np.column_stack([groups, np.full_like(groups, t), workers])[nonempty[workers]]
+        for t, (groups, workers, _) in enumerate(jobs, 1)]))
+    noise = _streams(hp.seed, "noise", _group_keys(M, range(W, hp.epochs + 1, W)))
+    root_w = math.sqrt(W)
+    stds = [root_w * float(c * s) if s > 0 else 0.0 for c, s in zip(hp.clip, hp.sigma)]
+    scale = (hp.participation * [len(members) for members in structure.members_of_group])[:, None]
+    theta = np.zeros((M, v))
+    trajectory = [theta]
     metrics: list[EpochMetrics] = []
-    for t in range(1, hp.epochs + 1):
-        # A window's start takes the sampling streams, its end the noise streams.
-        opens, closes = (t - 1) % W == 0, t % W == 0
-        streams = _streams(hp.seed, [(p, m, t) for p in ["sampling"] * opens + ["noise"] * closes
-                                     for m in range(hp.num_groups)])
-        if opens:
-            anchor = theta
-            sampled = [poisson_sample(members, float(hp.participation[m]), next(streams))
-                       for m, members in enumerate(structure.members_of_group)]
-            accum = [np.zeros((len(workers), v)) for workers in sampled]
-        jobs = [(m, n) for m, workers in enumerate(sampled) for n in workers]
+    for t, (groups, workers, mask) in enumerate(jobs, 1):
+        if (t - 1) % W == 0:
+            anchor, accum = theta, np.zeros((len(workers), v))
         if is_intergroup_epoch(t, hp.inter_group_period):
-            owner = structure.group_set_of_worker[[n for _, n in jobs]]
-            starts = personalize(structure, theta)[owner]
+            starts = personalize(structure, theta)[structure.group_set_of_worker[workers]]
         else:
-            starts = theta[[m for m, _ in jobs]]
-        batch = _streams(hp.seed, [("batch", m, t, n) for m, n in jobs if len(partition[n])])
-        plans = [_batch_plan(partition[n], hp, batch) for _, n in jobs]
+            starts = theta[groups]
+        plans = [_batch_plan(partition[n], hp, batch) for n in workers]
         deltas = local_train(starts, plans, design, train.labels, train.num_classes,
                              hp.learning_rate) - starts
-        new_theta = np.empty_like(theta)
-        bounds = np.cumsum([len(workers) for workers in sampled])[:-1]
-        for m, rows in enumerate(np.split(deltas, bounds)):
-            accum[m] += rows
-            scale = float(hp.participation[m]) * len(structure.members_of_group[m])
-            if closes:  # window complete: clipped, noised mechanism
-                new_theta[m] = anchor[m] + _mechanism(hp, accum[m], m, next(streams)) / scale
-            else:
-                new_theta[m] = theta[m] + np.add.reduce(rows, axis=0, initial=0.0) / scale
-        theta = new_theta
-        trajectory.append(theta.copy())
+        accum += deltas
+        padded = np.zeros((*mask.shape, v))
+        if t % W:  # mid-window: raw update
+            padded[mask] = deltas
+            theta = theta + np.add.reduce(padded, axis=1, initial=0.0) / scale
+        else:  # window complete: clipped, noised mechanism
+            padded[mask] = clip_update(accum, root_w * hp.clip[groups, None])
+            sums = np.add.reduce(padded, axis=1, initial=0.0) + np.array(
+                [mechanism_noise(next(noise), v, std) for std in stds])
+            theta = anchor + sums / scale
+        trajectory.append(theta)
         metrics.append(_epoch_metrics(structure, theta, (design, train.labels), row_blocks,
                                       shards, test_xy, train.num_classes, t))
     return TrainingResult(trajectory=trajectory, metrics=metrics)

@@ -100,12 +100,13 @@ def test_bulk_keys_match_seed_sequence(rows):
 def test_rekeyed_streams_draw_as_fresh_streams():
     """Each stream of ``_streams`` draws what ``derive_stream`` draws under its
     key, although all of them are one generator: a stream that leaves a
-    buffered uint32 behind does not leak it into the next."""
-    keys = [("batch", 1, 2, 3), ("batch", 0, 0, 0), ("batch", 5, 2 ** 32 - 1, 9)]
+    buffered uint32 behind does not leak it into the next.  One call keys one
+    purpose; an empty (0, w) array keys no stream."""
+    subkeys = np.array([(1, 2, 3), (0, 0, 0), (5, 2 ** 32 - 1, 9)])
     for seed in (0, 7, 2 ** 40 + 3):
-        streams = _streams(seed, keys)
-        for key in keys:
-            got, want = next(streams), derive_stream(seed, *key)
+        streams = _streams(seed, "batch", subkeys)
+        for key in subkeys:
+            got, want = next(streams), derive_stream(seed, "batch", *key)
             for rng in (got, want):
                 assert rng.bit_generator.state["has_uint32"] == 0
             assert np.array_equal(got.permuted(np.arange(5)), want.permuted(np.arange(5)))
@@ -113,7 +114,19 @@ def test_rekeyed_streams_draw_as_fresh_streams():
                 assert got.integers(0, 2 ** 32, dtype=np.uint32) == want.integers(
                     0, 2 ** 32, dtype=np.uint32)
         assert next(streams, None) is None
-    streams = _streams(3, [("sampling", 0, 1), ("noise", 0, 1), ("noise", 2, 1)])
-    for key in [("sampling", 0, 1), ("noise", 0, 1), ("noise", 2, 1)]:
-        assert np.array_equal(next(streams).random(9), derive_stream(3, *key).random(9))
-    assert list(_streams(3, [])) == []
+    for purpose in ("sampling", "noise"):
+        streams = _streams(3, purpose, [(0, 1), (2, 1), (2 ** 32 - 1, 4)])
+        for key in [(0, 1), (2, 1), (2 ** 32 - 1, 4)]:
+            assert np.array_equal(next(streams).random(9), derive_stream(3, purpose, *key).random(9))
+        assert next(streams, None) is None
+    for width in (2, 3):
+        assert list(_streams(3, "noise", np.empty((0, width), np.int64))) == []
+
+
+def test_stream_subkeys_outside_32_bits_are_refused():
+    """A subkey below 0 or from 2**32 on is refused when the streams are keyed,
+    not cast to an unsigned word, which would wrap it onto another key."""
+    for bad in (-1, 2 ** 32, 2 ** 40):
+        for subkeys in ([(1, bad, 0)], np.array([(1, 2, 3), (1, bad, 0)])):
+            with pytest.raises(ValueError, match=r"^stream subkeys must lie in \[0, 2\*\*32\)$"):
+                _streams(0, "batch", subkeys)

@@ -13,7 +13,7 @@ import pytest
 
 from dpogl import models
 from dpogl.data import make_synthetic
-from dpogl.rng import derive_stream
+from dpogl.rng import _philox_keys, derive_stream
 from dpogl.topology import GroupStructure, generate_structure
 from dpogl.trainer import (HyperParams, _batch_plan, clip_update, is_intergroup_epoch,
                            local_train, mechanism_noise, personalize,
@@ -207,13 +207,17 @@ def test_clip_update_invariants():
             assert cos > 1 - 1e-12
     with pytest.raises(ValueError):
         clip_update(np.ones(3), 0.0)
+    for bad in (0.0, -1.0, np.nan):  # one bad entry of a per-row column
+        with pytest.raises(ValueError, match="^clip_norm must be positive$"):
+            clip_update(np.ones((3, 4)), np.array([[1.0], [bad], [2.0]]))
 
 
 def test_clip_update_is_row_wise_and_bitwise():
     """Each row of a stacked call is the 1-D rule ``row / max(1.0, norm / c)``
     bit for bit: zero rows, a row exactly at the bound, c = inf, and a row
     holding NaN, whose ``max(1.0, nan)`` is 1.0 (``np.maximum`` would give
-    NaN and blank the row's other entries)."""
+    NaN and blank the row's other entries).  A (k, 1) column of norms clips
+    each row as the scalar call with its own norm does."""
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((64, 36)) * rng.uniform(0.01, 10, size=(64, 1))
     rows[1] = 0.0
@@ -235,6 +239,9 @@ def test_clip_update_is_row_wise_and_bitwise():
                 assert np.array_equal(bits(clip_update(row, c)), bits(one))
         assert np.array_equal(clip_update(rows, 5.0)[3], rows[3])
         assert np.isfinite(np.delete(clip_update(rows, 5.0)[4], 2)).all()
+        norms = np.resize([5.0, 0.3, 1e-300, np.inf, 2.5], (len(rows), 1))
+        want = [clip_update(row, c) for row, c in zip(rows, norms[:, 0])]
+        assert np.array_equal(bits(clip_update(rows, norms)), bits(want))
 
 
 def test_poisson_sample_is_per_member_independent():
@@ -420,6 +427,16 @@ def _reference_case(name):
                           inter_group_period=3, epochs=9, clip=0.1,
                           participation=0.7, seed=8),
                 ds, _consecutive_shards([3, 4, 2, 5, 3, 4, 3, 2, 4, 5, 3, 4]), test)
+    if name == "group_samples_no_worker":  # group 1 samples none at epochs 3-5
+        return (ring, simple_hp(num_groups=3, epochs=6, participation=[0.9, 0.2, 0.6],
+                                seed=0),
+                ds, _consecutive_shards([5, 3, 6, 4, 7, 2]), test)
+    if name == "dpogl_plus_last_window_open":  # epochs 7-8 never reach a mechanism
+        return (generate_structure("RI", 12, 3),
+                simple_hp(num_groups=3, algorithm="dpogl_plus", threat_model="tm2",
+                          inter_group_period=3, epochs=8, clip=0.2,
+                          participation=0.7, seed=10),
+                ds, _consecutive_shards([3, 4, 2, 5, 3, 4, 3, 2, 4, 5, 3, 4]), test)
     if name == "two_word_seed_and_noise_free_group":  # seed words [3, 256]
         return (ring, simple_hp(num_groups=3, epochs=5, sigma=[1.0, 0.0, 2.0],
                                 participation=0.8, seed=2 ** 40 + 3),
@@ -431,12 +448,21 @@ def _reference_case(name):
 
 @pytest.mark.parametrize("name", ["shards_below_batch", "empty_shard",
                                   "worker_sampled_in_two_groups",
-                                  "dpogl_plus_period_3",
+                                  "dpogl_plus_period_3", "group_samples_no_worker",
+                                  "dpogl_plus_last_window_open",
                                   "two_word_seed_and_noise_free_group", "no_test_set"])
 def test_run_training_matches_per_worker_reference(name):
     structure, hp, train, partition, test = _reference_case(name)
     if name == "worker_sampled_in_two_groups":  # participation 1: all sampled
         assert sum(2 in members for members in structure.members_of_group) > 1
+    if name == "group_samples_no_worker":  # a zero-count group beside sampled ones
+        counts = [[len(poisson_sample(members, float(hp.participation[m]),
+                                      derive_stream(hp.seed, "sampling", m, t)))
+                   for m, members in enumerate(structure.members_of_group)]
+                  for t in range(1, hp.epochs + 1)]
+        assert any(0 in row and max(row) > 0 for row in counts)
+    if name == "dpogl_plus_last_window_open":
+        assert hp.epochs % hp.mechanism_window != 0
     result = run_training(structure, hp, train, partition, test)
     trajectory, metrics = _reference_training(structure, hp, train, partition, test)
     assert len(result.trajectory) == len(trajectory) == hp.epochs + 1
@@ -445,6 +471,21 @@ def test_run_training_matches_per_worker_reference(name):
     assert np.array_equal([(m.avg_train_loss, m.avg_test_acc) for m in result.metrics],
                           metrics, equal_nan=True)
     assert all(math.isnan(acc) for _, acc in metrics) == (test is None)
+
+
+def test_each_purpose_is_keyed_once_per_run(monkeypatch):
+    """No draw depends on the models, so a run keys its sampling, batch and
+    noise streams in at most three bulk passes, whatever its epoch count."""
+    calls = []
+
+    def counted(entropy):
+        calls.append(len(entropy))
+        return _philox_keys(entropy)
+    monkeypatch.setattr("dpogl.rng._philox_keys", counted)
+    for name in ("shards_below_batch", "dpogl_plus_period_3"):
+        calls.clear()
+        assert len(run_training(*_reference_case(name)).trajectory) > 4
+        assert len(calls) <= 3, calls
 
 
 def test_epoch_metrics_match_per_worker_loop():
