@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .topology import GroupStructure
-from .trainer import HyperParams, is_intergroup_epoch
+from .trainer import HyperParams, _check_group_count, is_intergroup_epoch
 
 # Spaced so consecutive (alpha - 1) ratios stay below ~1.46: the conversion
 # optimum then lands within 2% of the continuous minimum for any linear curve.
@@ -57,8 +57,8 @@ DEFAULT_ALPHA_GRID = (
 class AccountingPreconditionError(ValueError):
     """A precondition of a bound does not hold: a group budget that is not
     finite and > 0 (sigma = 0, say), partial participation, an infinite clip
-    or an overflowing mechanism variance for the smoothing recursion, or a
-    non-string structure for degradation."""
+    or an overflowing mechanism variance or spread for the smoothing
+    recursion, or a non-string structure for degradation."""
 
 
 def _group_budgets(hp: HyperParams, name: str, budget) -> np.ndarray:
@@ -124,6 +124,7 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     inits ``inv_a`` (at an inter-group epoch, the merge of the worker's
     groups) and their spread ``inv_h`` are carried as per-group member sums.
     """
+    _check_group_count(structure, hp)
     mechanism_var = _lsi_preconditions(hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -132,7 +133,13 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
     M = structure.num_groups
     S, W = hp.inter_group_period, hp.mechanism_window
     sizes = np.array([len(g) for g in structure.members_of_group], dtype=float)
-    spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
+    try:  # float ** raises OverflowError; an infinite eta * beta does not
+        spread = (1.0 + (1.0 + hp.learning_rate * beta) ** hp.local_iterations) ** 2
+    except OverflowError:
+        spread = math.inf
+    if math.isinf(spread):
+        raise AccountingPreconditionError(
+            "the LSI spread (1 + (1 + eta beta)^L)^2 is not finite (an overflow)")
     inv_hbar = np.zeros((horizon + 1, M))
     inv_b = window_b = np.zeros(M)  # the model at epoch t and at its window's start
     inv_e = np.zeros(M)  # the last fired mechanism's output; 0 before the first
@@ -220,6 +227,8 @@ def _check_grid(alpha_grid) -> list[float]:
     for k, a in enumerate(grid):
         if not a > 1:
             raise ValueError(f"alpha_grid[{k}] must exceed 1")
+        if math.isinf(a):
+            raise ValueError(f"alpha_grid[{k}] must be finite")
     return grid
 
 
@@ -240,6 +249,7 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams,
     alpha.  Cells are undefined on the diagonal and, under tm2 (which
     dpogl_plus requires), for in-group pairs.
     """
+    _check_group_count(structure, hp)
     if t < 1:
         raise ValueError("t must be >= 1")
     S = hp.inter_group_period
@@ -275,6 +285,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     group (hop rho) is read at e itself, so it attenuates only if a
     mechanism fires at e, that is only when W = 1.
     """
+    _check_group_count(structure, hp)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     alphas = np.array(_check_grid(alpha_grid))

@@ -10,14 +10,11 @@ groups along adjacency hops, which is what the privacy accountant exploits.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-
-INFINITE_DISTANCE = math.inf
 
 STRUCTURE_KINDS = ("GL", "LB", "CL", "RI")
 
@@ -129,13 +126,6 @@ class GroupStructure:
             "tm2": _read_only((members.T @ members) == 0),
         })
 
-    def neighborhood(self, worker: int) -> frozenset[int]:
-        """All workers sharing at least one group with ``worker`` (inclusive)."""
-        out: set[int] = set()
-        for m in self.groups_of_worker[worker]:
-            out.update(self.members_of_group[m])
-        return frozenset(out)
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -149,26 +139,17 @@ def build_adjacency(structure: GroupStructure) -> np.ndarray:
 
 
 def distance_matrix(adjacency: np.ndarray) -> np.ndarray:
-    """(M, M) hop distances by BFS; ``inf`` marks disconnected pairs.
-
-    Equivalent to the smallest t >= 0 with a positive (m, m') entry in the
-    t-th power of the adjacency matrix (self loops included, so the diagonal
-    is 0).
-    """
+    """(M, M) group hop distances: (m, m') holds the smallest h >= 0 with a
+    positive (m, m') entry in the h-th power of ``adjacency``, or ``inf`` if
+    none.  ``adjacency`` has a True diagonal, as ``build_adjacency`` gives,
+    so h steps reach every pair within h hops."""
     M = adjacency.shape[0]
-    neighbors = [np.flatnonzero(row).tolist() for row in adjacency]
-    dist = np.empty((M, M))
-    for src in range(M):
-        hops = [INFINITE_DISTANCE] * M
-        hops[src] = 0.0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if math.isinf(hops[v]):
-                    hops[v] = hops[u] + 1
-                    queue.append(v)
-        dist[src] = hops
+    step = adjacency.astype(float)
+    dist = np.full((M, M), math.inf)
+    reach = np.eye(M, dtype=bool)
+    for h in range(M):
+        dist[reach & np.isinf(dist)] = h
+        reach = (reach @ step) > 0
     return dist
 
 
@@ -228,13 +209,10 @@ def generate_structure(kind: str, num_workers: int, num_groups: int,
         if num_workers < num_groups:
             raise ValueError("RI needs at least one worker per group")
         segments = _contiguous_segments(num_workers, num_groups)
-        if num_groups == 1:
-            members = (tuple(range(num_workers)),)
-        else:
-            ring = []
-            for m, seg in enumerate(segments):
-                shared = segments[(m + 1) % num_groups][0]
-                ring.append(tuple(sorted(set(seg) | {shared})))
-            members = tuple(ring)
+        ring = []
+        for m, seg in enumerate(segments):
+            shared = segments[(m + 1) % num_groups][0]
+            ring.append(tuple(sorted(set(seg) | {shared})))
+        members = tuple(ring)
 
     return GroupStructure(num_workers=num_workers, members_of_group=members)

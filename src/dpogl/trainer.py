@@ -106,6 +106,11 @@ class HyperParams:
         return self.inter_group_period if self.algorithm == "dpogl_plus" else 1
 
 
+def _check_group_count(structure: GroupStructure, hp: HyperParams) -> None:
+    if hp.num_groups != structure.num_groups:
+        raise ValueError("hyper-parameters were built for a different group count")
+
+
 def is_intergroup_epoch(t: int, period: int) -> bool:
     return (t - 1) % period == 0
 
@@ -266,8 +271,7 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     each group's rows summed in worker order from +0.0 (zero padding leaves
     such a sum unchanged), plus one noise draw of std sqrt(W) c sigma.
     """
-    if hp.num_groups != structure.num_groups:
-        raise ValueError("hyper-parameters were built for a different group count")
+    _check_group_count(structure, hp)
     if len(partition) != structure.num_workers:
         raise ValueError("partition must assign a shard to every worker")
     if sum(map(len, partition)) > len(set().union(*map(set, partition))):

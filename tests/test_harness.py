@@ -342,6 +342,27 @@ def test_overflowing_mechanism_variance_is_refused(tmp_path, capsys):
     assert "accounting disabled: group 1: " in capsys.readouterr().err
 
 
+def test_overflowing_lsi_spread_is_refused(tmp_path, capsys):
+    """(1 + (1 + eta beta)^L)^2 past the float range is an accounting
+    precondition failure under both commands; it used to escape as an
+    OverflowError, exit 1 and leave no manifest."""
+    overrides = dict(seed=0, epochs=6, inter_group_period=1,
+                     local_iterations=200, learning_rate=1.0, participation=1.0,
+                     clip=0.5, sigma=1.0, bound="degradation",
+                     heatmap_epochs=[6], structure={
+                         "num_workers": 5,
+                         "members_of_group": [[0, 1, 2], [2, 3, 4]]},
+                     data={"num_classes": 3, "dims": 2, "per_class": 20})
+    path = write_config(tmp_path, **overrides)
+    for command, outputs in (("run", ["metrics.csv"]), ("account", [])):
+        out = tmp_path / command
+        assert cli_main([command, str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["accounting_error"].startswith("the LSI spread")
+        assert manifest["outputs"] == outputs
+        assert "accounting disabled: the LSI spread" in capsys.readouterr().err
+
+
 def test_delta_with_infinite_reciprocal_is_refused(tmp_path, capsys):
     """log(1/delta) would be inf in every eps_dp of pwp.csv."""
     for delta in (1e-320, 5e-324, 5.5e-309):

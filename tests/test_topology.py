@@ -21,8 +21,9 @@ def test_structure_normalizes_and_indexes():
     assert st.members_of_group == ((0, 2), (1, 2, 3))
     assert st.num_groups == 2
     assert st.groups_of_worker == ((0,), (1,), (0, 1), (1,))
-    assert st.neighborhood(0) == frozenset({0, 2})
-    assert st.neighborhood(2) == frozenset({0, 1, 2, 3})
+    neighbors = [sorted({w for m in st.groups_of_worker[n]
+                         for w in st.members_of_group[m]}) for n in (0, 2)]
+    assert neighbors == [[0, 2], [0, 1, 2, 3]]
 
 
 def test_structure_validation_errors():
@@ -178,7 +179,9 @@ def test_structure_facts_match_the_functions_and_are_read_only():
     tm1, tm2 = st.admissible_observers["tm1"], st.admissible_observers["tm2"]
     for n in range(10):
         assert tm1[n].tolist() == [i != n for i in range(10)]
-        assert tm2[n].tolist() == [i not in st.neighborhood(n) for i in range(10)]
+        assert tm2[n].tolist() == [
+            not set(st.groups_of_worker[i]) & set(st.groups_of_worker[n])
+            for i in range(10)]
     for fact in (st.adjacency, st.distances, st.member_mask,
                  st.worker_distances, tm1, tm2):
         with pytest.raises(ValueError):
