@@ -6,7 +6,9 @@ functions take features that already carry the bias column (``augment``,
 applied once per dataset) and broadcast over leading axes: a (k, v) stack
 of models with (k, b, dims + 1) batches, or with one shared (b, dims + 1)
 batch, gives k results.  On numpy's BLAS path a row of a product of two or
-more rows is bit-identical whatever the other rows are; 1-row ones use gemv.
+more rows is bit-identical whatever the other rows are; a 1-row product is a
+gemv, which can round differently, so ``gradient`` keeps it for each model
+whose padded batch has one real row.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ def _logits(params: np.ndarray, design: np.ndarray, num_classes: int) -> np.ndar
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last (class) axis.  The max stays numpy's
+    reduction: a fold of ``np.maximum`` over the class columns is faster on
+    a few classes but several times slower at 100."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -40,18 +45,36 @@ def loss(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
     return -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
 
 
-def gradient(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
-             num_classes: int) -> np.ndarray:
+def targets(labels: np.ndarray, num_classes: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays ``gradient`` reads of batches of ``labels`` (-1 marks a
+    padding row): the padding mask, the one-hot targets and each batch's
+    count of real rows.  None depends on the model, so a caller stepping one
+    batch layout many times builds them once, with any leading axes."""
+    return (labels < 0, labels[..., None] == np.arange(num_classes),
+            (labels >= 0).sum(axis=-1)[..., None])
+
+
+def gradient(params: np.ndarray, design: np.ndarray, pad: np.ndarray,
+             onehot: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Gradient of ``loss`` at each model, shaped like ``params``.
 
-    Label -1 marks padding, an all-zero row: its probabilities are -0.0, so
-    its products in the sums over rows are -0.0, the exact additive identity,
-    and each model divides by its count of real rows: bit for bit unpadded.
+    ``pad``, ``onehot``, ``count``: ``targets`` of the batch labels.  A
+    padding row is all zero: its probabilities are set to -0.0, so its
+    products in the sums over rows are -0.0, the exact additive identity, and
+    each model divides by its count of real rows: bit for bit unpadded.  A
+    model with its own batch of b >= 2 rows and one real row, row 0, takes
+    that row's logits from the 1-row product (gemv) it would take unpadded,
+    since a row of a gemm can round differently.
     """
-    probs = np.exp(_log_softmax(_logits(params, design, num_classes)))
-    probs[labels < 0] = -0.0
-    probs -= labels[..., None] == np.arange(num_classes)
-    count = (labels >= 0).sum(axis=-1)[..., None]
+    num_classes = onehot.shape[-1]
+    logits = _logits(params, design, num_classes)
+    ones = count[..., 0] == 1
+    if design.shape[-2] > 1 and ones.shape == params.shape[:-1] and ones.any():
+        logits[ones, :1] = _logits(params[ones], design[ones, :1], num_classes)
+    probs = np.exp(_log_softmax(logits))
+    probs[pad] = -0.0
+    probs -= onehot
     return (np.swapaxes(probs, -1, -2) @ design).reshape(params.shape) / count
 
 

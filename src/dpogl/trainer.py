@@ -164,21 +164,27 @@ def mechanism_noise(rng: np.random.Generator, dim: int, std: float) -> np.ndarra
     return std * rng.standard_normal(dim)
 
 
-def _batch_plan(shard: np.ndarray, hp: HyperParams, streams: Iterator) -> np.ndarray:
+def _batch_plan(shard: np.ndarray, hp: HyperParams, streams: Iterator,
+                aranges: dict[int, np.ndarray]) -> np.ndarray:
     """(L, b) sample ids of one worker's local batches, b = min(B, shard size).
 
     Batches are drawn uniformly without replacement from the next of
     ``streams``, the job's (group, epoch, worker) stream as ``_streams`` keys
     it in bulk, reshuffling whenever fewer than a full batch remains: one
-    ``permuted`` call shuffles ceil(L / (n // b)) rows.  An empty shard gives
-    an (L, 0) plan and takes no stream.
+    ``permuted`` call shuffles a copy of ceil(L / (n // b)) rows of 0..n-1,
+    which ``aranges``, the run's cache, keeps read-only by shard size n.  An
+    empty shard gives an (L, 0) plan and takes no stream.
     """
     L, n = hp.local_iterations, len(shard)
     if n == 0:
         return np.empty((L, 0), dtype=np.int64)
     b = min(hp.batch_size, n)
     per_shuffle = n // b
-    perms = next(streams).permuted(np.arange(n)[None].repeat(-(-L // per_shuffle), 0), axis=1)
+    rows = aranges.get(n)
+    if rows is None:
+        rows = aranges[n] = np.arange(n)[None].repeat(-(-L // per_shuffle), 0)
+        rows.flags.writeable = False
+    perms = next(streams).permuted(rows, axis=1)
     return shard[perms[:, :per_shuffle * b].reshape(-1, b)[:L]]
 
 
@@ -189,21 +195,24 @@ def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
 
     ``plans[j]`` holds job j's (L, b) sample ids into ``design`` (features
     with the bias column) and ``labels``; a job with an empty plan keeps its
-    start.  Jobs with b = 1 (gemv) share one bucket; the rest share one padded
-    by id -1, an appended zero row of label -1 (``models.gradient``).  Each
-    local iteration is one gradient per bucket, bit-identical to each job alone.
+    start.  The other jobs are padded to the widest by id -1, an appended
+    zero row of label -1, and each local iteration is one ``models.gradient``
+    over all of them, bit-identical to each job alone; the labels' arrays
+    (``models.targets``) are built once for all L steps.
     """
     out = starts.copy()
     design, labels = np.vstack([design, np.zeros(design.shape[1])]), np.append(labels, -1)
     widths = np.array([plan.shape[1] for plan in plans])
-    for jobs in filter(len, (np.flatnonzero(widths == 1), np.flatnonzero(widths > 1))):
-        steps = np.full((len(plans[0]), len(jobs), widths[jobs].max()), -1)
-        for k, j in enumerate(jobs):
-            steps[:, k, :widths[j]] = plans[j]
-        x = out[jobs]
-        for step in steps:  # (k, b) ids
-            x -= learning_rate * models.gradient(x, design[step], labels[step], num_classes)
-        out[jobs] = x
+    jobs = np.flatnonzero(widths)
+    if not len(jobs):
+        return out
+    steps = np.full((len(plans[0]), len(jobs), widths.max()), -1)
+    for k, j in enumerate(jobs):
+        steps[:, k, :widths[j]] = plans[j]
+    x = out[jobs]
+    for step, *batch in zip(steps, *models.targets(labels[steps], num_classes)):
+        x -= learning_rate * models.gradient(x, design[step], *batch)
+    out[jobs] = x
     return out
 
 
@@ -304,6 +313,7 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     root_w = math.sqrt(W)
     stds = [root_w * float(c * s) if s > 0 else 0.0 for c, s in zip(hp.clip, hp.sigma)]
     scale = (hp.participation * [len(members) for members in structure.members_of_group])[:, None]
+    aranges: dict[int, np.ndarray] = {}
     theta = np.zeros((M, v))
     trajectory = [theta]
     metrics: list[EpochMetrics] = []
@@ -314,7 +324,7 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
             starts = personalize(structure, theta)[structure.group_set_of_worker[workers]]
         else:
             starts = theta[groups]
-        plans = [_batch_plan(partition[n], hp, batch) for n in workers]
+        plans = [_batch_plan(partition[n], hp, batch, aranges) for n in workers]
         deltas = local_train(starts, plans, design, train.labels, train.num_classes,
                              hp.learning_rate) - starts
         accum += deltas

@@ -308,7 +308,7 @@ def _fedavg_reference(structure: GroupStructure, hp: HyperParams, train,
                     take = perm[pos:pos + batch]
                     pos += batch
                     x -= hp.learning_rate * models.gradient(
-                        x, feats[take], labels[take], train.num_classes)
+                        x, feats[take], *models.targets(labels[take], train.num_classes))
             delta_sum += x - theta
         theta = theta + delta_sum / float(len(members))
         history.append(theta.copy())

@@ -28,7 +28,7 @@ def test_gradient_matches_finite_differences():
     x = models.augment(r.standard_normal((9, 3)))
     y = r.integers(0, 4, size=9)
     theta = 0.3 * r.standard_normal(models.param_dim(3, 4))
-    grad = models.gradient(theta, x, y, 4)
+    grad = models.gradient(theta, x, *models.targets(y, 4))
     eps = 1e-6
     for k in range(0, theta.size, 5):
         bump = np.zeros_like(theta)
@@ -43,8 +43,8 @@ def test_gradient_of_mean_is_mean_of_gradients():
     x = models.augment(r.standard_normal((8, 3)))
     y = r.integers(0, 3, size=8)
     theta = r.standard_normal(models.param_dim(3, 3))
-    whole = models.gradient(theta, x, y, 3)
-    parts = np.mean([models.gradient(theta, x[k:k + 1], y[k:k + 1], 3)
+    whole = models.gradient(theta, x, *models.targets(y, 3))
+    parts = np.mean([models.gradient(theta, x[k:k + 1], *models.targets(y[k:k + 1], 3))
                      for k in range(8)], axis=0)
     assert np.allclose(whole, parts)
 
@@ -71,8 +71,8 @@ def test_smoothness_bound_dominates_observed_curvature():
         direction = r.standard_normal(theta.size)
         step = 1e-4 * direction / np.linalg.norm(direction)
         for k in range(20):  # per-sample smoothness, sample by sample
-            g1 = models.gradient(theta + step, x[k:k + 1], y[k:k + 1], 3)
-            g0 = models.gradient(theta, x[k:k + 1], y[k:k + 1], 3)
+            g1 = models.gradient(theta + step, x[k:k + 1], *models.targets(y[k:k + 1], 3))
+            g0 = models.gradient(theta, x[k:k + 1], *models.targets(y[k:k + 1], 3))
             ratio = np.linalg.norm(g1 - g0) / np.linalg.norm(step)
             assert ratio <= beta * (1 + 1e-6)
 
@@ -85,12 +85,14 @@ def test_padded_gradient_is_bitwise(seed, dims, num_classes, scale, zero_column,
                                     one_label):
     """Padding is exact, bit for bit, on stacked models.
 
-    For every batch length b in 2..8 padded to 8 with all-zero rows of label
-    -1, ``gradient`` equals the unpadded gradient: the padded products are
-    -0.0 and each model divides by its real rows.  ``local_train`` pads by
-    the id of such a row, so its jobs of b = 1..8 each equal stepping that
-    job alone.  The 1-row job is kept apart from the merged bucket, not
-    merged: its product is a gemv, whose sums may differ from a gemm row's.
+    For batch lengths b in 1..8 padded to 8 with all-zero rows of label -1,
+    the same b for every model or a different b per model, ``gradient``
+    equals each model's unpadded gradient: the padded products are -0.0 and
+    each model divides by its real rows; a model with b = 1 takes the
+    unpadded 1-row product (gemv), whose sums may differ from a gemm row's.
+    ``local_train`` pads by the id of such a row, so its jobs each equal
+    stepping that job alone: b = 1..8, only 1-row jobs, none, and one
+    between others.
     """
     r = rng(seed)
     k, v = 3, models.param_dim(dims, num_classes)
@@ -103,18 +105,23 @@ def test_padded_gradient_is_bitwise(seed, dims, num_classes, scale, zero_column,
     design = models.augment(features)
     theta = scale * r.standard_normal((k, v))
     ids = r.integers(0, 40, size=(k, 8))
-    for b in range(2, 9):
+    for bs in [[b] * k for b in range(1, 9)] + [[3, 1, 8], [1, 8, 1]]:
         x, y = design[ids].copy(), labels[ids].copy()
-        x[:, b:], y[:, b:] = 0.0, -1
-        want = models.gradient(theta, design[ids[:, :b]], labels[ids[:, :b]], num_classes)
-        got = models.gradient(theta, x, y, num_classes)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for m, b in enumerate(bs):
+            x[m, b:], y[m, b:] = 0.0, -1
+        got = models.gradient(theta, x, *models.targets(y, num_classes))
+        for m, b in enumerate(bs):
+            want = models.gradient(theta[m], design[ids[m, :b]],
+                                   *models.targets(labels[ids[m, :b]], num_classes))
+            assert np.array_equal(got[m].view(np.uint64), want.view(np.uint64))
 
-    starts = scale * r.standard_normal((8, v))
-    plans = [r.integers(0, 40, size=(3, b)) for b in range(1, 9)]
-    got = local_train(starts, plans, design, labels, num_classes, 0.5)
-    for start, plan, row in zip(starts, plans, got):
-        x = start.copy()
-        for step in plan:
-            x -= 0.5 * models.gradient(x, design[step], labels[step], num_classes)
-        assert np.array_equal(row.view(np.uint64), x.view(np.uint64))
+    for widths in (range(1, 9), [1, 1, 1], range(2, 9), [4, 1, 7, 2]):
+        starts = scale * r.standard_normal((len(widths), v))
+        plans = [r.integers(0, 40, size=(3, b)) for b in widths]
+        got = local_train(starts, plans, design, labels, num_classes, 0.5)
+        for start, plan, row in zip(starts, plans, got):
+            x = start.copy()
+            for step in plan:
+                x -= 0.5 * models.gradient(x, design[step],
+                                           *models.targets(labels[step], num_classes))
+            assert np.array_equal(row.view(np.uint64), x.view(np.uint64))

@@ -43,7 +43,7 @@ def _reference_local_sgd(start, features, labels, num_classes, hp, rng):
         return x
     for take in _reference_batches(len(labels), hp, rng):
         x -= hp.learning_rate * models.gradient(
-            x, models.augment(features[take]), labels[take], num_classes)
+            x, models.augment(features[take]), *models.targets(labels[take], num_classes))
     return x
 
 
@@ -273,18 +273,22 @@ def test_batch_plan_matches_reference_batches(n):
     """One ``permuted`` call per plan draws what the reference's sequential
     reshuffles draw (B = 4, L = 5: n = 1, n < B, n = B, B < n < 2B and
     n >= L B), and leaves the stream where they leave it; an empty shard
-    takes no stream."""
+    takes no stream.  The run's cache of 0..n-1 rows, filled by the first
+    plan and read by the other 19, stays read-only and changes no draw."""
     hp = simple_hp(batch_size=4, local_iterations=5)
     shard = 7 + 3 * np.arange(n)
+    aranges = {}
     for seed in range(20):
         rng, ref = derive_stream(seed, "batch", 1, 2, 3), derive_stream(seed, "batch", 1, 2, 3)
         streams = iter([rng])
-        plan = _batch_plan(shard, hp, streams)
+        plan = _batch_plan(shard, hp, streams, aranges)
         assert (next(streams, None) is None) == (n > 0)
         want = (shard[np.stack(_reference_batches(n, hp, ref))] if n
                 else np.empty((5, 0), dtype=np.int64))
         assert plan.dtype == want.dtype and np.array_equal(plan, want)
         assert rng.random() == ref.random()
+    assert all(not rows.flags.writeable for rows in aranges.values())
+    assert list(aranges) == ([n] if n else [])
 
 
 def test_local_train_full_batch_equals_gradient_descent():
@@ -296,22 +300,22 @@ def test_local_train_full_batch_equals_gradient_descent():
     out = local_train(start[None], [plan], design, ds.labels, 3, 0.2)
     x = start.copy()
     for _ in range(5):  # full-batch gradients are sample-order invariant
-        x -= 0.2 * models.gradient(x, design, ds.labels, 3)
+        x -= 0.2 * models.gradient(x, design, *models.targets(ds.labels, 3))
     assert np.allclose(out[0], x, atol=1e-12)
 
 
 def test_local_train_empty_shard_and_loss_decrease():
     start = np.ones((1, 6))
-    out = local_train(start, [np.empty((3, 0), dtype=np.int64)], np.zeros((0, 3)),
-                      np.zeros(0, dtype=np.int64), 2, 0.1)
+    out = local_train(start, [np.empty((3, 0), dtype=np.int64)],
+                      np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2, 0.1)
     assert np.array_equal(out, start)
     assert out is not start
     ds = make_synthetic(num_classes=2, dims=3, per_class=30, seed=2)
     hp_big = simple_hp(local_iterations=40, learning_rate=0.1, batch_size=8)
     zero = np.zeros(models.param_dim(3, 2))
     plan = np.stack(_reference_batches(len(ds), hp_big, derive_stream(7, "batch", 0, 1, 0)))
-    trained = local_train(zero[None], [plan], models.augment(ds.features), ds.labels,
-                          2, 0.1)[0]
+    trained = local_train(zero[None], [plan],
+                          models.augment(ds.features), ds.labels, 2, 0.1)[0]
     assert models.loss(trained, models.augment(ds.features), ds.labels, 2) < np.log(2) * 0.8
 
 
@@ -334,6 +338,24 @@ def test_local_train_matches_one_job_at_a_time():
                                          hp, derive_stream(1, "batch", 0, 1, j)))
     got = local_train(starts, plans, models.augment(ds.features), ds.labels, 3, 0.3)
     assert np.array_equal(got, np.array(want))
+
+
+def test_local_train_takes_one_gradient_per_step(monkeypatch):
+    """Jobs of widths 0, 1 and >= 2 step together: one ``models.gradient``
+    call per local step, over every job with rows."""
+    ds = make_synthetic(num_classes=3, dims=4, per_class=20, seed=3)
+    v = models.param_dim(4, 3)
+    calls, gradient = [], models.gradient
+
+    def counted(params, *arrays):
+        calls.append(params.shape)
+        return gradient(params, *arrays)
+    monkeypatch.setattr("dpogl.models.gradient", counted)
+    r = np.random.default_rng(6)
+    plans = [r.integers(0, len(ds), size=(7, b)) for b in (3, 0, 1, 5, 1, 0, 2)]
+    local_train(r.standard_normal((len(plans), v)), plans,
+                models.augment(ds.features), ds.labels, 3, 0.3)
+    assert calls == [(5, v)] * 7
 
 
 def test_epoch_dpogl_matches_manual_composition():
@@ -437,6 +459,10 @@ def _reference_case(name):
                           inter_group_period=3, epochs=8, clip=0.2,
                           participation=0.7, seed=10),
                 ds, _consecutive_shards([3, 4, 2, 5, 3, 4, 3, 2, 4, 5, 3, 4]), test)
+    if name == "epoch_samples_nobody":  # only worker 4, then only the empty shard's worker 2
+        return (GroupStructure(5, [[0, 1, 2], [2, 3, 4]]),
+                simple_hp(epochs=8, participation=0.01, seed=7),
+                ds, _consecutive_shards([6, 5, 0, 7, 4]), test)
     if name == "two_word_seed_and_noise_free_group":  # seed words [3, 256]
         return (ring, simple_hp(num_groups=3, epochs=5, sigma=[1.0, 0.0, 2.0],
                                 participation=0.8, seed=2 ** 40 + 3),
@@ -449,7 +475,7 @@ def _reference_case(name):
 @pytest.mark.parametrize("name", ["shards_below_batch", "empty_shard",
                                   "worker_sampled_in_two_groups",
                                   "dpogl_plus_period_3", "group_samples_no_worker",
-                                  "dpogl_plus_last_window_open",
+                                  "dpogl_plus_last_window_open", "epoch_samples_nobody",
                                   "two_word_seed_and_noise_free_group", "no_test_set"])
 def test_run_training_matches_per_worker_reference(name):
     structure, hp, train, partition, test = _reference_case(name)
@@ -461,6 +487,12 @@ def test_run_training_matches_per_worker_reference(name):
                    for m, members in enumerate(structure.members_of_group)]
                   for t in range(1, hp.epochs + 1)]
         assert any(0 in row and max(row) > 0 for row in counts)
+    if name == "epoch_samples_nobody":  # epochs with no job, or only an empty-shard job
+        sampled = [set().union(*(poisson_sample(members, float(hp.participation[m]),
+                                                derive_stream(hp.seed, "sampling", m, t))
+                                 for m, members in enumerate(structure.members_of_group)))
+                   for t in range(1, hp.epochs + 1)]
+        assert set() in sampled and {2} in sampled and {4} in sampled
     if name == "dpogl_plus_last_window_open":
         assert hp.epochs % hp.mechanism_window != 0
     result = run_training(structure, hp, train, partition, test)
