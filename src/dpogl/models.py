@@ -5,10 +5,11 @@ as a (num_classes, dims + 1) matrix whose last column is the bias.  The
 functions take features that already carry the bias column (``augment``,
 applied once per dataset) and broadcast over leading axes: a (k, v) stack
 of models with (k, b, dims + 1) batches, or with one shared (b, dims + 1)
-batch, gives k results.  On numpy's BLAS path a row of a product of two or
-more rows is bit-identical whatever the other rows are; a 1-row product is a
-gemv, which can round differently, so ``gradient`` keeps it for each model
-whose padded batch has one real row.
+batch, gives k results, and the labels broadcast like the batches.  On
+numpy's BLAS path a row of a product of two or more rows is bit-identical
+whatever the other rows are; a 1-row product is a gemv, which can round
+differently, so ``gradient`` keeps it for each model whose padded batch has
+one real row.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ def loss(params: np.ndarray, design: np.ndarray, labels: np.ndarray,
          num_classes: int) -> np.ndarray:
     """Mean negative log-likelihood of each model on its batch."""
     logp = _log_softmax(_logits(params, design, num_classes))
-    return -np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
+    picks = np.broadcast_to(labels[..., None], logp.shape[:-1] + (1,))
+    return -np.take_along_axis(logp, picks, axis=-1)[..., 0].mean(axis=-1)
 
 
 def targets(labels: np.ndarray, num_classes: int

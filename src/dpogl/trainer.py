@@ -225,39 +225,64 @@ class EpochMetrics:
 
 @dataclass
 class TrainingResult:
-    trajectory: list[np.ndarray]      # models before epoch 1, then after each epoch
+    trajectory: np.ndarray  # (T + 1, M, v): the models before epoch 1, then after each epoch
     metrics: list[EpochMetrics]
 
 
-def _epoch_metrics(structure: GroupStructure, theta: np.ndarray,
-                   train: tuple[np.ndarray, np.ndarray], row_blocks: np.ndarray,
-                   shards: list, test: tuple[np.ndarray, np.ndarray] | None,
-                   num_classes: int, epoch: int) -> EpochMetrics:
-    """Average train loss and test accuracy of the personalised models.
+def _run_metrics(structure: GroupStructure, thetas: np.ndarray, design: np.ndarray,
+                 train: Dataset, partition: list[np.ndarray], test: Dataset | None
+                 ) -> list[EpochMetrics]:
+    """Each epoch's average train loss and test accuracy of the personalised
+    models, from ``thetas``, the (T, M, v) models after epochs 1..T;
+    ``design`` is the train features with the bias column.
 
-    ``train``, ``test``: (design, labels); ``shards``: (workers, (k, size)
-    sample ids) per nonempty shard size; ``row_blocks[r]``: r * sets + the
-    group set of row r's worker.  One product scores every set on every row,
-    so shards of size >= 2 get ``models.loss`` bit for bit (see ``models``);
-    size 1 keeps that call.  Accuracy: once per set; both in worker order.
+    One pass per group set scores its models of all T epochs at once: one
+    product over the rows of its shards of size >= 2, one stacked
+    ``models.loss`` over its 1-row shards (1-row products, as each alone)
+    and one ``models.accuracy``.  Each shard's mean and both worker averages
+    are then taken for all epochs over C-contiguous last axes, in worker
+    order: bit for bit the per-epoch, per-worker values.  Memory grows with
+    T times the train and test rows.
     """
-    set_models = personalize(structure, theta)
+    T, C, labels = len(thetas), train.num_classes, train.labels
+    if not T:
+        return []
     owner = structure.group_set_of_worker
-    design, labels = train
-    blocks = (design @ set_models.reshape(-1, design.shape[1]).T).reshape(-1, num_classes)
-    logp = models._log_softmax(blocks[row_blocks])[np.arange(len(design)), labels]
-    losses = {}
+    sizes = np.array([len(shard) for shard in partition])
+    shards = [(workers, np.array([partition[n] for n in workers]))
+              for workers in _buckets(sizes)]
+    row_set = np.full(len(design), -1)  # the group set of each row of a shard of size >= 2
+    lone = np.full(len(sizes), -1)  # the row of each worker whose shard is one row
     for workers, ids in shards:
-        losses.update(zip(workers, -logp[ids].mean(axis=-1) if ids.shape[1] > 1 else
-                          models.loss(set_models[owner[workers]], design[ids],
-                                      labels[ids], num_classes)))
-    accs = [] if test is None else models.accuracy(set_models, *test, num_classes)[owner]
-    return EpochMetrics(
-        epoch=epoch,
-        avg_train_loss=(float(np.mean([losses[n] for n in sorted(losses)]))
-                        if losses else float("nan")),
-        avg_test_acc=float(np.mean(accs)) if len(accs) else float("nan"),
-    )
+        if ids.shape[1] > 1:
+            row_set[ids] = owner[workers][:, None]
+        else:
+            lone[workers] = ids[:, 0]
+    test_xy = ((models.augment(test.features), test.labels)
+               if test is not None and len(test) else None)
+    logp = np.empty((T, len(design)))  # each train row's log-likelihood
+    losses = np.empty((T, len(sizes)))
+    accs = np.empty((T, len(structure.group_sets)))
+    for s, groups in enumerate(structure.group_sets):
+        sm = thetas.take(groups, axis=1).mean(axis=-2)
+        rows = np.flatnonzero(row_set == s)
+        if len(rows):
+            logits = design[rows] @ sm.reshape(T * C, -1).T
+            lp = models._log_softmax(logits.reshape(len(rows), T, C))
+            logp[:, rows] = lp[np.arange(len(rows)), :, labels[rows]].T
+        workers = np.flatnonzero((lone >= 0) & (owner == s))
+        if len(workers):
+            ids = lone[workers, None]
+            losses[:, workers] = models.loss(sm[:, None], design[ids], labels[ids], C)
+        if test_xy is not None:
+            accs[:, s] = models.accuracy(sm, *test_xy, C)
+    for workers, ids in shards:
+        if ids.shape[1] > 1:
+            losses[:, workers] = -logp.take(ids, axis=1).mean(axis=-1)
+    nonempty = np.flatnonzero(sizes)
+    loss = losses.take(nonempty, axis=1).mean(axis=-1) if len(nonempty) else [math.nan] * T
+    acc = accs.take(owner, axis=1).mean(axis=-1) if test_xy is not None else [math.nan] * T
+    return [EpochMetrics(t, float(a), float(b)) for t, (a, b) in enumerate(zip(loss, acc), 1)]
 
 
 def _group_keys(num_groups: int, epochs: range) -> np.ndarray:
@@ -278,7 +303,9 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     every group's raw update, or at the window's last epoch its mechanism on
     top of the window-start model: each row clipped at its group's sqrt(W) c,
     each group's rows summed in worker order from +0.0 (zero padding leaves
-    such a sum unchanged), plus one noise draw of std sqrt(W) c sigma.
+    such a sum unchanged), plus one noise draw of std sqrt(W) c sigma.  The
+    epochs write the (T + 1, M, v) trajectory in place, and one metrics pass
+    after the loop scores every epoch from it (``_run_metrics``).
     """
     _check_group_count(structure, hp)
     if len(partition) != structure.num_workers:
@@ -288,13 +315,6 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     M, W = hp.num_groups, hp.mechanism_window
     v = models.param_dim(train.features.shape[1], train.num_classes)
     design = models.augment(train.features)
-    shards = [(workers, np.array([partition[n] for n in workers]))
-              for workers in _buckets([len(shard) for shard in partition])]
-    row_blocks = np.arange(len(design)) * len(structure.group_sets)
-    for workers, ids in shards:
-        row_blocks[ids] += structure.group_set_of_worker[workers][:, None]
-    test_xy = ((models.augment(test.features), test.labels)
-               if test is not None and len(test) else None)
     sampling = _streams(hp.seed, "sampling", _group_keys(M, range(1, hp.epochs + 1, W)))
     windows = []  # each job's group and worker, group-major, and where the padded sums put it
     for _ in range(1, hp.epochs + 1, W):
@@ -314,9 +334,8 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     stds = [root_w * float(c * s) if s > 0 else 0.0 for c, s in zip(hp.clip, hp.sigma)]
     scale = (hp.participation * [len(members) for members in structure.members_of_group])[:, None]
     aranges: dict[int, np.ndarray] = {}
-    theta = np.zeros((M, v))
-    trajectory = [theta]
-    metrics: list[EpochMetrics] = []
+    trajectory = np.zeros((hp.epochs + 1, M, v))
+    theta = trajectory[0]
     for t, (groups, workers, mask) in enumerate(jobs, 1):
         if (t - 1) % W == 0:
             anchor, accum = theta, np.zeros((len(workers), v))
@@ -337,7 +356,6 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
             sums = np.add.reduce(padded, axis=1, initial=0.0) + np.array(
                 [mechanism_noise(next(noise), v, std) for std in stds])
             theta = anchor + sums / scale
-        trajectory.append(theta)
-        metrics.append(_epoch_metrics(structure, theta, (design, train.labels), row_blocks,
-                                      shards, test_xy, train.num_classes, t))
-    return TrainingResult(trajectory=trajectory, metrics=metrics)
+        trajectory[t] = theta
+    return TrainingResult(trajectory, _run_metrics(structure, trajectory[1:], design, train,
+                                                   partition, test))

@@ -23,6 +23,27 @@ def test_loss_at_zero_is_log_classes():
     assert np.allclose(models.loss(theta, x, y, 3), np.log(3))
 
 
+def test_loss_broadcasts_labels_over_a_model_stack():
+    """Labels broadcast to the models' leading axes, as in ``accuracy``: a
+    (k, v) stack with one shared batch, and a (T, 1, v) stack with (k, 1, d)
+    batches, equal one call per model bit for bit."""
+    got = models.loss(np.zeros((5, 8)), np.ones((8, 1)), np.arange(8), 8)
+    want = [models.loss(np.zeros(8), np.ones((8, 1)), np.arange(8), 8)] * 5
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    r = rng(5)
+    x = models.augment(r.standard_normal((6, 3)))
+    y = r.integers(0, 4, size=6)
+    theta = r.standard_normal((5, models.param_dim(3, 4)))
+    got = models.loss(theta, x, y, 4)
+    want = [models.loss(model, x, y, 4) for model in theta]
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    got = models.loss(theta[:, None], x[:, None], y[:, None], 4)
+    assert got.shape == (5, 6)
+    want = [[models.loss(model, x[j:j + 1], y[j:j + 1], 4) for j in range(6)]
+            for model in theta]
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
 def test_gradient_matches_finite_differences():
     r = rng(1)
     x = models.augment(r.standard_normal((9, 3)))

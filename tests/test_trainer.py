@@ -522,22 +522,55 @@ def test_each_purpose_is_keyed_once_per_run(monkeypatch):
 
 def test_epoch_metrics_match_per_worker_loop():
     """Scoring once per group set and per shard size gives the per-worker
-    loop's averages bit for bit, including when every shard is empty."""
+    loop's averages bit for bit, including when every shard is empty, and
+    when one group set owns only a 1-row shard and a 12-row one, whose mean
+    is a pairwise sum."""
     ds = make_synthetic(num_classes=4, dims=3, per_class=30, seed=13)
     test = make_synthetic(num_classes=4, dims=3, per_class=6, seed=14)
     st = generate_structure("RI", 24, 4)
     assert len(st.group_sets) < st.num_workers  # private workers share sets
-    hp = simple_hp(num_groups=4, epochs=3, participation=0.8, seed=15)
-    sizes = np.random.default_rng(16).integers(0, 9, size=24)
-    for sizes in (sizes.tolist(), [0] * 24):
+    hp = simple_hp(num_groups=4, epochs=6, participation=0.8, seed=15)
+    owner = st.group_set_of_worker
+    one, wide = np.flatnonzero(owner == np.bincount(owner).argmax())[:2]
+    mixed = [0] * 24
+    mixed[one], mixed[wide] = 1, 12
+    for sizes in (np.random.default_rng(16).integers(0, 9, size=24).tolist(), mixed,
+                  [0] * 24):
         partition = _consecutive_shards(sizes)
         result = run_training(st, hp, ds, partition, test)
         for theta, got in zip(result.trajectory[1:], result.metrics):
             want = _reference_metrics(st, theta, ds, partition, test)
-            assert np.array_equal((got.avg_train_loss, got.avg_test_acc), want,
-                                  equal_nan=True)
+            assert np.array_equal(np.array([got.avg_train_loss, got.avg_test_acc]).view(np.uint64),
+                                  np.array(want).view(np.uint64))
         assert all(math.isnan(m.avg_train_loss) for m in result.metrics) == (sum(sizes) == 0)
         assert all(0 <= m.avg_test_acc <= 1 for m in result.metrics)
+
+
+def test_metrics_pass_does_not_grow_with_epochs(monkeypatch):
+    """The metrics are scored once per group set after the epoch loop, so
+    their ``_log_softmax``, ``models.loss`` and ``models.accuracy`` calls do
+    not grow with T; each gradient's own ``_log_softmax`` is counted apart."""
+    calls = {"gradient": 0, "_log_softmax": 0, "loss": 0, "accuracy": 0}
+
+    def counted(name):
+        inner = getattr(models, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(f"dpogl.models.{name}", call)
+    for name in calls:
+        counted(name)
+    structure, hp, train, partition, test = _reference_case("shards_below_batch")
+    assert 1 in map(len, partition)
+    scored = []
+    for epochs in (4, 8):
+        calls.update(dict.fromkeys(calls, 0))
+        run_training(structure, dataclasses.replace(hp, epochs=epochs), train, partition, test)
+        assert calls["gradient"] > 0
+        scored.append((calls["_log_softmax"] - calls["gradient"], calls["loss"],
+                       calls["accuracy"]))
+    assert scored[0] == scored[1] and min(scored[0]) > 0, scored
 
 
 def _shard_size_metrics(structure, theta, train, partition, test):
@@ -565,10 +598,10 @@ def _shard_size_metrics(structure, theta, train, partition, test):
                                   "two_word_seed_and_noise_free_group", "no_test_set",
                                   "sizes_one_and_zero"])
 def test_whole_array_metrics_match_shard_size_losses(name):
-    """``_epoch_metrics``, as ``run_training`` reports it, equals one stacked
-    ``models.loss`` per shard size bit for bit: one product over every train
-    row and group set, each row's own set, then each size's (k, size) mean.
-    The last case has shards of sizes 1 and 0 and no test set."""
+    """``_run_metrics``, as ``run_training`` reports it, equals one stacked
+    ``models.loss`` per shard size and epoch bit for bit: one product per
+    group set over its rows for every epoch, then each size's (T, k, size)
+    mean.  The last case has shards of sizes 1 and 0 and no test set."""
     if name == "sizes_one_and_zero":
         structure, hp, train, _, _ = _reference_case("no_test_set")
         partition, test = _consecutive_shards([1, 0, 4, 1, 0, 2]), None
@@ -617,6 +650,8 @@ def test_run_training_contract_and_determinism():
     again = run_training(st, hp, ds, partition, test=ds)
     assert all(np.array_equal(a, b)
                for a, b in zip(out.trajectory, again.trajectory, strict=True))
+    none = run_training(st, dataclasses.replace(hp, epochs=0), ds, partition, test=ds)
+    assert len(none.trajectory) == 1 and none.metrics == []
     with pytest.raises(ValueError):
         run_training(st, simple_hp(num_groups=3), ds, partition)
     with pytest.raises(ValueError):
