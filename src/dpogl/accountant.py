@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .topology import GroupStructure
-from .trainer import HyperParams, _check_group_count, is_intergroup_epoch
+from .trainer import (HyperParams, _check_group_count, _check_threat_model,
+                      is_intergroup_epoch)
 
 # Spaced so consecutive (alpha - 1) ratios stay below ~1.46: the conversion
 # optimum then lands within 2% of the continuous minimum for any linear curve.
@@ -55,18 +56,20 @@ DEFAULT_ALPHA_GRID = (
 )
 
 class AccountingPreconditionError(ValueError):
-    """A precondition of a bound does not hold: a group budget that is not
-    finite and > 0 (sigma = 0, say), partial participation, an infinite clip
-    or an overflowing mechanism variance or spread for the smoothing
-    recursion, or a non-string structure for degradation."""
+    """A precondition of a bound does not hold: a per-group quantity (a
+    budget, or the smoothing recursion's mechanism variance) that is not
+    finite and > 0, partial participation or an overflowing spread for the
+    smoothing recursion, or a non-string structure for degradation."""
 
 
 def _group_budgets(hp: HyperParams, name: str, budget) -> np.ndarray:
-    """``budget(sigma, pi)`` of each group with scalar ``**`` (libm pow; array
-    ``**`` rounds some squares differently), refused unless finite and > 0."""
+    """``budget(clip, sigma, pi)`` of each group with scalar ``**`` (libm
+    pow; array ``**`` rounds some squares differently).  The one per-group
+    rule: a value that is not finite and > 0 (sigma = 0, an infinite clip,
+    or an over- or underflow) is refused, with the group named."""
     with np.errstate(all="ignore"):
-        budgets = np.array([budget(s, p)
-                            for s, p in zip(hp.sigma, hp.participation)])
+        budgets = np.array([budget(c, s, p) for c, s, p
+                            in zip(hp.clip, hp.sigma, hp.participation)])
     bad = np.argwhere(~((budgets > 0) & (budgets < math.inf)))
     if bad.size:
         raise AccountingPreconditionError(
@@ -85,26 +88,16 @@ def _delivered_blocks(t, period: int, rho):
 # log-Sobolev recursion (full participation)
 
 def _lsi_preconditions(hp: HyperParams) -> np.ndarray:
-    """(M,) mechanism variance W (c sigma)^2 of each group, with scalar
-    ``**`` as in ``_group_budgets``; the recursion's noise and the sweep's
-    mu factors both read it."""
+    """(M,) mechanism variance W (c sigma)^2 of each group, which the
+    recursion's noise and the sweep's mu factors both read, under the
+    per-group rule of ``_group_budgets``: sigma = 0 makes it 0 and an
+    infinite clip (allowed only with sigma = 0) NaN."""
     if not np.all(hp.participation == 1.0):
         raise AccountingPreconditionError(
             "the LSI recursion is defined for full participation only")
-    if not np.all(np.isfinite(hp.clip)):
-        raise AccountingPreconditionError("the LSI recursion needs finite clip norms")
-    if not np.all(hp.sigma > 0):
-        raise AccountingPreconditionError(
-            "the LSI recursion needs positive noise multipliers")
-    with np.errstate(all="ignore"):
-        var = np.array([hp.mechanism_window * (c * s) ** 2
-                        for c, s in zip(hp.clip, hp.sigma)])
-    bad = np.flatnonzero(~np.isfinite(var))
-    if bad.size:
-        raise AccountingPreconditionError(
-            f"group {bad[0]}: the mechanism variance W (c sigma)^2 is not "
-            "finite (an overflow)")
-    return var
+    W = hp.mechanism_window
+    return _group_budgets(hp, "mechanism variance W (c sigma)^2",
+                          lambda c, s, _: W * (c * s) ** 2)
 
 
 def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -232,13 +225,6 @@ def _check_grid(alpha_grid) -> list[float]:
     return grid
 
 
-def _observer_mask(structure: GroupStructure, threat_model: str) -> np.ndarray:
-    try:
-        return structure.admissible_observers[threat_model]
-    except KeyError:
-        raise ValueError("threat_model must be 'tm1' or 'tm2'") from None
-
-
 def delay_curve_matrix(structure: GroupStructure, hp: HyperParams,
                        t: int) -> np.ndarray:
     """(N, N) delay coefficients K at epoch t: the curve of pair (n, i) is
@@ -254,13 +240,13 @@ def delay_curve_matrix(structure: GroupStructure, hp: HyperParams,
         raise ValueError("t must be >= 1")
     S = hp.inter_group_period
     weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
-                             lambda s, p: 2.0 * p ** 2 / s ** 2)
+                             lambda _, s, p: 2.0 * p ** 2 / s ** 2)
     rt = structure.worker_distances  # (M, N) source-group -> worker distance
     blocks = _delivered_blocks(t, S, rt)
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
     K = (structure.member_mask.T * weights) @ counts
-    K[~_observer_mask(structure, hp.threat_model)] = np.nan
+    K[~structure.admissible_observers[hp.threat_model]] = np.nan
     return K
 
 
@@ -269,10 +255,12 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     """Degradation-aware curves of every pair at any epoch 1..horizon;
     strings only.
 
-    Preconditions are checked once.  Pairs are grouped by class (n's groups
-    and the nearest group of i to each); each class's block budgets are
-    computed once for all epochs from one (horizon + 1, M, G) table of mu
-    factors indexed by (firing epoch, group).  ``at(t)`` gives epoch t's
+    Preconditions are checked once; the group-count, horizon and beta
+    checks are those of ``lsi_recursion``, which runs before any per-group
+    array is indexed by the structure.  Pairs are grouped by class (n's
+    groups and the nearest group of i to each); each class's block budgets
+    are computed once for all epochs from one (horizon + 1, M, G) table of
+    mu factors indexed by (firing epoch, group).  ``at(t)`` gives epoch t's
     (N, N, G) tensor.  Cells are NaN on the diagonal and, under tm2 (which
     dpogl_plus requires), for in-group pairs.
 
@@ -285,12 +273,9 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     group (hop rho) is read at e itself, so it attenuates only if a
     mechanism fires at e, that is only when W = 1.
     """
-    _check_group_count(structure, hp)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     alphas = np.array(_check_grid(alpha_grid))
     budgets = _group_budgets(hp, "degradation budget alpha / (2 sigma^2)",
-                             lambda s, _: alphas / (2.0 * s ** 2))  # pi = 1
+                             lambda _, s, __: alphas / (2.0 * s ** 2))  # pi = 1
     var = _lsi_preconditions(hp)
     if not structure.is_string:
         raise AccountingPreconditionError(
@@ -298,7 +283,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     inv_hbar = lsi_recursion(structure, hp, beta, horizon)
     mu = alphas / (alphas + inv_hbar[:, :, None] * var[:, None])
     groups, dist = structure.groups_of_worker, structure.distances
-    defined = _observer_mask(structure, hp.threat_model)
+    defined = structure.admissible_observers[hp.threat_model]
     classes = np.full(defined.shape, -1)
     class_index: dict[tuple, int] = {}
     for n, i in zip(*np.nonzero(defined)):
@@ -393,7 +378,8 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
-    mask = _observer_mask(structure, threat_model)
+    _check_threat_model(threat_model)
+    mask = structure.admissible_observers[threat_model]
     # For K the envelope of the curves alpha * K is max(K) * alpha bit for
     # bit, because rounding alpha * x is monotone in x.
     envelopes = np.max(curves, axis=1, initial=-np.inf,

@@ -19,6 +19,7 @@ records the reason under "accounting_error".  Any other error propagates.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -373,15 +374,13 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
     training output."""
     grid = config.alpha_grid
     epochs = sorted({*range(1, config.epochs + 1), *config.heatmap_epochs})
-    if not epochs:
-        curves_at = None  # no epoch to report
-    elif config.bound == "degradation":
+    if config.bound == "degradation" and epochs:
         beta = smoothness_bound(train_set.features)
         curves_at = accountant.thm2_curve_sweep(structure, hp, beta, epochs[-1],
                                                 grid).at
     else:  # (N, N) coefficients K standing for the linear curves alpha * K
-        def curves_at(t: int) -> np.ndarray:
-            return accountant.delay_curve_matrix(structure, hp, t)
+        curves_at = functools.partial(accountant.delay_curve_matrix,
+                                      structure, hp)
 
     written: list[str] = []
     pwp_lines: list[str] = []

@@ -26,9 +26,9 @@ class GroupStructure:
     ``members_of_group[m]`` holds the sorted worker ids of group m.  Every
     group is nonempty and every worker belongs to at least one group.
 
-    Structure facts (adjacency, distances, masks, the string test) are
-    computed on first use and cached on the instance as read-only arrays,
-    so every consumer of one structure shares one computation.
+    Structure facts (distances, masks, the string test) are computed on
+    first use and cached on the instance as read-only arrays, so every
+    consumer of one structure shares one computation.
     """
 
     num_workers: int
@@ -63,14 +63,9 @@ class GroupStructure:
         return len(self.members_of_group)
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """(M, M) boolean group adjacency; see ``build_adjacency``."""
-        return _read_only(build_adjacency(self))
-
-    @cached_property
     def distances(self) -> np.ndarray:
         """(M, M) group hop distances; see ``distance_matrix``."""
-        return _read_only(distance_matrix(self.adjacency))
+        return _read_only(distance_matrix(build_adjacency(self)))
 
     @cached_property
     def member_mask(self) -> np.ndarray:

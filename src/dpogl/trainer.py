@@ -92,8 +92,7 @@ class HyperParams:
             raise ValueError("clip=inf with sigma>0 leaves the noise scale undefined")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.threat_model not in THREAT_MODELS:
-            raise ValueError(f"threat_model must be one of {THREAT_MODELS}")
+        _check_threat_model(self.threat_model)
         if self.algorithm == "dpogl_plus" and self.threat_model == "tm1":
             raise ValueError("dpogl_plus has no in-group privacy bound; use threat_model='tm2'")
         if 0 < self.epochs < self.mechanism_window:
@@ -109,6 +108,11 @@ class HyperParams:
 def _check_group_count(structure: GroupStructure, hp: HyperParams) -> None:
     if hp.num_groups != structure.num_groups:
         raise ValueError("hyper-parameters were built for a different group count")
+
+
+def _check_threat_model(threat_model: str) -> None:
+    if threat_model not in THREAT_MODELS:
+        raise ValueError(f"threat_model must be one of {THREAT_MODELS}")
 
 
 def is_intergroup_epoch(t: int, period: int) -> bool:

@@ -337,6 +337,22 @@ def test_lsi_preconditions():
             acc.lsi_recursion(st, hp, 1.0, 4)
     with pytest.raises(ValueError):
         acc.lsi_recursion(st, make_hp(2), 1.0, 0)
+    # sigma = 0 and an infinite clip fall under the per-group rule of every
+    # budget and name their group
+    for hp, group in ((make_hp(2, sigma=[2.0, 0.0]), 1),
+                      (make_hp(2, clip=[math.inf, 0.5], sigma=[0.0, 2.0]), 0)):
+        with pytest.raises(acc.AccountingPreconditionError,
+                           match=f"^group {group}: the mechanism variance"):
+            acc.lsi_recursion(st, hp, 1.0, 4)
+    # a variance that underflows to 0 is refused like an underflowed budget;
+    # it used to give group 1 mu = 1 silently
+    tiny = make_hp(2, clip=[0.5, 1e-170], sigma=[2.0, 1.0])
+    for sweep in (acc.lsi_recursion, acc.thm2_curve_sweep):
+        with pytest.raises(acc.AccountingPreconditionError) as refused:
+            sweep(st, tiny, 1.0, 4)
+        assert str(refused.value) == (
+            "group 1: the mechanism variance W (c sigma)^2 is not finite and "
+            "> 0 (zero noise multiplier, or an over- or underflow)")
     # the smoothness constant must be finite and nonnegative; the sweep
     # refuses it before a NaN or a meaningless bound can reach a report
     for beta in (math.nan, math.inf, -math.inf, -50.0):
@@ -675,7 +691,8 @@ def test_admissible_adversaries_by_threat_model():
     assert admissible_adversaries(st, "tm1", 0) == [1, 2]
     assert admissible_adversaries(st, "tm2", 0) == [2]
     assert admissible_adversaries(st, "tm2", 1) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^threat_model must be one of \('tm1', 'tm2'\)$"):
         acc.pwp_rows_from_curves(np.zeros((3, 3, 1)), st, "tm3", 1e-5, (2.0,))
 
 

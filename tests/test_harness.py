@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -787,6 +790,22 @@ def test_cli_distances(tmp_path, capsys):
     assert "config error: config file is not UTF-8" in \
         capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # distances writes nothing
+
+
+def test_module_entry_point():
+    """``python -m dpogl`` runs the CLI and exits with its code."""
+    root = Path(__file__).resolve().parents[1]
+
+    def module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dpogl", *args], cwd=root,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+    shown = module("distances", "configs/desk_default.json")
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout.startswith("group-to-group distance\n")
+    assert module("run", "/nonexistent.json").returncode == 2
 
 
 def test_cli_distances_of_an_lb_structure(tmp_path, capsys):
