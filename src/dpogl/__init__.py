@@ -8,7 +8,7 @@ the Renyi framework with conversion to (eps, delta)-DP.
 """
 
 from .accountant import (DEFAULT_ALPHA_GRID, AccountingPreconditionError,
-                         delay_curve_matrix, dp_matrix_from_curves,
+                         delay_sweep, dp_matrix_from_curves,
                          pwp_rows_from_curves, thm2_curve_sweep)
 from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ALPHA_GRID", "AccountingPreconditionError",
-    "delay_curve_matrix", "dp_matrix_from_curves", "pwp_rows_from_curves",
+    "delay_sweep", "dp_matrix_from_curves", "pwp_rows_from_curves",
     "thm2_curve_sweep",
     "Dataset", "dirichlet_partition", "load_csv", "make_synthetic",
     "stratified_split", "worker_labels",

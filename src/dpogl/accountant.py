@@ -9,27 +9,32 @@ so bounds grow with t in delivered S-epoch blocks.
 Both algorithms share one path, parameterised by the mechanism window W
 (``HyperParams.mechanism_window``: 1 for dpogl, S for dpogl_plus).  A
 delivered S-epoch block carries S / W mechanisms, and the smoothing (LSI)
-recursion fires one mechanism per W-epoch window.  The pipeline has one
-path per bound: ``delay_curve_matrix`` gives (N, N) delay coefficients K,
-whose curves alpha * K are linear in the order, and ``thm2_curve_sweep``
-(N, N, G) curve tensors over an order grid; it reduces either form to DP
-heatmaps and per-worker envelopes.  This module holds only that pipeline;
-the references that check it live in ``oracles``.
+recursion fires one mechanism per W-epoch window.  Leakage travels only
+along group adjacency, so a pair's bound depends only on the two workers'
+group sets (``GroupStructure.group_sets``), and both bounds are computed on
+group-set pairs: ``delay_sweep`` gives (P, P) delay coefficients K, whose
+curves alpha * K are linear in the order, and ``thm2_curve_sweep`` (P, P,
+G) curve tensors over an order grid.  The reductions turn either form into
+DP heatmaps of set pairs and per-worker envelopes; a worker's envelope is
+its set's, over the set-level mask ``admissible_observer_sets``.  This
+module holds only that pipeline; the references that check it live in
+``oracles``.
 
-Cost model.  Structure facts (distances, masks, the string test) are cached
-on the ``GroupStructure`` and computed once per structure.  A delay epoch
-costs one (N, M) @ (M, N) product, O(N * M * N), and no (N, N, G) tensor:
-the reductions read K directly.  The degradation bound of a pair (n, i)
-depends only on its class: n's groups and, for each, the nearest group of
-i.  ``thm2_curve_sweep`` checks the preconditions once, builds one
-per-run table of mu factors indexed by (firing epoch, group), and fills
+Cost model.  Structure facts (distances, masks, group sets, the string
+test) are cached on the ``GroupStructure`` and computed once per structure.
+Each sweep checks its preconditions and builds its per-run terms once.  A
+delay epoch costs one (P, M) @ (M, P) product, O(P * M * P), and no
+(P, P, G) tensor: the reductions read K directly.  The degradation bound of
+a set pair depends only on its class: the targeted set's groups and, for
+each, the nearest group of the observer's set.  ``thm2_curve_sweep`` builds
+one per-run table of mu factors indexed by (firing epoch, group), and fills
 each class's attenuated block budgets in place, once for all epochs up to
 the horizon: B block slots per source, the count that a source at distance
 1 delivers by the horizon, with padding slots never delivered.  An epoch's
-(N, N, G) tensor is then a sum over the blocks delivered by that epoch,
-vectorised across classes, and a gather: the cost grows with classes x
-blocks plus epochs x blocks x classes, not with pairs x epochs x structure
-rebuilds, and memory with classes x blocks.
+(P, P, G) tensor is then a sum over the blocks delivered by that epoch,
+vectorised across classes, and a gather.  So the cost grows with set pairs
+x epochs and classes x blocks, not with worker pairs x epochs, and memory
+with classes x blocks.  Worker pairs are gathered only for output.
 
 Both bounds follow one block rule, ``_delivered_blocks``: by epoch t a
 source rho >= 1 hops away has delivered max(0, floor((t-1)/S) - rho + 1)
@@ -163,11 +168,11 @@ def lsi_recursion(structure: GroupStructure, hp: HyperParams, beta: float,
 
 @dataclass(frozen=True, eq=False)
 class Thm2Sweep:
-    """Degradation-aware curves of pair classes, evaluated at any epoch
-    1..horizon from per-class block terms.
+    """Degradation-aware curves of group-set pair classes, evaluated at any
+    epoch 1..horizon from per-class block terms.
 
     Slot k of class c is the k-th source group of the class's targeted
-    worker; K is the largest number of groups of any worker.  Block slot b
+    set; K is the largest number of groups of any set.  Block slot b
     is the (b + 1)-th block delivered from that source; B is the block
     count of a source at distance 1, the most any source delivers by the
     horizon.  By epoch t a slot has delivered ``_delivered_blocks`` of its
@@ -177,13 +182,14 @@ class Thm2Sweep:
 
     horizon: int
     period: int          # S
-    classes: np.ndarray  # (N, N) class of each pair; -1 marks undefined cells
+    classes: np.ndarray  # (P, P) class of each set pair; -1 marks undefined cells
     shared: np.ndarray   # (C, K, G) per-epoch budget of a shared source, else 0
     rho: np.ndarray      # (C, K) distance of a block-delivering source, else inf
     terms: np.ndarray    # (C, K, B, G) attenuated budget of block b + 1
 
     def at(self, t: int) -> np.ndarray:
-        """(N, N, G) curve tensor at epoch t; NaN marks trusted cells.
+        """(P, P, G) curve tensor of group-set pairs at epoch t; NaN marks
+        set pairs outside the threat model.
 
         Each cell takes the steps of a straight per-pair sum: sources in
         sorted order, blocks in delivery order.  Padding adds exact zeros,
@@ -225,44 +231,65 @@ def _check_grid(alpha_grid) -> list[float]:
     return grid
 
 
-def delay_curve_matrix(structure: GroupStructure, hp: HyperParams,
-                       t: int) -> np.ndarray:
-    """(N, N) delay coefficients K at epoch t: the curve of pair (n, i) is
-    alpha * K[n, i].  NaN marks trusted cells.
+@dataclass(frozen=True, eq=False)
+class DelaySweep:
+    """Delay coefficients of group-set pairs, evaluated at any epoch >= 1
+    from per-run terms."""
 
-    Row n is the targeted worker, column i the observer.  K[n, i] sums n's
-    groups' delivered mechanism counts times their per-step budgets over
-    alpha.  Cells are undefined on the diagonal and, under tm2 (which
-    dpogl_plus requires), for in-group pairs.
+    period: int             # S
+    per_block: int          # S / W mechanisms per delivered block
+    rows: np.ndarray        # (P, M) weight of each set's groups, else 0
+    distances: np.ndarray   # (M, P) group to the set's nearest group
+    undefined: np.ndarray   # (P, P) set pairs outside the threat model
+
+    def at(self, t: int) -> np.ndarray:
+        """(P, P) delay coefficients K at epoch t: the curve of set pair
+        (a, b) is alpha * K[a, b].  NaN marks set pairs outside the threat
+        model."""
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        counts = self.per_block * _delivered_blocks(t, self.period,
+                                                    self.distances)
+        counts[self.distances == 0] = t - 1  # in-group cells
+        K = self.rows @ counts
+        K[self.undefined] = np.nan
+        return K
+
+
+def delay_sweep(structure: GroupStructure, hp: HyperParams) -> DelaySweep:
+    """Delay coefficients of every group-set pair at any epoch.
+
+    The group count and the per-group weights 2 pi^2 / sigma^2 are checked
+    once.  Row a is the targeted set, column b the observer's set.  K[a, b]
+    sums a's groups' delivered mechanism counts times their per-step budgets
+    over alpha.  Set pairs are undefined where no pair of their workers is
+    admissible: a set with itself when it holds one worker and, under tm2
+    (which dpogl_plus requires), sets that share a group.
     """
     _check_group_count(structure, hp)
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    S = hp.inter_group_period
     weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
                              lambda _, s, p: 2.0 * p ** 2 / s ** 2)
-    rt = structure.worker_distances  # (M, N) source-group -> worker distance
-    blocks = _delivered_blocks(t, S, rt)
-    counts = (S // hp.mechanism_window) * blocks
-    counts[rt == 0] = t - 1  # in-group cells; masked below under dpogl_plus
-    K = (structure.member_mask.T * weights) @ counts
-    K[~structure.admissible_observers[hp.threat_model]] = np.nan
-    return K
+    first = np.unique(structure.group_set_of_worker, return_index=True)[1]
+    S = hp.inter_group_period
+    return DelaySweep(S, S // hp.mechanism_window,
+                      structure.member_mask.T[first] * weights,
+                      structure.worker_distances[:, first],
+                      ~structure.admissible_observer_sets[hp.threat_model])
 
 
 def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
                      horizon: int, alpha_grid=DEFAULT_ALPHA_GRID) -> Thm2Sweep:
-    """Degradation-aware curves of every pair at any epoch 1..horizon;
-    strings only.
+    """Degradation-aware curves of every group-set pair at any epoch
+    1..horizon; strings only.
 
     Preconditions are checked once; the group-count, horizon and beta
     checks are those of ``lsi_recursion``, which runs before any per-group
-    array is indexed by the structure.  Pairs are grouped by class (n's
-    groups and the nearest group of i to each); each class's block budgets
-    are computed once for all epochs from one (horizon + 1, M, G) table of
-    mu factors indexed by (firing epoch, group).  ``at(t)`` gives epoch t's
-    (N, N, G) tensor.  Cells are NaN on the diagonal and, under tm2 (which
-    dpogl_plus requires), for in-group pairs.
+    array is indexed by the structure.  Set pairs are grouped by class (the
+    targeted set's groups and the nearest group of the observer's set to
+    each); each class's block budgets are computed once for all epochs from
+    one (horizon + 1, M, G) table of mu factors indexed by (firing epoch,
+    group).  ``at(t)`` gives epoch t's (P, P, G) tensor.  Cells are NaN
+    where ``delay_sweep``'s are.
 
     A shared source group adds its full-participation budget per epoch.
     Block w from another source group carries S / W such budgets times one
@@ -282,16 +309,16 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
             "the degradation bound requires a string structure")
     inv_hbar = lsi_recursion(structure, hp, beta, horizon)
     mu = alphas / (alphas + inv_hbar[:, :, None] * var[:, None])
-    groups, dist = structure.groups_of_worker, structure.distances
-    defined = structure.admissible_observers[hp.threat_model]
+    groups, dist = structure.group_sets, structure.distances
+    defined = structure.admissible_observer_sets[hp.threat_model]
     classes = np.full(defined.shape, -1)
     class_index: dict[tuple, int] = {}
-    for n, i in zip(*np.nonzero(defined)):
-        # for each group of n, the nearest group of i: the lowest index on
-        # ties (groups_of_worker tuples ascend), the group itself if shared
-        nearest = tuple(min(groups[i], key=dist[m].__getitem__)
-                        for m in groups[n])
-        classes[n, i] = class_index.setdefault((groups[n], nearest),
+    for a, b in zip(*np.nonzero(defined)):
+        # for each group of a, the nearest group of b: the lowest index on
+        # ties (group_sets tuples ascend), the group itself if shared
+        nearest = tuple(min(groups[b], key=dist[m].__getitem__)
+                        for m in groups[a])
+        classes[a, b] = class_index.setdefault((groups[a], nearest),
                                                len(class_index))
     S, W = hp.inter_group_period, hp.mechanism_window
     per_block = S // W
@@ -328,7 +355,7 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
 
 
 def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:
-    """Refuse an (N, N, G) tensor whose G is not the grid size, and a
+    """Refuse a (P, P, G) tensor whose G is not the grid size, and a
     negative or non-finite curve value (NaN is skipped) with two whole-array
     reductions; for K the largest value is max(K) * max(alpha)."""
     if curves.ndim == 3 and curves.shape[-1] != grid.size:
@@ -341,8 +368,8 @@ def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:
 
 def dp_matrix_from_curves(curves: np.ndarray, delta: float,
                           alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
-    """(N, N) DP conversion of per-pair curves: an (N, N, G) tensor or the
-    delay coefficients K, one order at a time on (N, N) temporaries.
+    """(P, P) DP conversion of group-set pair curves: a (P, P, G) tensor or
+    the delay coefficients K, one order at a time on (P, P) temporaries.
 
     Identically-zero curves convert to an exact 0; NaN cells stay NaN.
     """
@@ -364,22 +391,27 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
                          threat_model: str, delta: float,
                          alpha_grid=DEFAULT_ALPHA_GRID
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker ``(workers, table)`` from per-pair curves: an (N, N, G)
-    tensor or the delay coefficients K.
+    """Per-worker ``(workers, table)`` from group-set pair curves: a (P, P,
+    G) tensor or the delay coefficients K.
 
     Each worker's curve is the pointwise envelope over its admissible
-    observers.  ``workers`` ((k,) int64) lists the workers that have one, in
-    ascending order; the others are omitted.  Row r of ``table`` ((k, 3)
+    observers, which is its set's envelope over the set-level mask
+    ``admissible_observer_sets``: the max is exact, so the bits are those
+    of a max over worker pairs.  ``workers`` ((k,) int64) lists the workers
+    that have one, in ascending order; the others are omitted.  Row r of ``table`` ((k, 3)
     float64) holds ``eps_rdp, alpha_star, eps_dp`` of worker ``workers[r]``:
     its envelope at the best order, that order, and the converted DP bound.
-    Identically-zero envelopes convert to an exact 0.  A tensor that does
-    not align with the grid, and curves with a negative or non-finite value,
-    are refused, as by ``dp_matrix_from_curves``.
+    Identically-zero envelopes convert to an exact 0.  Curves that do not
+    hold one cell per set pair are refused, and so, as by
+    ``dp_matrix_from_curves``, are a tensor that does not align with the
+    grid and curves with a negative or non-finite value.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
     _check_threat_model(threat_model)
-    mask = structure.admissible_observers[threat_model]
+    mask = structure.admissible_observer_sets[threat_model]
+    if curves.shape[:2] != mask.shape:
+        raise ValueError("curves must hold one cell per pair of group sets")
     # For K the envelope of the curves alpha * K is max(K) * alpha bit for
     # bit, because rounding alpha * x is monotone in x.
     envelopes = np.max(curves, axis=1, initial=-np.inf,
@@ -394,10 +426,11 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     eps = np.min(candidates, axis=-1)
     best = np.argmin(candidates, axis=-1)
     eps[np.all(envelopes == 0.0, axis=-1)] = 0.0
-    workers = np.flatnonzero(observed)
-    j = best[workers]
-    return workers, np.stack([envelopes[workers, j], grid[j], eps[workers]],
-                             axis=1)
+    owner = structure.group_set_of_worker
+    workers = np.flatnonzero(observed[owner])
+    sets = owner[workers]
+    j = best[sets]
+    return workers, np.stack([envelopes[sets, j], grid[j], eps[sets]], axis=1)
 
 
 # Read here by perfbench/checks.py; last, as ``oracles`` imports this module.

@@ -19,7 +19,6 @@ records the reason under "accounting_error".  Any other error propagates.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -321,9 +320,9 @@ def prepare(config: ExperimentConfig
     return train_set, test_set, partition, structure
 
 
-def _float_texts(values, nan_text: str = "nan") -> np.ndarray:
+def _float_texts(values) -> np.ndarray:
     """Each float of ``values`` at 17 significant digits, as an object array
-    of the same shape; NaN reads ``nan_text``.
+    of the same shape; NaN reads ``nan``.
 
     Every distinct bit pattern is formatted once.  Keying by bits rather
     than by value keeps -0.0 apart from 0.0, and it is exact: equal bits
@@ -332,7 +331,7 @@ def _float_texts(values, nan_text: str = "nan") -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     keys, inverse = np.unique(values.reshape(-1).view(np.int64),
                               return_inverse=True)
-    texts = np.array([nan_text if v != v else format(v, ".17g")
+    texts = np.array(["nan" if v != v else format(v, ".17g")
                       for v in keys.view(np.float64).tolist()], dtype=object)
     return texts[inverse].reshape(values.shape)
 
@@ -345,13 +344,17 @@ def _pwp_lines(t: int, workers: np.ndarray, table: np.ndarray) -> list[str]:
                                     _float_texts(table).tolist())]
 
 
-def _heatmap_blocks(matrix: np.ndarray) -> list[str]:
-    """The 'n,i,eps' lines of an (N, N) matrix, as one block of N - 1 lines
-    per row n (the diagonal is skipped); NaN reads 'trusted'."""
-    size = matrix.shape[0]
+def _heatmap_blocks(matrix: np.ndarray, owner: np.ndarray,
+                    trusted: np.ndarray) -> list[str]:
+    """The 'n,i,eps' lines of a (P, P) group-set pair matrix at the worker
+    pairs, as one block of N - 1 lines per row n (the diagonal is skipped):
+    cell (n, i) reads ``matrix[owner[n], owner[i]]``, or 'trusted' where the
+    (N, N) mask ``trusted`` is set."""
+    size = owner.size
     if size < 2:
         return []
-    cells = _float_texts(matrix, nan_text="trusted")
+    cells = _float_texts(matrix)[np.ix_(owner, owner)]
+    cells[trusted] = "trusted"
     columns = [f"{i}," for i in range(size)]
     blocks = []
     for n in range(size):
@@ -376,16 +379,17 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
     epochs = sorted({*range(1, config.epochs + 1), *config.heatmap_epochs})
     if config.bound == "degradation" and epochs:
         beta = smoothness_bound(train_set.features)
-        curves_at = accountant.thm2_curve_sweep(structure, hp, beta, epochs[-1],
-                                                grid).at
-    else:  # (N, N) coefficients K standing for the linear curves alpha * K
-        curves_at = functools.partial(accountant.delay_curve_matrix,
-                                      structure, hp)
+        sweep = accountant.thm2_curve_sweep(structure, hp, beta, epochs[-1],
+                                            grid)
+    else:  # (P, P) coefficients K standing for the linear curves alpha * K
+        sweep = accountant.delay_sweep(structure, hp)
 
+    owner = structure.group_set_of_worker
+    trusted = ~structure.admissible_observers[config.threat_model]
     written: list[str] = []
     pwp_lines: list[str] = []
     for t in epochs:
-        curves = curves_at(t)
+        curves = sweep.at(t)  # group-set pairs; gathered only for output
         if t <= config.epochs:
             pwp_lines += _pwp_lines(t, *accountant.pwp_rows_from_curves(
                 curves, structure, config.threat_model, config.delta, grid))
@@ -393,7 +397,8 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
             matrix = accountant.dp_matrix_from_curves(curves, config.delta,
                                                       grid)
             name = f"heatmap_epoch_{t}.csv"
-            _write_lines(out / name, "n,i,eps", _heatmap_blocks(matrix))
+            _write_lines(out / name, "n,i,eps",
+                         _heatmap_blocks(matrix, owner, trusted))
             written.append(name)
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
                  pwp_lines)

@@ -121,6 +121,20 @@ class GroupStructure:
             "tm2": _read_only((members.T @ members) == 0),
         })
 
+    @cached_property
+    def admissible_observer_sets(self) -> MappingProxyType:
+        """Threat model -> (P, P) boolean mask over ``group_sets``: row a
+        marks the sets that hold an admissible observer of a worker of set
+        a, the same sets for every such worker, so a worker's envelope is
+        its set's.  ``tm1``: every other set, and a itself when it holds two
+        or more workers; ``tm2``: the sets that share no group with a."""
+        owner = self.group_set_of_worker
+        first = np.unique(owner, return_index=True)[1]  # a worker of each set
+        tm1, tm2 = (self.admissible_observers[tm][np.ix_(first, first)]
+                    for tm in ("tm1", "tm2"))
+        tm1 |= np.diag(np.bincount(owner) > 1)
+        return MappingProxyType({"tm1": _read_only(tm1), "tm2": _read_only(tm2)})
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False

@@ -23,6 +23,7 @@ from dpogl.rng import derive_stream
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
 from dpogl.trainer import HyperParams, clip_update, run_training
+from pair_cells import worker_cells
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "desk_default.json"
 
@@ -59,14 +60,16 @@ def _shares_group(structure: GroupStructure, n: int, i: int) -> bool:
 
 def _pwp_rows(structure: GroupStructure, hp: HyperParams, t: int,
               delta: float) -> tuple[np.ndarray, np.ndarray]:
-    curves = acc.delay_curve_matrix(structure, hp, t)
+    curves = acc.delay_sweep(structure, hp).at(t)
     return acc.pwp_rows_from_curves(curves, structure, hp.threat_model, delta)
 
 
 def _dp_matrix(structure: GroupStructure, hp: HyperParams, t: int,
                delta: float) -> np.ndarray:
-    return acc.dp_matrix_from_curves(acc.delay_curve_matrix(structure, hp, t),
-                                     delta)
+    """The (N, N) worker-pair heatmap of the delay bound at epoch t."""
+    matrix = acc.dp_matrix_from_curves(acc.delay_sweep(structure, hp).at(t),
+                                       delta)
+    return worker_cells(structure, hp.threat_model, matrix)
 
 
 def test_criterion_01_single_group_linear_budget():
@@ -132,6 +135,9 @@ def test_criterion_03_interval_mechanism_single_budget():
 
     assert orc.thm1_pair_bound(structure, hp, alpha, 0, 2, t) == eps_step
     assert orc.thm1_pair_bound(structure, hp, alpha, 2, 0, t) == eps_step
+    # each worker of this string has a group set of its own, in worker
+    # order, so the set-pair curves index like worker pairs
+    assert structure.group_set_of_worker.tolist() == [0, 1, 2]
     degraded = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
     assert degraded[0, 2, 0] == eps_full
     assert degraded[2, 0, 0] == eps_full
@@ -139,7 +145,7 @@ def test_criterion_03_interval_mechanism_single_budget():
         assert orc.thm1_pair_bound(structure, hp, alpha, n, i, t) is None
         assert math.isnan(degraded[n, i, 0])
 
-    mat = alpha * acc.delay_curve_matrix(structure, hp, t)
+    mat = alpha * acc.delay_sweep(structure, hp).at(t)
     expected_trusted = np.array([[True, True, False],
                                  [True, True, True],
                                  [False, True, True]])
@@ -226,7 +232,8 @@ def test_criterion_06_degradation_never_exceeds_delay_bound():
             for epoch in range(1, t + 1):
                 mu = orc.degradation_mu(inv_hbar, hp, alpha, g, epoch, ())
                 assert 0.0 < mu <= 1.0
-        curves = acc.thm2_curve_sweep(structure, hp, beta, t, (alpha,)).at(t)
+        curves = worker_cells(structure, hp.threat_model, acc.thm2_curve_sweep(
+            structure, hp, beta, t, (alpha,)).at(t))
         for n in range(m + 1):
             for i in range(m + 1):
                 if n == i:

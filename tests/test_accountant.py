@@ -23,6 +23,7 @@ from dpogl.data import Dataset, make_synthetic
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
 from dpogl.trainer import HyperParams, is_intergroup_epoch, run_training
+from pair_cells import worker_cells
 
 
 def chain(num_groups):
@@ -108,7 +109,7 @@ def test_pair_counts_basic_contract():
         with pytest.raises(ValueError, match="t must be >= 1"):
             orc.thm1_pair_bound(string, plus, 2.0, 0, 1, t)  # trusted pair
         with pytest.raises(ValueError, match="t must be >= 1"):
-            acc.delay_curve_matrix(string, hp, t)
+            acc.delay_sweep(string, hp).at(t)
 
 
 def test_thm1_pair_bound_reads_the_algorithm():
@@ -364,8 +365,8 @@ def test_lsi_preconditions():
 
 
 _OTHER_GROUP_COUNT = {
-    "delay_curve_matrix": lambda: acc.delay_curve_matrix(
-        GroupStructure(5, [[0, 1], [1, 2, 3], [3, 4]]), make_hp(1, sigma=1.0), 7),
+    "delay_sweep": lambda: acc.delay_sweep(
+        GroupStructure(5, [[0, 1], [1, 2, 3], [3, 4]]), make_hp(1, sigma=1.0)),
     "lsi_recursion-1": lambda: acc.lsi_recursion(
         GroupStructure(5, [[0, 1, 2], [2, 3, 4]]), make_hp(1), 1.0, 4),
     "lsi_recursion-3": lambda: acc.lsi_recursion(
@@ -449,6 +450,8 @@ def test_degradation_mu_plus_window_indexing():
 # degradation-aware pair bounds
 
 def golden_string():
+    """Each worker has a group set of its own, in worker order, so the
+    sweeps' set-pair arrays index like worker pairs."""
     return GroupStructure(3, [[0, 1], [1, 2]])
 
 
@@ -463,6 +466,7 @@ def test_thm2_requires_strings_and_full_participation():
 
 def test_thm2_shared_group_terms():
     st = golden_string()
+    assert st.group_set_of_worker.tolist() == [0, 1, 2]
     hp = make_hp(2)
     alpha = 4.0
     eps_full = alpha / (2 * 2.0 ** 2)
@@ -487,7 +491,8 @@ def test_thm2_never_exceeds_thm1_at_full_participation():
         beta = float(rng.uniform(0.2, 3.0))
         alpha = float(rng.uniform(1.5, 16.0))
         t = int(rng.integers(1, 14))
-        curves = acc.thm2_curve_sweep(st, hp, beta, t, (alpha,)).at(t)
+        curves = worker_cells(st, hp.threat_model,
+                              acc.thm2_curve_sweep(st, hp, beta, t, (alpha,)).at(t))
         for n in range(st.num_workers):
             for i in range(st.num_workers):
                 if n == i:
@@ -544,8 +549,9 @@ def test_degradation_never_exceeds_delay_on_random_strings(case):
     assert structure.is_string
     grid = np.array(acc.DEFAULT_ALPHA_GRID)
     sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon)
+    delay_sweep = acc.delay_sweep(structure, hp)
     for t in range(1, horizon + 1):
-        K = acc.delay_curve_matrix(structure, hp, t)
+        K = delay_sweep.at(t)
         degradation, delay = sweep.at(t), K[..., None] * grid
         assert np.array_equal(np.isnan(degradation), np.isnan(delay))
         defined = ~np.isnan(delay)
@@ -608,7 +614,8 @@ def test_thm2_plus_credits_no_mechanism_the_observer_never_passes():
         counts = orc.propagation_oracle_counts(TWO_GROUP_STRING, 3, t, 0, 4,
                                                "dpogl_plus")
         assert counts == {0: int(want)}
-        assert sweep.at(t)[0, 4, 0] == counts[0] * 2.0 / (2 * 1.0 ** 2) == want
+        cells = worker_cells(TWO_GROUP_STRING, hp.threat_model, sweep.at(t))
+        assert cells[0, 4, 0] == counts[0] * 2.0 / (2 * 1.0 ** 2) == want
 
 
 def test_observer_group_changes_inside_its_window():
@@ -630,7 +637,8 @@ def test_observer_group_changes_inside_its_window():
     assert changed[0] == 4 and is_intergroup_epoch(4, 3)
     assert 4 % hp.mechanism_window and 6 % hp.mechanism_window == 0
     sweep = acc.thm2_curve_sweep(TWO_GROUP_STRING, hp, 1.0, 6, (2.0,))
-    assert sweep.at(4)[0, 4, 0] == 1.0
+    assert worker_cells(TWO_GROUP_STRING, hp.threat_model,
+                        sweep.at(4))[0, 4, 0] == 1.0
 
 
 def test_thm2_plus_trusted_pairs_and_budget_units():
@@ -702,7 +710,8 @@ def test_privacy_matrix_agrees_with_scalar_bounds():
     st = generate_structure("RI", 8, 4)
     hp = make_hp(4, participation=0.6, sigma=[1.0, 2.0, 1.5, 2.5])
     grid = (1.5, 3.0, 8.0)
-    curves = acc.delay_curve_matrix(st, hp, 9)[..., None] * grid
+    K = worker_cells(st, hp.threat_model, acc.delay_sweep(st, hp).at(9))
+    curves = K[..., None] * grid
     for n in range(8):
         assert np.isnan(curves[n, n]).all()
         for i in range(8):
@@ -737,14 +746,38 @@ def overlapping_cases(draw):
     return structure, hp, t
 
 
+def _three_group_worker_case(algorithm, threat_model):
+    """Worker 0 sits in three groups, so its row of the product is a sum of
+    three nonzero terms, where the summation order could matter."""
+    structure = GroupStructure(7, [[0, 1, 2], [0, 2, 3], [0, 4, 5], [3, 5, 6]])
+    hp = make_hp(4, epochs=12, inter_group_period=2, algorithm=algorithm,
+                 threat_model=threat_model,
+                 sigma=[1.5952888379372823, 0.7, 3.3, 1.1],
+                 participation=[0.8133073424482733, 0.3, 0.9, 0.61])
+    return structure, hp, 12
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(overlapping_cases())
+@example(_three_group_worker_case("dpogl", "tm1"))
+@example(_three_group_worker_case("dpogl", "tm2"))
+@example(_three_group_worker_case("dpogl_plus", "tm2"))
 def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
     """Every delay cell is the oracle's delivered counts times the per-step
-    budget; NaN marks exactly the pairs outside the threat model."""
+    budget; NaN marks exactly the set pairs outside the threat model.  At
+    every epoch up to t, the sweep's set pairs gathered to worker pairs are
+    bit for bit the straight (N, N) product over worker pairs."""
     structure, hp, t = case
     grid = (1.5, 3.0, 8.0)
-    curves = acc.delay_curve_matrix(structure, hp, t)[..., None] * np.array(grid)
+    sweep = acc.delay_sweep(structure, hp)
+    undefined = ~structure.admissible_observer_sets[hp.threat_model]
+    for epoch in range(1, t + 1):
+        K = sweep.at(epoch)
+        assert np.array_equal(np.isnan(K), undefined)
+        want, _ = _delay_K_with_round_trip_weights(structure, hp, epoch)
+        got = worker_cells(structure, hp.threat_model, K)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    curves = worker_cells(structure, hp.threat_model, K)[..., None] * np.array(grid)
     admissible = structure.admissible_observers[hp.threat_model]
     assert np.array_equal(np.isnan(curves),
                           np.repeat(~admissible[:, :, None], len(grid), axis=2))
@@ -757,7 +790,8 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
 
 
 def _delay_K_with_round_trip_weights(structure, hp, t):
-    """K as delay_curve_matrix built it with the weight
+    """The straight (N, N) product over worker pairs that the delay
+    coefficients were first built with, using the weight
     per_step_rdp(2.0, sigma, pi) / 2.0."""
     S = hp.inter_group_period
     weights = np.array([orc.per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
@@ -796,18 +830,19 @@ def _lists_ring_case():
 @given(weight_cases())
 @example(_lists_ring_case())
 def test_delay_weights_match_round_trip_bitwise(case):
-    """delay_curve_matrix's direct weight 2 pi^2 / sigma^2 and its block
-    rule give K bit for bit as the per_step_rdp round trip did.  Below
-    the normal range the round trip's halving rounds a second time, so
-    only normal weights are compared; an exact 0 weight is refused."""
+    """delay_sweep's direct weight 2 pi^2 / sigma^2 and its block rule give
+    K bit for bit as the per_step_rdp round trip did.  Below the normal
+    range the round trip's halving rounds a second time, so only normal
+    weights are compared; an exact 0 weight is refused."""
     structure, hp, t = case
     want, weights = _delay_K_with_round_trip_weights(structure, hp, t)
     if not np.all(weights > 0):
         with pytest.raises(acc.AccountingPreconditionError, match="group"):
-            acc.delay_curve_matrix(structure, hp, t)
+            acc.delay_sweep(structure, hp)
         return
     assume(np.all(weights >= np.finfo(float).tiny))
-    got = acc.delay_curve_matrix(structure, hp, t)
+    got = worker_cells(structure, hp.threat_model,
+                       acc.delay_sweep(structure, hp).at(t))
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -841,12 +876,15 @@ def test_delay_reports_are_equivariant_under_relabeling(case, data):
     groups = data.draw(hs.permutations(range(structure.num_groups)))
     renamed, renamed_hp = _relabel(structure, hp, workers, groups)
     workers = np.array(workers)
+    sweep = acc.delay_sweep(structure, hp)
+    renamed_sweep = acc.delay_sweep(renamed, renamed_hp)
     for epoch in range(1, t + 1):
-        K = acc.delay_curve_matrix(structure, hp, epoch)
-        renamed_K = acc.delay_curve_matrix(renamed, renamed_hp, epoch)
+        K, renamed_K = sweep.at(epoch), renamed_sweep.at(epoch)
         _assert_same_cells(
-            acc.dp_matrix_from_curves(renamed_K, 1e-5)[np.ix_(workers, workers)],
-            acc.dp_matrix_from_curves(K, 1e-5))
+            worker_cells(renamed, hp.threat_model, acc.dp_matrix_from_curves(
+                renamed_K, 1e-5))[np.ix_(workers, workers)],
+            worker_cells(structure, hp.threat_model,
+                         acc.dp_matrix_from_curves(K, 1e-5)))
         observed, table = acc.pwp_rows_from_curves(K, structure,
                                                    hp.threat_model, 1e-5)
         renamed_observed, renamed_table = acc.pwp_rows_from_curves(
@@ -862,11 +900,11 @@ def test_delay_reports_are_equivariant_under_relabeling(case, data):
 def test_privacy_matrix_masks_trusted_cells():
     st = golden_string()
     hp2 = make_hp(2, threat_model="tm2")
-    mat = 2.0 * acc.delay_curve_matrix(st, hp2, 6)
+    mat = 2.0 * worker_cells(st, "tm2", acc.delay_sweep(st, hp2).at(6))
     assert math.isnan(mat[0, 1]) and math.isnan(mat[1, 2])
     assert not math.isnan(mat[0, 2])
     hpp = make_hp(2, algorithm="dpogl_plus", threat_model="tm2")
-    matp = 2.0 * acc.delay_curve_matrix(st, hpp, 6)
+    matp = 2.0 * worker_cells(st, "tm2", acc.delay_sweep(st, hpp).at(6))
     assert math.isnan(matp[0, 1])
     assert matp[0, 2] == pytest.approx(
         orc.thm1_pair_bound(st, hpp, 2.0, 0, 2, 6), rel=1e-12)
@@ -875,7 +913,8 @@ def test_privacy_matrix_masks_trusted_cells():
 def test_privacy_matrix_dp_zeros_and_conversion():
     st = generate_structure("CL", 6, 2)
     hp = make_hp(2, participation=0.7)
-    dp = acc.dp_matrix_from_curves(acc.delay_curve_matrix(st, hp, 8), 1e-5)
+    dp = worker_cells(st, hp.threat_model, acc.dp_matrix_from_curves(
+        acc.delay_sweep(st, hp).at(8), 1e-5))
     # disjoint clusters never exchange anything
     assert dp[0, 5] == 0.0 and dp[3, 1] == 0.0
     eps, _ = orc.rdp_to_dp([orc.thm1_pair_bound(st, hp, a, 0, 1, 8)
@@ -892,7 +931,7 @@ def test_an_infinite_order_is_refused():
     st = GroupStructure(5, [[0, 1], [1, 2], [3, 4]])
     hp = make_hp(3, sigma=1.0)
     for t in (1, 7):  # K all zero, then positive
-        K = acc.delay_curve_matrix(st, hp, t)
+        K = acc.delay_sweep(st, hp).at(t)
         with pytest.raises(ValueError, match=r"^alpha_grid\[1\] must be finite$"):
             acc.dp_matrix_from_curves(K, 1e-5, (2.0, math.inf))
         with pytest.raises(ValueError, match=r"^alpha_grid\[1\] must be finite$"):
@@ -916,7 +955,7 @@ def test_pwp_bounds_and_curve_assembly_agree():
     hp = make_hp(4, participation=0.9, sigma=1.8)
     t, delta = 13, 1e-6
     grid = list(acc.DEFAULT_ALPHA_GRID)
-    curves = acc.delay_curve_matrix(st, hp, t)
+    curves = acc.delay_sweep(st, hp).at(t)
     workers, table = acc.pwp_rows_from_curves(curves, st, hp.threat_model,
                                               delta)
     assert workers.tolist() == list(range(8))
@@ -926,7 +965,7 @@ def test_pwp_bounds_and_curve_assembly_agree():
         assert alpha_star == want_alpha
         assert eps_dp == pytest.approx(want_dp, rel=1e-12)
         assert eps_rdp == pytest.approx(curve[grid.index(alpha_star)], rel=1e-12)
-    dp = acc.dp_matrix_from_curves(curves, delta)
+    dp = worker_cells(st, hp.threat_model, acc.dp_matrix_from_curves(curves, delta))
     for n in range(8):
         for i in range(8):
             if n == i:
@@ -941,7 +980,7 @@ def test_pwp_bounds_contract():
     hp = make_hp(2, participation=0.7)
 
     def rows_at(structure, params, t):
-        curves = acc.delay_curve_matrix(structure, params, t)
+        curves = acc.delay_sweep(structure, params).at(t)
         return acc.pwp_rows_from_curves(curves, structure, params.threat_model, 1e-5)
 
     workers, table = rows_at(st, hp, 1)
@@ -960,6 +999,10 @@ def test_pwp_bounds_contract():
     workers, table = rows_at(gl, make_hp(1, threat_model="tm2"), 9)
     assert workers.dtype == np.int64 and workers.shape == (0,)
     assert table.dtype == np.float64 and table.shape == (0, 3)
+    # curves over worker pairs are refused where the sets are fewer
+    with pytest.raises(ValueError, match="one cell per pair of group sets"):
+        acc.pwp_rows_from_curves(np.zeros((10, 10)), SHARED_SETS_STRING,
+                                 "tm1", 1e-5)
 
 
 def _thm2_reference(st, hp, inv_hbar, n, i, t, alphas):
@@ -1029,12 +1072,17 @@ def _check_sweep_against_pairs(structure, hp):
     horizon = hp.epochs + 5  # a heatmap epoch may lie past the horizon T
     sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid)
     inv_hbar = acc.lsi_recursion(structure, hp, beta, horizon)
-    N = structure.num_workers
+    N, P = structure.num_workers, len(structure.group_sets)
     admissible = structure.admissible_observers[hp.threat_model]
+    undefined = ~structure.admissible_observer_sets[hp.threat_model]
     for t in (1, 2, 5, hp.epochs, horizon):
-        curves = acc.thm2_curve_sweep(structure, hp, beta, t, grid).at(t)
+        sets = acc.thm2_curve_sweep(structure, hp, beta, t, grid).at(t)
+        assert sets.shape == (P, P, len(grid))
+        assert np.array_equal(sets, sweep.at(t), equal_nan=True)
+        assert np.array_equal(np.isnan(sets),
+                              np.repeat(undefined[:, :, None], len(grid), axis=2))
+        curves = worker_cells(structure, hp.threat_model, sets)
         assert curves.shape == (N, N, len(grid))
-        assert np.array_equal(curves, sweep.at(t), equal_nan=True)
         for n in range(N):
             for i in range(N):
                 if not admissible[n, i]:
@@ -1160,9 +1208,9 @@ COEFFICIENTS = hs.one_of(
 
 @hs.composite
 def coefficient_cases(draw):
-    """A structure, a threat model and a coefficient matrix K that is NaN
-    outside the admissible observers, with zero rows, subnormal entries
-    and rows with no admissible observer."""
+    """A structure, a threat model and a coefficient matrix K over group-set
+    pairs that is NaN outside the admissible observer sets, with zero rows,
+    subnormal entries and rows with no admissible observer."""
     N = draw(hs.integers(2, 7))
     M = draw(hs.integers(1, 4))
     joined = [draw(hs.sets(hs.integers(0, M - 1), min_size=1, max_size=M))
@@ -1171,11 +1219,12 @@ def coefficient_cases(draw):
     structure = GroupStructure(N, [[w for w in range(N) if g in joined[w]]
                                    for g in used])
     threat_model = draw(hs.sampled_from(["tm1", "tm2"]))
-    K = np.array(draw(hs.lists(COEFFICIENTS, min_size=N * N, max_size=N * N)))
-    K = K.reshape(N, N)
-    for n in draw(hs.sets(hs.integers(0, N - 1))):
-        K[n] = 0.0
-    K[~structure.admissible_observers[threat_model]] = np.nan
+    P = len(structure.group_sets)
+    K = np.array(draw(hs.lists(COEFFICIENTS, min_size=P * P, max_size=P * P)))
+    K = K.reshape(P, P)
+    for a in draw(hs.sets(hs.integers(0, P - 1))):
+        K[a] = 0.0
+    K[~structure.admissible_observer_sets[threat_model]] = np.nan
     grid = draw(hs.one_of(
         hs.just(acc.DEFAULT_ALPHA_GRID),
         hs.lists(hs.floats(1.01, 300.0), min_size=1, max_size=6,
@@ -1189,7 +1238,8 @@ def coefficient_cases(draw):
 @given(coefficient_cases(), hs.integers(0, 48))
 def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
     """pwp rows and heatmaps from K equal the tensor reductions of
-    K[..., None] * grid bit for bit, and both refuse the same inputs."""
+    K[..., None] * grid bit for bit, and both refuse the same inputs; the
+    pwp rows are those of the tensor gathered to worker pairs."""
     structure, threat_model, K, grid, delta = case
     tensor = K[..., None] * np.array(grid)
     mask = structure.admissible_observers[threat_model]
@@ -1206,24 +1256,26 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
         assert acc.dp_matrix_from_curves(K, delta, grid).tobytes() == want.tobytes()
         assert (acc.dp_matrix_from_curves(tensor, delta, grid).tobytes()
                 == want.tobytes())
-        want = _tensor_pwp_reference(tensor, mask, delta, grid)
+        want = _tensor_pwp_reference(
+            worker_cells(structure, threat_model, tensor), mask, delta, grid)
         assert _pwp_bits(*acc.pwp_rows_from_curves(
             K, structure, threat_model, delta, grid)) == _bits(want)
-    n, i = divmod(cell % K.size, K.shape[1])
-    if mask[n, i]:
+    a, b = divmod(cell % K.size, K.shape[1])
+    if structure.admissible_observer_sets[threat_model][a, b]:
         # a negative cell among admissible observers is refused by both
         negative = K.copy()
-        negative[n, i] = -1.0
+        negative[a, b] = -1.0
         with pytest.raises(ValueError, match="finite and nonnegative"):
             acc.dp_matrix_from_curves(negative, delta, grid)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             acc.pwp_rows_from_curves(negative, structure, threat_model, delta,
                                      grid)
         # an undefined cell among admissible observers is refused by both paths
-        K[n, i] = np.nan
+        K[a, b] = np.nan
         with pytest.raises(ValueError, match="undefined pair"):
-            _tensor_pwp_reference(K[..., None] * np.array(grid), mask, delta,
-                                  grid)
+            _tensor_pwp_reference(worker_cells(structure, threat_model,
+                                               K[..., None] * np.array(grid)),
+                                  mask, delta, grid)
         with pytest.raises(ValueError, match="undefined pair"):
             acc.pwp_rows_from_curves(K, structure, threat_model, delta, grid)
 
@@ -1298,7 +1350,7 @@ def test_pipeline_does_not_name_the_references():
     assert REFERENCES <= _module_defs(orc).keys()
     defs = _module_defs(acc)
     assert not REFERENCES & defs.keys()
-    todo = ["delay_curve_matrix", "thm2_curve_sweep", "dp_matrix_from_curves",
+    todo = ["delay_sweep", "thm2_curve_sweep", "dp_matrix_from_curves",
             "pwp_rows_from_curves"]
     reached = set()
     while todo:
@@ -1311,8 +1363,8 @@ def test_pipeline_does_not_name_the_references():
                  if isinstance(node, (ast.Name, ast.Attribute))}
         assert not named & REFERENCES, f"{name} names {sorted(named & REFERENCES)}"
         todo.extend(named & defs.keys())
-    # the walk follows calls: the sweep reaches the recursion and the class
-    assert {"lsi_recursion", "Thm2Sweep", "_delivered_blocks",
+    # the walk follows calls: the sweeps reach the recursion and the classes
+    assert {"lsi_recursion", "Thm2Sweep", "DelaySweep", "_delivered_blocks",
             "_check_delta"} <= reached
 
 

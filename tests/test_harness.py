@@ -212,8 +212,9 @@ def test_pwp_csv_matches_accountant(tmp_path):
         t, n, eps_rdp, alpha_star, eps_dp = line.split(",")
         by_epoch.setdefault(int(t), []).append(
             (int(n), float(eps_rdp), float(alpha_star), float(eps_dp)))
+    sweep = acc.delay_sweep(structure, hp)
     for t in range(1, config.epochs + 1):
-        curves = acc.delay_curve_matrix(structure, hp, t)
+        curves = sweep.at(t)
         workers, table = acc.pwp_rows_from_curves(
             curves, structure, hp.threat_model, config.delta, config.alpha_grid)
         want = [(w, *row) for w, row in zip(workers.tolist(), table.tolist())]
@@ -556,16 +557,38 @@ _EDGE_CELLS = np.array([[0.0, -0.0, math.nan], [_SUBNORMAL, 1e300, 0.1],
                         [float(np.nextafter(0.1, 1.0)), -0.0, 0.0]])
 
 
+@hs.composite
+def _heatmap_cases(draw):
+    """A (P, P) set-pair matrix, the set of each of N workers, and a
+    worker-pair trusted mask that covers every NaN cell, as the pipeline's
+    does."""
+    matrix = draw(_matrices())
+    owner = np.array(draw(hs.lists(hs.integers(0, matrix.shape[0] - 1),
+                                   min_size=1, max_size=20)))
+    cells = matrix[np.ix_(owner, owner)]
+    picks = draw(hs.lists(hs.booleans(), min_size=cells.size,
+                          max_size=cells.size))
+    return matrix, owner, np.isnan(cells) | np.reshape(picks, cells.shape)
+
+
+def _one_worker_per_set(matrix):
+    return matrix, np.arange(matrix.shape[0]), np.isnan(matrix)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(_matrices())
-@example(_EDGE_CELLS)
-@example(np.array([[math.nan]]))
-def test_heatmap_text_matches_reference_bitwise(matrix):
-    """The heatmap writer formats each distinct bit pattern once and still
-    writes the reference's bytes: -0.0 stays apart from 0.0, adjacent floats
-    stay apart, NaN reads 'trusted' and the diagonal is skipped."""
-    text = _written_text("n,i,eps", harness._heatmap_blocks(matrix))
-    assert text == _reference_heatmap_text(matrix)
+@given(_heatmap_cases())
+@example(_one_worker_per_set(_EDGE_CELLS))
+@example(_one_worker_per_set(np.array([[math.nan]])))
+def test_heatmap_text_matches_reference_bitwise(case):
+    """The heatmap writer formats each distinct bit pattern of the set-pair
+    matrix once, gathers the texts to worker pairs, and still writes the
+    reference's bytes: -0.0 stays apart from 0.0, adjacent floats stay
+    apart, trusted cells read 'trusted' and the diagonal is skipped."""
+    matrix, owner, trusted = case
+    text = _written_text("n,i,eps",
+                         harness._heatmap_blocks(matrix, owner, trusted))
+    cells = np.where(trusted, math.nan, matrix[np.ix_(owner, owner)])
+    assert text == _reference_heatmap_text(cells)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

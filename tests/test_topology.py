@@ -181,8 +181,39 @@ def test_structure_facts_match_the_functions_and_are_read_only():
         assert tm2[n].tolist() == [
             not set(st.groups_of_worker[i]) & set(st.groups_of_worker[n])
             for i in range(10)]
-    for fact in (st.distances, st.member_mask, st.worker_distances, tm1, tm2):
+    # sets (0,), (0, 1), (1,), (1, 2), (2,); only (0,) and (2,) hold two or
+    # more workers, so only they observe themselves under tm1
+    sets = st.admissible_observer_sets
+    assert st.group_sets == ((0,), (0, 1), (1,), (1, 2), (2,))
+    assert sets["tm1"].tolist() == [[a != b or a in (0, 4) for b in range(5)]
+                                    for a in range(5)]
+    assert sets["tm2"].tolist() == [
+        [not set(st.group_sets[a]) & set(st.group_sets[b]) for b in range(5)]
+        for a in range(5)]
+    for structure in (st, generate_structure("RI", 8, 4),
+                      generate_structure("CL", 6, 2),
+                      generate_structure("GL", 4, 1), GroupStructure(1, [[0]]),
+                      GroupStructure(5, [[0, 1], [1, 2], [1, 3], [4]])):
+        _check_observer_sets(structure)
+    for fact in (st.distances, st.member_mask, st.worker_distances, tm1, tm2,
+                 sets["tm1"], sets["tm2"]):
         with pytest.raises(ValueError):
             fact[0, 0] = fact[0, 1]
     with pytest.raises(TypeError):
         st.admissible_observers["tm1"] = tm2
+    with pytest.raises(TypeError):
+        st.admissible_observer_sets["tm1"] = sets["tm2"]
+    assert st.admissible_observer_sets is sets
+
+
+def _check_observer_sets(st):
+    """Row a of the set-level mask marks exactly the sets that hold an
+    admissible observer of each worker of set a."""
+    owner = st.group_set_of_worker
+    P = len(st.group_sets)
+    for tm in ("tm1", "tm2"):
+        workers, sets = st.admissible_observers[tm], st.admissible_observer_sets[tm]
+        assert sets.shape == (P, P) and sets.dtype == bool
+        for n in range(st.num_workers):
+            for b in range(P):
+                assert workers[n, owner == b].any() == sets[owner[n], b]
