@@ -9,8 +9,10 @@ A run writes, inside the configured output directory:
 
 Floats are serialized with 17 significant digits and the manifest carries no
 timestamps, so rerunning the same config reproduces every file byte for byte.
-Each distinct float (by bit pattern) of a heatmap, of a pwp.csv epoch or of
-metrics.csv is formatted once and its text reused.
+Each distinct float (by bit pattern) of a heatmap, of pwp.csv or of
+metrics.csv is formatted once and its text reused.  Accounting works on
+pairs of group sets, so pwp.csv rows and heatmap lines are built once per
+group set and gathered to its workers as text.
 Accountant precondition failures (``AccountingPreconditionError``: sigma = 0,
 degradation bound on a topology that is not a string, ...) disable the
 accounting outputs only; training outputs are still emitted and the manifest
@@ -336,32 +338,46 @@ def _float_texts(values) -> np.ndarray:
     return texts[inverse].reshape(values.shape)
 
 
-def _pwp_lines(t: int, workers: np.ndarray, table: np.ndarray) -> list[str]:
-    """pwp.csv lines of epoch t from ``pwp_rows_from_curves``'s
-    ``(workers, table)``."""
-    return [f"{t},{w},{a},{b},{c}"
-            for w, (a, b, c) in zip(workers.tolist(),
-                                    _float_texts(table).tolist())]
+def _pwp_blocks(epochs, workers: np.ndarray, rows: np.ndarray,
+                set_tables) -> list[str]:
+    """pwp.csv text as one block of lines per epoch t of ``epochs``.
+
+    ``set_tables[k]`` ((P', 3)) holds epoch ``epochs[k]``'s ``eps_rdp,
+    alpha_star, eps_dp`` per group set, and worker ``workers[r]`` reads set
+    ``rows[r]``: each set's text is built once per epoch and gathered to
+    its workers.  All epochs' floats are formatted in one call.
+    """
+    if not workers.size:
+        return []
+    prefixes = [f"{w}," for w in workers.tolist()]
+    rows = rows.tolist()
+    blocks = []
+    for t, texts in zip(epochs, _float_texts(set_tables).tolist()):
+        suffixes = [",".join(row) for row in texts]
+        blocks.append(f"{t}," + f"\n{t},".join(
+            map(operator.add, prefixes, map(suffixes.__getitem__, rows))))
+    return blocks
 
 
 def _heatmap_blocks(matrix: np.ndarray, owner: np.ndarray,
-                    trusted: np.ndarray) -> list[str]:
+                    undefined: np.ndarray) -> list[str]:
     """The 'n,i,eps' lines of a (P, P) group-set pair matrix at the worker
     pairs, as one block of N - 1 lines per row n (the diagonal is skipped):
     cell (n, i) reads ``matrix[owner[n], owner[i]]``, or 'trusted' where the
-    (N, N) mask ``trusted`` is set."""
+    (P, P) mask ``undefined`` is set.  Each set's lines are built once and
+    gathered to its workers."""
     size = owner.size
     if size < 2:
         return []
-    cells = _float_texts(matrix)[np.ix_(owner, owner)]
-    cells[trusted] = "trusted"
+    texts = _float_texts(matrix)
+    texts[undefined] = "trusted"
     columns = [f"{i}," for i in range(size)]
+    set_lines = [list(map(operator.add, columns, row))
+                 for row in texts[:, owner].tolist()]
     blocks = []
-    for n in range(size):
-        prefix = f"{n},"
-        lines = list(map(operator.add, columns, cells[n].tolist()))
-        del lines[n]
-        blocks.append(prefix + ("\n" + prefix).join(lines))
+    for n, a in enumerate(owner.tolist()):
+        lines = set_lines[a]
+        blocks.append(f"{n}," + f"\n{n},".join(lines[:n] + lines[n + 1:]))
     return blocks
 
 
@@ -372,9 +388,10 @@ def _write_lines(path: Path, header: str, rows) -> None:
 def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
                     hp: HyperParams, train_set: Dataset, out: Path
                     ) -> list[str]:
-    """Emit pwp.csv and the heatmaps; raises AccountingPreconditionError on
-    precondition failures so the caller can record them without touching
-    training output."""
+    """Emit pwp.csv and the heatmaps, whose text is built per group set and
+    gathered to workers; raises AccountingPreconditionError on precondition
+    failures so the caller can record them without touching training
+    output."""
     grid = config.alpha_grid
     epochs = sorted({*range(1, config.epochs + 1), *config.heatmap_epochs})
     if config.bound == "degradation" and epochs:
@@ -385,23 +402,30 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
         sweep = accountant.delay_sweep(structure, hp)
 
     owner = structure.group_set_of_worker
-    trusted = ~structure.admissible_observers[config.threat_model]
+    undefined = ~structure.admissible_observer_sets[config.threat_model]
     written: list[str] = []
-    pwp_lines: list[str] = []
+    set_tables: list[np.ndarray] = []
     for t in epochs:
-        curves = sweep.at(t)  # group-set pairs; gathered only for output
+        curves = sweep.at(t)  # group-set pairs; gathered only as text
         if t <= config.epochs:
-            pwp_lines += _pwp_lines(t, *accountant.pwp_rows_from_curves(
-                curves, structure, config.threat_model, config.delta, grid))
+            workers, table = accountant.pwp_rows_from_curves(
+                curves, structure, config.threat_model, config.delta, grid)
+            if not set_tables:  # the same workers and sets at every epoch
+                _, first, rows = np.unique(owner[workers], return_index=True,
+                                           return_inverse=True)
+            set_tables.append(table[first])
         if t in config.heatmap_epochs:
             matrix = accountant.dp_matrix_from_curves(curves, config.delta,
                                                       grid)
             name = f"heatmap_epoch_{t}.csv"
             _write_lines(out / name, "n,i,eps",
-                         _heatmap_blocks(matrix, owner, trusted))
+                         _heatmap_blocks(matrix, owner, undefined))
             written.append(name)
+    pwp_blocks = (_pwp_blocks(range(1, config.epochs + 1), workers, rows,
+                              set_tables)
+                  if set_tables else [])  # T = 0 accounts no epoch
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
-                 pwp_lines)
+                 pwp_blocks)
     written.append("pwp.csv")
     return written
 

@@ -1152,6 +1152,41 @@ def test_pwp_envelope_over_admissible_observers():
         acc.pwp_rows_from_curves(curves, st, "tm3", 1e-5, grid)
 
 
+@pytest.mark.parametrize("algorithm, threat_model", [
+    ("dpogl", "tm1"), ("dpogl", "tm2"), ("dpogl_plus", "tm2")])
+def test_pwp_rows_are_set_rows_with_the_same_workers_every_epoch(
+        algorithm, threat_model):
+    """What the pwp.csv writer relies on: at every epoch the rows name the
+    same workers, and every worker of a group set has a bit-equal row.
+    Delay runs include a worker in three groups next to a one-worker set;
+    the degradation run is a string whose sets hold several workers."""
+    def hp_of(structure):
+        return make_hp(structure.num_groups, epochs=12, algorithm=algorithm,
+                       threat_model=threat_model)
+
+    delay = [GroupStructure(7, [[0, 1, 2], [0, 3, 4], [0, 5], [6]]),
+             generate_structure("RI", 12, 4)]
+    cases = [(st, acc.delay_sweep(st, hp_of(st))) for st in delay]
+    cases.append((SHARED_SETS_STRING, acc.thm2_curve_sweep(
+        SHARED_SETS_STRING, hp_of(SHARED_SETS_STRING), 1.4, 12)))
+    for structure, sweep in cases:
+        owner = structure.group_set_of_worker
+        first = None
+        for t in range(1, 13):
+            workers, table = acc.pwp_rows_from_curves(
+                sweep.at(t), structure, threat_model, 1e-5)
+            if first is None:
+                first = workers
+                assert workers.size
+            assert np.array_equal(workers, first)
+            bits = table.view(np.int64)
+            for a in np.unique(owner[workers]):
+                rows = bits[owner[workers] == a]
+                assert (rows == rows[0]).all()
+        shared = np.bincount(owner[first])
+        assert shared.max() > 1, "no set holds two observed workers"
+
+
 # ---------------------------------------------------------------------------
 # reductions of the delay coefficients K against the tensor reductions
 

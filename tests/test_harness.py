@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -236,6 +237,42 @@ def test_heatmap_epoch_beyond_training_horizon(tmp_path):
     config = make_config(tmp_path, epochs=2, heatmap_epochs=[10])
     manifest = run_experiment(config, with_training=False)
     assert "heatmap_epoch_10.csv" in manifest["outputs"]
+
+
+PWP_HEADER = b"epoch,worker,eps_rdp,alpha_star,eps_dp\n"
+
+
+def test_artifacts_with_no_row(tmp_path):
+    """pwp.csv is its header alone when no epoch is accounted (T = 0) or no
+    worker has an admissible observer; a one-worker heatmap is its header
+    alone.  A heatmap past a T = 0 horizon is still written in full."""
+    def account(name, **overrides):
+        config = make_config(tmp_path, output_dir=str(tmp_path / name),
+                             **overrides)
+        manifest = run_experiment(config, with_training=False)
+        assert manifest["accounting_error"] is None
+        return {p.name: p.read_bytes()
+                for p in (tmp_path / name).iterdir() if p.suffix == ".csv"}
+
+    written = account("t0_heatmap", epochs=0, heatmap_epochs=[3])
+    assert written.keys() == {"pwp.csv", "heatmap_epoch_3.csv"}
+    assert written["pwp.csv"] == PWP_HEADER
+    heatmap = written["heatmap_epoch_3.csv"]
+    assert len(heatmap.splitlines()) == 1 + 6 * 5
+    # delay heatmaps do not depend on T: this is the golden run's epoch 3
+    assert (hashlib.sha256(heatmap).hexdigest()
+            == GOLDEN_RUNS["run_dpogl_tm1"][2]["heatmap_epoch_3.csv"])
+    assert account("t0", epochs=0, heatmap_epochs=[]) == {
+        "pwp.csv": PWP_HEADER}
+    one_worker = account(
+        "one_worker", heatmap_epochs=[3],
+        structure={"kind": "GL", "num_workers": 1, "num_groups": 1})
+    assert one_worker == {"pwp.csv": PWP_HEADER,
+                          "heatmap_epoch_3.csv": b"n,i,eps\n"}
+    trusted_world = account(
+        "gl_tm2", threat_model="tm2", heatmap_epochs=[],
+        structure={"kind": "GL", "num_workers": 4, "num_groups": 1})
+    assert trusted_world == {"pwp.csv": PWP_HEADER}
 
 
 def test_account_only_skips_training(tmp_path):
@@ -541,16 +578,41 @@ def _pwp_epoch(t, rows):
 
 @hs.composite
 def _pwp_epochs(draw):
-    """(t, workers, table) per epoch; an epoch may have no observed worker."""
+    """(t, workers, table) per epoch, as the pipeline's are: the same
+    workers at every epoch, each mapped to one of a few group sets, and
+    each reading its set's row, drawn per epoch.  There may be no observed
+    worker, and then every epoch has none."""
     size = draw(hs.integers(1, 20))
     palette = [v for v in draw(_palettes()) if v == v]  # pwp holds no NaN
     value = hs.sampled_from(palette)
+    workers = sorted(draw(hs.lists(hs.integers(0, size - 1), unique=True)))
+    num_sets = draw(hs.integers(1, max(1, len(workers))))
+    set_of = [draw(hs.integers(0, num_sets - 1)) for _ in workers]
     epochs = []
     for t in range(1, draw(hs.integers(1, 4)) + 1):
-        workers = draw(hs.lists(hs.integers(0, size - 1), unique=True))
-        epochs.append(_pwp_epoch(t, [(w, draw(value), draw(value), draw(value))
-                                     for w in sorted(workers)]))
+        set_rows = [(draw(value), draw(value), draw(value))
+                    for _ in range(num_sets)]
+        epochs.append(_pwp_epoch(t, [(w, *set_rows[k])
+                                     for w, k in zip(workers, set_of)]))
     return epochs
+
+
+def _pwp_writer_lines(epochs):
+    """The pwp.csv writer's lines for (t, workers, table) epochs.  Each run
+    of consecutive epochs with the same workers is one writer call; in it,
+    the workers whose rows are bit-equal at every epoch of the run share a
+    group set, numbered in bit order rather than in worker order."""
+    lines = []
+    for _, run in itertools.groupby(epochs, key=lambda e: e[1].tolist()):
+        ts, workers, tables = zip(*run)
+        bits = np.stack(tables, axis=1).view(np.int64)  # (k, epochs, 3)
+        _, first, rows = np.unique(bits.reshape(len(bits), 3 * len(ts)),
+                                   axis=0, return_index=True,
+                                   return_inverse=True)
+        blocks = harness._pwp_blocks(ts, workers[0], rows.reshape(-1),
+                                     [table[first] for table in tables])
+        lines += "\n".join(blocks).splitlines()
+    return lines
 
 
 _EDGE_CELLS = np.array([[0.0, -0.0, math.nan], [_SUBNORMAL, 1e300, 0.1],
@@ -559,16 +621,14 @@ _EDGE_CELLS = np.array([[0.0, -0.0, math.nan], [_SUBNORMAL, 1e300, 0.1],
 
 @hs.composite
 def _heatmap_cases(draw):
-    """A (P, P) set-pair matrix, the set of each of N workers, and a
-    worker-pair trusted mask that covers every NaN cell, as the pipeline's
-    does."""
+    """A (P, P) set-pair matrix, the set of each of N workers, and a (P, P)
+    undefined mask that covers every NaN cell, as the pipeline's does."""
     matrix = draw(_matrices())
     owner = np.array(draw(hs.lists(hs.integers(0, matrix.shape[0] - 1),
                                    min_size=1, max_size=20)))
-    cells = matrix[np.ix_(owner, owner)]
-    picks = draw(hs.lists(hs.booleans(), min_size=cells.size,
-                          max_size=cells.size))
-    return matrix, owner, np.isnan(cells) | np.reshape(picks, cells.shape)
+    picks = draw(hs.lists(hs.booleans(), min_size=matrix.size,
+                          max_size=matrix.size))
+    return matrix, owner, np.isnan(matrix) | np.reshape(picks, matrix.shape)
 
 
 def _one_worker_per_set(matrix):
@@ -581,13 +641,14 @@ def _one_worker_per_set(matrix):
 @example(_one_worker_per_set(np.array([[math.nan]])))
 def test_heatmap_text_matches_reference_bitwise(case):
     """The heatmap writer formats each distinct bit pattern of the set-pair
-    matrix once, gathers the texts to worker pairs, and still writes the
-    reference's bytes: -0.0 stays apart from 0.0, adjacent floats stay
-    apart, trusted cells read 'trusted' and the diagonal is skipped."""
-    matrix, owner, trusted = case
+    matrix once, builds each set's lines once, gathers them to worker
+    pairs, and still writes the reference's bytes: -0.0 stays apart from
+    0.0, adjacent floats stay apart, undefined cells read 'trusted' and the
+    diagonal is skipped."""
+    matrix, owner, undefined = case
     text = _written_text("n,i,eps",
-                         harness._heatmap_blocks(matrix, owner, trusted))
-    cells = np.where(trusted, math.nan, matrix[np.ix_(owner, owner)])
+                         harness._heatmap_blocks(matrix, owner, undefined))
+    cells = np.where(undefined, math.nan, matrix)[np.ix_(owner, owner)]
     assert text == _reference_heatmap_text(cells)
 
 
@@ -597,18 +658,20 @@ def test_heatmap_text_matches_reference_bitwise(case):
           _pwp_epoch(2, []),
           _pwp_epoch(3, [(1, 0.1, float(np.nextafter(0.1, 1.0)), 0.1)])])
 def test_pwp_text_matches_reference_bitwise(epochs):
-    """pwp.csv formats each epoch's distinct floats once and still writes
-    the reference's bytes, including epochs with no observed worker, whose
-    arrays are (0,) and (0, 3)."""
-    lines = [line for epoch in epochs for line in harness._pwp_lines(*epoch)]
-    assert lines == [line for epoch in epochs
-                     for line in _reference_pwp_lines(*epoch)]
+    """pwp.csv formats the distinct floats of all epochs' set rows once,
+    builds each set's text once per epoch, gathers it to the set's workers,
+    and still writes the reference's bytes, including epochs with no
+    observed worker, whose arrays are (0,) and (0, 3)."""
+    assert _pwp_writer_lines(epochs) == [
+        line for epoch in epochs for line in _reference_pwp_lines(*epoch)]
 
 
-# SHA-256 of every file of six small runs: the first four recorded before
-# the writers formatted each distinct value once, the last two before the
-# block rule lost its second counting convention, and every manifest.json
-# after that (the manifest and config hash no longer hold a ``variant``).
+# SHA-256 of every file of seven small runs: the first four recorded before
+# the writers formatted each distinct value once, the next two before the
+# block rule lost its second counting convention, every manifest.json of
+# those six after that (the manifest and config hash no longer hold a
+# ``variant``), and the last run before the writers built text per group
+# set.
 # Recorded with numpy 2.4.6 (Python 3.11.7, x86-64): metrics.csv depends on
 # the floating-point summation order of the numpy build, so another build
 # may change its digest.
@@ -680,6 +743,18 @@ GOLDEN_RUNS = {
         "heatmap_epoch_6.csv": "0a5c130fa87d02c53784d04ea2666ce3117b2bcd314255f1cf3bc76a9677ad83",
         "manifest.json": "4c538796fa32abafaa4960fb65ea46df04329cacb1afe5b6d0f5d6af33e93c6a",
         "pwp.csv": "ebdd366901794230b74fe32ec7b3816f0446c1cc8712a3f6761530d15ea8a652",
+    }),
+    # worker 0 sits in three groups, group 3 is a one-worker set, and the
+    # workers of a set share their pwp.csv rows and heatmap lines
+    "account_delay_shared_sets_tm2": (False, dict(
+        threat_model="tm2", epochs=8, heatmap_epochs=[4, 8, 11],
+        structure={"num_workers": 7,
+                   "members_of_group": [[0, 1, 2], [0, 3, 4], [0, 5], [6]]}), {
+        "heatmap_epoch_11.csv": "3074c922a9e91fd2bcd885d2b2e59e24d01324b4a85db8c709d1b4563b03f37b",
+        "heatmap_epoch_4.csv": "e6c36c40dae1be890ddd9b40a6cac97d550e7df7ac06ac1061689b70a74c8322",
+        "heatmap_epoch_8.csv": "4af230d1be0c42126b2e022d798aeaf439d0d1ffea0788eba895f2a04f2cdf53",
+        "manifest.json": "8ae17052ee5d0b9043d6f9394e1570421fe6557bf0c95a04b615b9faa0e2a2f9",
+        "pwp.csv": "93434005fdc757c811686b9afbff890d4f3fd585515ecf9b3a7de354a11b93d5",
     }),
 }
 

@@ -192,6 +192,8 @@ def test_structure_facts_match_the_functions_and_are_read_only():
         for a in range(5)]
     for structure in (st, generate_structure("RI", 8, 4),
                       generate_structure("CL", 6, 2),
+                      generate_structure("RI", 64, 16),
+                      generate_structure("RI", 256, 32),
                       generate_structure("GL", 4, 1), GroupStructure(1, [[0]]),
                       GroupStructure(5, [[0, 1], [1, 2], [1, 3], [4]])):
         _check_observer_sets(structure)
@@ -208,12 +210,16 @@ def test_structure_facts_match_the_functions_and_are_read_only():
 
 def _check_observer_sets(st):
     """Row a of the set-level mask marks exactly the sets that hold an
-    admissible observer of each worker of set a."""
+    admissible observer of each worker of set a, and every pair of distinct
+    workers reads its sets' cell, as the heatmap writer does."""
     owner = st.group_set_of_worker
     P = len(st.group_sets)
+    distinct = ~np.eye(st.num_workers, dtype=bool)
     for tm in ("tm1", "tm2"):
         workers, sets = st.admissible_observers[tm], st.admissible_observer_sets[tm]
         assert sets.shape == (P, P) and sets.dtype == bool
         for n in range(st.num_workers):
             for b in range(P):
                 assert workers[n, owner == b].any() == sets[owner[n], b]
+        gathered = sets[np.ix_(owner, owner)]
+        assert np.array_equal(workers[distinct], gathered[distinct])
