@@ -15,10 +15,10 @@ group sets (``GroupStructure.group_sets``), and both bounds are computed on
 group-set pairs: ``delay_sweep`` gives (P, P) delay coefficients K, whose
 curves alpha * K are linear in the order, and ``thm2_curve_sweep`` (P, P,
 G) curve tensors over an order grid.  The reductions turn either form into
-DP heatmaps of set pairs and per-worker envelopes; a worker's envelope is
-its set's, over the set-level mask ``admissible_observer_sets``.  This
-module holds only that pipeline; the references that check it live in
-``oracles``.
+DP heatmaps of set pairs and one envelope row per set, over the set-level
+mask ``admissible_observer_sets``; a worker's envelope is its set's.  No
+worker index enters this module's results.  It holds only that pipeline;
+the references that check it live in ``oracles``.
 
 Cost model.  Structure facts (distances, masks, group sets, the string
 test) are cached on the ``GroupStructure`` and computed once per structure.
@@ -34,7 +34,7 @@ the horizon: B block slots per source, the count that a source at distance
 (P, P, G) tensor is then a sum over the blocks delivered by that epoch,
 vectorised across classes, and a gather.  So the cost grows with set pairs
 x epochs and classes x blocks, not with worker pairs x epochs, and memory
-with classes x blocks.  Worker pairs are gathered only for output.
+with classes x blocks.  Workers appear only when the text is written.
 
 Both bounds follow one block rule, ``_delivered_blocks``: by epoch t a
 source rho >= 1 hops away has delivered max(0, floor((t-1)/S) - rho + 1)
@@ -72,6 +72,9 @@ def _group_budgets(hp: HyperParams, name: str, budget) -> np.ndarray:
     pow; array ``**`` rounds some squares differently).  The one per-group
     rule: a value that is not finite and > 0 (sigma = 0, an infinite clip,
     or an over- or underflow) is refused, with the group named."""
+    # Silenced: division by sigma = 0 (inf), inf * 0 from an infinite clip
+    # with sigma = 0 (NaN), a square or quotient that overflows to inf or
+    # underflows to 0.  The refusal just below catches every one of them.
     with np.errstate(all="ignore"):
         budgets = np.array([budget(c, s, p) for c, s, p
                             in zip(hp.clip, hp.sigma, hp.participation)])
@@ -234,12 +237,12 @@ def _check_grid(alpha_grid) -> list[float]:
 @dataclass(frozen=True, eq=False)
 class DelaySweep:
     """Delay coefficients of group-set pairs, evaluated at any epoch >= 1
-    from per-run terms."""
+    from per-run terms read off ``GroupStructure.set_distances``."""
 
     period: int             # S
     per_block: int          # S / W mechanisms per delivered block
     rows: np.ndarray        # (P, M) weight of each set's groups, else 0
-    distances: np.ndarray   # (M, P) group to the set's nearest group
+    distances: np.ndarray   # (M, P) ``set_distances``: 0 at the set's groups
     undefined: np.ndarray   # (P, P) set pairs outside the threat model
 
     def at(self, t: int) -> np.ndarray:
@@ -269,12 +272,9 @@ def delay_sweep(structure: GroupStructure, hp: HyperParams) -> DelaySweep:
     _check_group_count(structure, hp)
     weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
                              lambda _, s, p: 2.0 * p ** 2 / s ** 2)
-    first = np.unique(structure.group_set_of_worker, return_index=True)[1]
-    S = hp.inter_group_period
-    return DelaySweep(S, S // hp.mechanism_window,
-                      structure.member_mask.T[first] * weights,
-                      structure.worker_distances[:, first],
-                      ~structure.admissible_observer_sets[hp.threat_model])
+    S, dist = hp.inter_group_period, structure.set_distances
+    return DelaySweep(S, S // hp.mechanism_window, (dist.T == 0) * weights,
+                      dist, ~structure.admissible_observer_sets[hp.threat_model])
 
 
 def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -354,6 +354,14 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     return Thm2Sweep(horizon, S, classes, shared, rho_of_slot, terms)
 
 
+def _check_rank(curves: np.ndarray) -> None:
+    """Refuse curves that are neither K (rank 2) nor a tensor (rank 3),
+    before either reduction indexes them."""
+    if curves.ndim not in (2, 3):
+        raise ValueError("curves must be (P, P) delay coefficients or a "
+                         "(P, P, G) tensor")
+
+
 def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:
     """Refuse a (P, P, G) tensor whose G is not the grid size, and a
     negative or non-finite curve value (NaN is skipped) with two whole-array
@@ -375,6 +383,7 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
+    _check_rank(curves)
     _check_curve_values(curves, grid)
     penalty = math.log(1.0 / delta) / (grid - 1.0)
     eps = np.full(curves.shape[:2], np.inf)
@@ -389,26 +398,26 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
 
 def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
                          threat_model: str, delta: float,
-                         alpha_grid=DEFAULT_ALPHA_GRID
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker ``(workers, table)`` from group-set pair curves: a (P, P,
-    G) tensor or the delay coefficients K.
+                         alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
+    """(P, 3) per-set rows ``eps_rdp, alpha_star, eps_dp`` from group-set
+    pair curves: a (P, P, G) tensor or the delay coefficients K.
 
-    Each worker's curve is the pointwise envelope over its admissible
-    observers, which is its set's envelope over the set-level mask
-    ``admissible_observer_sets``: the max is exact, so the bits are those
-    of a max over worker pairs.  ``workers`` ((k,) int64) lists the workers
-    that have one, in ascending order; the others are omitted.  Row r of ``table`` ((k, 3)
-    float64) holds ``eps_rdp, alpha_star, eps_dp`` of worker ``workers[r]``:
-    its envelope at the best order, that order, and the converted DP bound.
-    Identically-zero envelopes convert to an exact 0.  Curves that do not
-    hold one cell per set pair are refused, and so, as by
-    ``dp_matrix_from_curves``, are a tensor that does not align with the
-    grid and curves with a negative or non-finite value.
+    Row a is the pointwise envelope of set a's curves over the set-level
+    mask ``admissible_observer_sets`` at the best order, that order, and
+    the converted DP bound.  Every worker of set a has this envelope over
+    its admissible observers: the max is exact, so the bits are those of a
+    max over worker pairs; worker n reads row ``group_set_of_worker[n]``.
+    A set with no admissible observer gets a NaN row, as its heatmap cells
+    are trusted.  Identically-zero envelopes convert to an exact 0.  Curves
+    that do not hold one cell per set pair are refused, and so, as by
+    ``dp_matrix_from_curves``, are curves of another rank, a tensor that
+    does not align with the grid and curves with a negative or non-finite
+    value.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
     _check_threat_model(threat_model)
+    _check_rank(curves)
     mask = structure.admissible_observer_sets[threat_model]
     if curves.shape[:2] != mask.shape:
         raise ValueError("curves must hold one cell per pair of group sets")
@@ -426,11 +435,10 @@ def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
     eps = np.min(candidates, axis=-1)
     best = np.argmin(candidates, axis=-1)
     eps[np.all(envelopes == 0.0, axis=-1)] = 0.0
-    owner = structure.group_set_of_worker
-    workers = np.flatnonzero(observed[owner])
-    sets = owner[workers]
-    j = best[sets]
-    return workers, np.stack([envelopes[sets, j], grid[j], eps[sets]], axis=1)
+    rows = np.stack([envelopes[np.arange(best.size), best], grid[best], eps],
+                    axis=1)
+    rows[~observed] = np.nan
+    return rows
 
 
 # Read here by perfbench/checks.py; last, as ``oracles`` imports this module.

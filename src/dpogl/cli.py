@@ -97,7 +97,8 @@ def _cmd_run(args, with_training: bool) -> int:
 def _cmd_distances(args) -> int:
     structure = prepare(ExperimentConfig.from_dict(
         _load_config(args.config)))[3]
-    dist, to_worker = structure.distances, structure.worker_distances
+    dist = structure.distances
+    to_worker = structure.set_distances[:, structure.group_set_of_worker]
     M, N = structure.num_groups, structure.num_workers
 
     def cell(x: float) -> str:

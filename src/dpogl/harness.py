@@ -12,7 +12,7 @@ timestamps, so rerunning the same config reproduces every file byte for byte.
 Each distinct float (by bit pattern) of a heatmap, of pwp.csv or of
 metrics.csv is formatted once and its text reused.  Accounting works on
 pairs of group sets, so pwp.csv rows and heatmap lines are built once per
-group set and gathered to its workers as text.
+group set and gathered to its workers only as text.
 Accountant precondition failures (``AccountingPreconditionError``: sigma = 0,
 degradation bound on a topology that is not a string, ...) disable the
 accounting outputs only; training outputs are still emitted and the manifest
@@ -342,7 +342,7 @@ def _pwp_blocks(epochs, workers: np.ndarray, rows: np.ndarray,
                 set_tables) -> list[str]:
     """pwp.csv text as one block of lines per epoch t of ``epochs``.
 
-    ``set_tables[k]`` ((P', 3)) holds epoch ``epochs[k]``'s ``eps_rdp,
+    ``set_tables[k]`` ((P, 3)) holds epoch ``epochs[k]``'s ``eps_rdp,
     alpha_star, eps_dp`` per group set, and worker ``workers[r]`` reads set
     ``rows[r]``: each set's text is built once per epoch and gathered to
     its workers.  All epochs' floats are formatted in one call.
@@ -402,30 +402,25 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
         sweep = accountant.delay_sweep(structure, hp)
 
     owner = structure.group_set_of_worker
-    undefined = ~structure.admissible_observer_sets[config.threat_model]
+    defined = structure.admissible_observer_sets[config.threat_model]
+    workers = np.flatnonzero(defined.any(axis=1)[owner])  # observed workers
     written: list[str] = []
     set_tables: list[np.ndarray] = []
     for t in epochs:
         curves = sweep.at(t)  # group-set pairs; gathered only as text
         if t <= config.epochs:
-            workers, table = accountant.pwp_rows_from_curves(
-                curves, structure, config.threat_model, config.delta, grid)
-            if not set_tables:  # the same workers and sets at every epoch
-                _, first, rows = np.unique(owner[workers], return_index=True,
-                                           return_inverse=True)
-            set_tables.append(table[first])
+            set_tables.append(accountant.pwp_rows_from_curves(
+                curves, structure, config.threat_model, config.delta, grid))
         if t in config.heatmap_epochs:
             matrix = accountant.dp_matrix_from_curves(curves, config.delta,
                                                       grid)
             name = f"heatmap_epoch_{t}.csv"
             _write_lines(out / name, "n,i,eps",
-                         _heatmap_blocks(matrix, owner, undefined))
+                         _heatmap_blocks(matrix, owner, ~defined))
             written.append(name)
-    pwp_blocks = (_pwp_blocks(range(1, config.epochs + 1), workers, rows,
-                              set_tables)
-                  if set_tables else [])  # T = 0 accounts no epoch
     _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
-                 pwp_blocks)
+                 _pwp_blocks(range(1, config.epochs + 1), workers,
+                             owner[workers], set_tables))
     written.append("pwp.csv")
     return written
 

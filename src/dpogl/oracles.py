@@ -59,7 +59,8 @@ def thm1_pair_counts(structure: GroupStructure, period: int, n: int, i: int,
     per_block = 1 if algorithm == "dpogl_plus" else period
     counts: dict[int, int] = {}
     for m_src in structure.groups_of_worker[n]:
-        rho = structure.worker_distances[m_src, i]
+        rho = min(structure.distances[m_src, g]
+                  for g in structure.groups_of_worker[i])
         if rho == 0 and algorithm == "dpogl_plus":
             raise ValueError("dpogl_plus defines no bound for in-group pairs")
         # blocks delivered from rho >= 1 hops: 0 when rho is inf

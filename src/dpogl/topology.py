@@ -87,13 +87,12 @@ class GroupStructure:
         return _read_only(np.array([index[g] for g in self.groups_of_worker]))
 
     @cached_property
-    def worker_distances(self) -> np.ndarray:
-        """(M, N) distance from each group to the nearest group of each
-        worker (0 for the worker's own groups)."""
+    def set_distances(self) -> np.ndarray:
+        """(M, P) distance from each group to the nearest group of each of
+        ``group_sets``; its zeros are exactly each set's own groups."""
         dist = self.distances
-        per_set = np.array([dist[:, list(groups)].min(axis=1)
-                            for groups in self.group_sets])
-        return _read_only(per_set[self.group_set_of_worker].T)
+        return _read_only(np.array([dist[:, list(groups)].min(axis=1)
+                                    for groups in self.group_sets]).T)
 
     @cached_property
     def is_string(self) -> bool:
@@ -111,29 +110,16 @@ class GroupStructure:
         return bool(self.distances.max() == self.num_groups - 1)
 
     @cached_property
-    def admissible_observers(self) -> MappingProxyType:
-        """Threat model -> (N, N) boolean mask whose row n marks the workers
-        allowed to observe worker n: ``tm1`` every other worker, ``tm2`` only
-        workers that share no group with n."""
-        members = self.member_mask.astype(float)  # shared-group counts
-        return MappingProxyType({
-            "tm1": _read_only(~np.eye(self.num_workers, dtype=bool)),
-            "tm2": _read_only((members.T @ members) == 0),
-        })
-
-    @cached_property
     def admissible_observer_sets(self) -> MappingProxyType:
         """Threat model -> (P, P) boolean mask over ``group_sets``: row a
         marks the sets that hold an admissible observer of a worker of set
         a, the same sets for every such worker, so a worker's envelope is
         its set's.  ``tm1``: every other set, and a itself when it holds two
         or more workers; ``tm2``: the sets that share no group with a."""
-        owner = self.group_set_of_worker
-        first = np.unique(owner, return_index=True)[1]  # a worker of each set
-        tm1, tm2 = (self.admissible_observers[tm][np.ix_(first, first)]
-                    for tm in ("tm1", "tm2"))
-        tm1 |= np.diag(np.bincount(owner) > 1)
-        return MappingProxyType({"tm1": _read_only(tm1), "tm2": _read_only(tm2)})
+        shared = (self.set_distances == 0).astype(float)  # (M, P) membership
+        tm1 = ~np.diag(np.bincount(self.group_set_of_worker) == 1)
+        return MappingProxyType({"tm1": _read_only(tm1),
+                                 "tm2": _read_only((shared.T @ shared) == 0)})
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

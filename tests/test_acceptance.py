@@ -23,7 +23,7 @@ from dpogl.rng import derive_stream
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
 from dpogl.trainer import HyperParams, clip_update, run_training
-from pair_cells import worker_cells
+from pair_cells import worker_cells, worker_rows
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "desk_default.json"
 
@@ -61,7 +61,8 @@ def _shares_group(structure: GroupStructure, n: int, i: int) -> bool:
 def _pwp_rows(structure: GroupStructure, hp: HyperParams, t: int,
               delta: float) -> tuple[np.ndarray, np.ndarray]:
     curves = acc.delay_sweep(structure, hp).at(t)
-    return acc.pwp_rows_from_curves(curves, structure, hp.threat_model, delta)
+    return worker_rows(structure, hp.threat_model, acc.pwp_rows_from_curves(
+        curves, structure, hp.threat_model, delta))
 
 
 def _dp_matrix(structure: GroupStructure, hp: HyperParams, t: int,

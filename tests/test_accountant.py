@@ -23,7 +23,7 @@ from dpogl.data import Dataset, make_synthetic
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
 from dpogl.trainer import HyperParams, is_intergroup_epoch, run_training
-from pair_cells import worker_cells
+from pair_cells import observer_mask, worker_cells, worker_mask, worker_rows
 
 
 def chain(num_groups):
@@ -691,7 +691,7 @@ def test_rdp_to_dp_edge_cases():
 # matrix and per-worker assembly
 
 def admissible_adversaries(st, threat_model, n):
-    return np.flatnonzero(st.admissible_observers[threat_model][n]).tolist()
+    return np.flatnonzero(observer_mask(st, threat_model)[n]).tolist()
 
 
 def test_admissible_adversaries_by_threat_model():
@@ -699,6 +699,8 @@ def test_admissible_adversaries_by_threat_model():
     assert admissible_adversaries(st, "tm1", 0) == [1, 2]
     assert admissible_adversaries(st, "tm2", 0) == [2]
     assert admissible_adversaries(st, "tm2", 1) == []
+    for tm in ("tm1", "tm2"):  # the set mask gathered to worker pairs
+        assert np.array_equal(worker_mask(st, tm), observer_mask(st, tm))
     with pytest.raises(ValueError,
                        match=r"^threat_model must be one of \('tm1', 'tm2'\)$"):
         acc.pwp_rows_from_curves(np.zeros((3, 3, 1)), st, "tm3", 1e-5, (2.0,))
@@ -778,7 +780,7 @@ def test_delay_curves_match_oracle_on_random_overlapping_structures(case):
         got = worker_cells(structure, hp.threat_model, K)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     curves = worker_cells(structure, hp.threat_model, K)[..., None] * np.array(grid)
-    admissible = structure.admissible_observers[hp.threat_model]
+    admissible = observer_mask(structure, hp.threat_model)
     assert np.array_equal(np.isnan(curves),
                           np.repeat(~admissible[:, :, None], len(grid), axis=2))
     for n, i in zip(*np.nonzero(admissible)):
@@ -796,13 +798,16 @@ def _delay_K_with_round_trip_weights(structure, hp, t):
     S = hp.inter_group_period
     weights = np.array([orc.per_step_rdp(2.0, float(s), float(p), "sampled") / 2.0
                         for s, p in zip(hp.sigma, hp.participation)])
-    rt = structure.worker_distances
+    dist = structure.distances
+    rt = np.array([[min(dist[m, g] for g in groups)
+                    for groups in structure.groups_of_worker]
+                   for m in range(structure.num_groups)])
     k = (t - 1) // S
     blocks = np.maximum(0.0, k - rt + 1.0)
     counts = (S // hp.mechanism_window) * blocks
     counts[rt == 0] = t - 1
     K = (structure.member_mask.T * weights) @ counts
-    K[~structure.admissible_observers[hp.threat_model]] = np.nan
+    K[~observer_mask(structure, hp.threat_model)] = np.nan
     return K, weights
 
 
@@ -885,10 +890,12 @@ def test_delay_reports_are_equivariant_under_relabeling(case, data):
                 renamed_K, 1e-5))[np.ix_(workers, workers)],
             worker_cells(structure, hp.threat_model,
                          acc.dp_matrix_from_curves(K, 1e-5)))
-        observed, table = acc.pwp_rows_from_curves(K, structure,
-                                                   hp.threat_model, 1e-5)
-        renamed_observed, renamed_table = acc.pwp_rows_from_curves(
-            renamed_K, renamed, hp.threat_model, 1e-5)
+        observed, table = worker_rows(
+            structure, hp.threat_model,
+            acc.pwp_rows_from_curves(K, structure, hp.threat_model, 1e-5))
+        renamed_observed, renamed_table = worker_rows(
+            renamed, hp.threat_model, acc.pwp_rows_from_curves(
+                renamed_K, renamed, hp.threat_model, 1e-5))
         assert renamed_observed.tolist() == sorted(workers[observed].tolist())
         # row r of got is renamed worker workers[observed[r]]
         got = renamed_table[np.searchsorted(renamed_observed,
@@ -956,8 +963,8 @@ def test_pwp_bounds_and_curve_assembly_agree():
     t, delta = 13, 1e-6
     grid = list(acc.DEFAULT_ALPHA_GRID)
     curves = acc.delay_sweep(st, hp).at(t)
-    workers, table = acc.pwp_rows_from_curves(curves, st, hp.threat_model,
-                                              delta)
+    workers, table = worker_rows(st, hp.threat_model, acc.pwp_rows_from_curves(
+        curves, st, hp.threat_model, delta))
     assert workers.tolist() == list(range(8))
     for n, (eps_rdp, alpha_star, eps_dp) in zip(workers.tolist(),
                                                  table.tolist()):
@@ -981,7 +988,9 @@ def test_pwp_bounds_contract():
 
     def rows_at(structure, params, t):
         curves = acc.delay_sweep(structure, params).at(t)
-        return acc.pwp_rows_from_curves(curves, structure, params.threat_model, 1e-5)
+        return worker_rows(structure, params.threat_model,
+                           acc.pwp_rows_from_curves(
+                               curves, structure, params.threat_model, 1e-5))
 
     workers, table = rows_at(st, hp, 1)
     assert workers.dtype == np.int64 and table.dtype == np.float64
@@ -999,6 +1008,9 @@ def test_pwp_bounds_contract():
     workers, table = rows_at(gl, make_hp(1, threat_model="tm2"), 9)
     assert workers.dtype == np.int64 and workers.shape == (0,)
     assert table.dtype == np.float64 and table.shape == (0, 3)
+    set_rows = acc.pwp_rows_from_curves(np.full((1, 1), np.nan), gl, "tm2",
+                                        1e-5)
+    assert set_rows.shape == (1, 3) and np.isnan(set_rows).all()
     # curves over worker pairs are refused where the sets are fewer
     with pytest.raises(ValueError, match="one cell per pair of group sets"):
         acc.pwp_rows_from_curves(np.zeros((10, 10)), SHARED_SETS_STRING,
@@ -1073,7 +1085,7 @@ def _check_sweep_against_pairs(structure, hp):
     sweep = acc.thm2_curve_sweep(structure, hp, beta, horizon, grid)
     inv_hbar = acc.lsi_recursion(structure, hp, beta, horizon)
     N, P = structure.num_workers, len(structure.group_sets)
-    admissible = structure.admissible_observers[hp.threat_model]
+    admissible = observer_mask(structure, hp.threat_model)
     undefined = ~structure.admissible_observer_sets[hp.threat_model]
     for t in (1, 2, 5, hp.epochs, horizon):
         sets = acc.thm2_curve_sweep(structure, hp, beta, t, grid).at(t)
@@ -1127,7 +1139,9 @@ def test_pwp_envelope_over_admissible_observers():
     grid = (2.0, 4.0, 8.0)
     curves = np.arange(27, dtype=float).reshape(3, 3, 3)
     np.einsum("nng->ng", curves)[:] = np.nan  # the diagonal is undefined
-    workers, table = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
+    set_rows = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
+    assert set_rows.shape == (3, 3)  # one row per group set
+    workers, table = worker_rows(st, "tm1", set_rows)
     assert workers.tolist() == [0, 1, 2]
     penalty = math.log(1e5) / (np.array(grid) - 1.0)
     for n, (eps_rdp, alpha_star, eps_dp) in zip(workers.tolist(),
@@ -1140,7 +1154,8 @@ def test_pwp_envelope_over_admissible_observers():
     # under tm2 the in-group cells may be undefined; worker 1 has no
     # admissible observer and is omitted
     curves[0, 1] = curves[1, 0] = curves[1, 2] = curves[2, 1] = np.nan
-    workers, table = acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
+    workers, table = worker_rows(st, "tm2", acc.pwp_rows_from_curves(
+        curves, st, "tm2", 1e-5, grid))
     assert workers.tolist() == [0, 2]
     eps_rdp, alpha_star, _ = table[0].tolist()
     assert eps_rdp == curves[0, 2, grid.index(alpha_star)]
@@ -1173,8 +1188,9 @@ def test_pwp_rows_are_set_rows_with_the_same_workers_every_epoch(
         owner = structure.group_set_of_worker
         first = None
         for t in range(1, 13):
-            workers, table = acc.pwp_rows_from_curves(
-                sweep.at(t), structure, threat_model, 1e-5)
+            workers, table = worker_rows(
+                structure, threat_model, acc.pwp_rows_from_curves(
+                    sweep.at(t), structure, threat_model, 1e-5))
             if first is None:
                 first = workers
                 assert workers.size
@@ -1277,7 +1293,7 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
     pwp rows are those of the tensor gathered to worker pairs."""
     structure, threat_model, K, grid, delta = case
     tensor = K[..., None] * np.array(grid)
-    mask = structure.admissible_observers[threat_model]
+    mask = observer_mask(structure, threat_model)
     try:
         want = _tensor_heatmap_reference(tensor, delta, grid)
     except ValueError:  # alpha * K overflows: both reductions refuse it
@@ -1293,8 +1309,9 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
                 == want.tobytes())
         want = _tensor_pwp_reference(
             worker_cells(structure, threat_model, tensor), mask, delta, grid)
-        assert _pwp_bits(*acc.pwp_rows_from_curves(
-            K, structure, threat_model, delta, grid)) == _bits(want)
+        assert _pwp_bits(*worker_rows(
+            structure, threat_model, acc.pwp_rows_from_curves(
+                K, structure, threat_model, delta, grid))) == _bits(want)
     a, b = divmod(cell % K.size, K.shape[1])
     if structure.admissible_observer_sets[threat_model][a, b]:
         # a negative cell among admissible observers is refused by both
@@ -1336,14 +1353,22 @@ def test_coefficient_heatmap_edge_cells():
 
 
 def test_curve_tensor_must_align_with_the_grid():
-    """An (N, N, G) tensor whose G is not the grid size is refused by both
-    reductions, not broadcast or indexed out of range."""
+    """An (N, N, G) tensor whose G is not the grid size, and curves of a
+    rank other than 2 (K) or 3 (a tensor), are refused by both reductions,
+    not broadcast or indexed out of range."""
     structure = generate_structure("RI", 6, 3)
     for size in (1, 5):
         curves = np.ones((6, 6, size))
         with pytest.raises(ValueError, match="align with the alpha grid"):
             acc.dp_matrix_from_curves(curves, 1e-5)
         with pytest.raises(ValueError, match="align with the alpha grid"):
+            acc.pwp_rows_from_curves(curves, structure, "tm1", 1e-5)
+    P = len(structure.group_sets)
+    for curves in (np.ones(()), np.ones(4), np.ones(P),
+                   np.ones((P, P, 2, len(acc.DEFAULT_ALPHA_GRID)))):
+        with pytest.raises(ValueError, match=r"^curves must be \(P, P\)"):
+            acc.dp_matrix_from_curves(curves, 1e-5)
+        with pytest.raises(ValueError, match=r"^curves must be \(P, P\)"):
             acc.pwp_rows_from_curves(curves, structure, "tm1", 1e-5)
 
 

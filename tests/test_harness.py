@@ -25,6 +25,7 @@ from dpogl import topology
 from dpogl.cli import main as cli_main
 from dpogl.harness import ConfigError, ExperimentConfig, run_experiment
 from dpogl.topology import generate_structure
+from pair_cells import worker_rows
 
 BASE = {
     "seed": 3,
@@ -216,8 +217,10 @@ def test_pwp_csv_matches_accountant(tmp_path):
     sweep = acc.delay_sweep(structure, hp)
     for t in range(1, config.epochs + 1):
         curves = sweep.at(t)
-        workers, table = acc.pwp_rows_from_curves(
-            curves, structure, hp.threat_model, config.delta, config.alpha_grid)
+        workers, table = worker_rows(
+            structure, hp.threat_model, acc.pwp_rows_from_curves(
+                curves, structure, hp.threat_model, config.delta,
+                config.alpha_grid))
         want = [(w, *row) for w, row in zip(workers.tolist(), table.tolist())]
         assert by_epoch[t] == want  # 17 significant digits round-trip
 
@@ -569,7 +572,8 @@ def _matrices(draw):
 
 
 def _pwp_epoch(t, rows):
-    """(t, workers, table) as ``pwp_rows_from_curves`` returns them, from
+    """(t, workers, table) as ``worker_rows`` gathers them from the set rows
+    of ``pwp_rows_from_curves``, from
     (worker, eps_rdp, alpha_star, eps_dp) rows."""
     workers = np.array([row[0] for row in rows], dtype=np.int64)
     table = np.array([row[1:] for row in rows], dtype=np.float64)
@@ -920,5 +924,6 @@ def test_cli_distances_of_an_lb_structure(tmp_path, capsys):
     printed = [[float(x) for x in line.split(",")[1:]]
                for line in lines[2:M + 2] + lines[M + 4:]]
     assert printed[:M] == structure.distances.tolist()
-    assert printed[M:] == structure.worker_distances.tolist()
+    assert printed[M:] == structure.set_distances[
+        :, structure.group_set_of_worker].tolist()
     assert structure.distances.max() == 3  # not a one-hop structure

@@ -9,6 +9,7 @@ from hypothesis import strategies as hs
 
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
+from pair_cells import observer_mask, worker_mask
 
 
 def chain(num_groups):
@@ -48,17 +49,18 @@ def test_adjacency_and_distances_on_a_chain():
     dist = distance_matrix(adj)
     assert dist.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     assert st.distances[0, 2] == 2
+    owner = st.group_set_of_worker
     # worker 3 belongs only to group 2
-    assert st.worker_distances[0, 3] == 2
+    assert st.set_distances[0, owner[3]] == 2
     # worker 1 sits in groups 0 and 1: nearest group wins
-    assert st.worker_distances[2, 1] == 1
+    assert st.set_distances[2, owner[1]] == 1
 
 
 def test_disconnected_groups_have_infinite_distance():
     st = GroupStructure(4, [[0, 1], [2, 3]])
     dist = distance_matrix(build_adjacency(st))
     assert math.isinf(dist[0, 1])
-    assert math.isinf(st.worker_distances[0, 3])
+    assert math.isinf(st.set_distances[0, st.group_set_of_worker[3]])
 
 
 def test_generate_gl():
@@ -168,14 +170,19 @@ def test_structure_facts_match_the_functions_and_are_read_only():
     dist = distance_matrix(build_adjacency(st))
     assert np.array_equal(st.distances, dist)
     assert st.distances is st.distances  # computed once, then cached
+    assert st.set_distances is st.set_distances
     assert st.is_string and not generate_structure("RI", 6, 3).is_string
+    owner = st.group_set_of_worker
     for m in range(st.num_groups):
         assert st.member_mask[m].tolist() == [w in st.members_of_group[m]
                                              for w in range(10)]
         for w in range(10):
-            assert st.worker_distances[m, w] == min(
+            assert st.set_distances[m, owner[w]] == min(
                 dist[m, g] for g in st.groups_of_worker[w])
-    tm1, tm2 = st.admissible_observers["tm1"], st.admissible_observers["tm2"]
+    # the zeros of set_distances are exactly each set's own groups
+    assert (st.set_distances == 0).T.tolist() == [
+        [m in groups for m in range(st.num_groups)] for groups in st.group_sets]
+    tm1, tm2 = worker_mask(st, "tm1"), worker_mask(st, "tm2")
     for n in range(10):
         assert tm1[n].tolist() == [i != n for i in range(10)]
         assert tm2[n].tolist() == [
@@ -197,12 +204,10 @@ def test_structure_facts_match_the_functions_and_are_read_only():
                       generate_structure("GL", 4, 1), GroupStructure(1, [[0]]),
                       GroupStructure(5, [[0, 1], [1, 2], [1, 3], [4]])):
         _check_observer_sets(structure)
-    for fact in (st.distances, st.member_mask, st.worker_distances, tm1, tm2,
+    for fact in (st.distances, st.member_mask, st.set_distances,
                  sets["tm1"], sets["tm2"]):
         with pytest.raises(ValueError):
             fact[0, 0] = fact[0, 1]
-    with pytest.raises(TypeError):
-        st.admissible_observers["tm1"] = tm2
     with pytest.raises(TypeError):
         st.admissible_observer_sets["tm1"] = sets["tm2"]
     assert st.admissible_observer_sets is sets
@@ -216,7 +221,7 @@ def _check_observer_sets(st):
     P = len(st.group_sets)
     distinct = ~np.eye(st.num_workers, dtype=bool)
     for tm in ("tm1", "tm2"):
-        workers, sets = st.admissible_observers[tm], st.admissible_observer_sets[tm]
+        workers, sets = observer_mask(st, tm), st.admissible_observer_sets[tm]
         assert sets.shape == (P, P) and sets.dtype == bool
         for n in range(st.num_workers):
             for b in range(P):
