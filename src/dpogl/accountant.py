@@ -34,7 +34,11 @@ the horizon: B block slots per source, the count that a source at distance
 (P, P, G) tensor is then a sum over the blocks delivered by that epoch,
 vectorised across classes, and a gather.  So the cost grows with set pairs
 x epochs and classes x blocks, not with worker pairs x epochs, and memory
-with classes x blocks.  Workers appear only when the text is written.
+with classes x blocks.  ``pwp_rows_from_curves`` takes every epoch of a run
+in one call: delta, the grid, the threat model and the conversion penalty
+once, a masked max per epoch as the curves stream in, and one conversion
+of all epochs' envelopes, order by order on (T, P) temporaries.  Workers
+appear only when the text is written.
 
 Both bounds follow one block rule, ``_delivered_blocks``: by epoch t a
 source rho >= 1 hops away has delivered max(0, floor((t-1)/S) - rho + 1)
@@ -243,6 +247,7 @@ class DelaySweep:
     per_block: int          # S / W mechanisms per delivered block
     rows: np.ndarray        # (P, M) weight of each set's groups, else 0
     distances: np.ndarray   # (M, P) ``set_distances``: 0 at the set's groups
+    in_group: np.ndarray    # (M, P) ``distances == 0``
     undefined: np.ndarray   # (P, P) set pairs outside the threat model
 
     def at(self, t: int) -> np.ndarray:
@@ -253,7 +258,7 @@ class DelaySweep:
             raise ValueError("t must be >= 1")
         counts = self.per_block * _delivered_blocks(t, self.period,
                                                     self.distances)
-        counts[self.distances == 0] = t - 1  # in-group cells
+        np.putmask(counts, self.in_group, t - 1)  # in-group cells
         K = self.rows @ counts
         K[self.undefined] = np.nan
         return K
@@ -273,8 +278,10 @@ def delay_sweep(structure: GroupStructure, hp: HyperParams) -> DelaySweep:
     weights = _group_budgets(hp, "delay weight 2 pi^2 / sigma^2",
                              lambda _, s, p: 2.0 * p ** 2 / s ** 2)
     S, dist = hp.inter_group_period, structure.set_distances
-    return DelaySweep(S, S // hp.mechanism_window, (dist.T == 0) * weights,
-                      dist, ~structure.admissible_observer_sets[hp.threat_model])
+    in_group = dist == 0
+    return DelaySweep(S, S // hp.mechanism_window, in_group.T * weights, dist,
+                      in_group,
+                      ~structure.admissible_observer_sets[hp.threat_model])
 
 
 def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
@@ -354,24 +361,27 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     return Thm2Sweep(horizon, S, classes, shared, rho_of_slot, terms)
 
 
-def _check_rank(curves: np.ndarray) -> None:
-    """Refuse curves that are neither K (rank 2) nor a tensor (rank 3),
-    before either reduction indexes them."""
+_BAD_VALUES = "RDP curve values must be finite and nonnegative"
+
+
+def _check_form(curves: np.ndarray, grid: np.ndarray) -> None:
+    """Refuse curves that are neither K (rank 2) nor a tensor (rank 3), and
+    a (P, P, G) tensor whose G is not the grid size, before either
+    reduction indexes them."""
     if curves.ndim not in (2, 3):
         raise ValueError("curves must be (P, P) delay coefficients or a "
                          "(P, P, G) tensor")
-
-
-def _check_curve_values(curves: np.ndarray, grid: np.ndarray) -> None:
-    """Refuse a (P, P, G) tensor whose G is not the grid size, and a
-    negative or non-finite curve value (NaN is skipped) with two whole-array
-    reductions; for K the largest value is max(K) * max(alpha)."""
     if curves.ndim == 3 and curves.shape[-1] != grid.size:
         raise ValueError("curve tensor must align with the alpha grid")
+
+
+def _has_bad_values(curves: np.ndarray, grid: np.ndarray) -> bool:
+    """Whether a curve value is negative or not finite (NaN is skipped),
+    from two whole-array reductions; for K the largest value is max(K) *
+    max(alpha)."""
     top = np.fmax.reduce(curves, axis=None, initial=0.0)
-    if (np.isinf(top * grid.max() if curves.ndim == 2 else top)
-            or np.fmin.reduce(curves, axis=None, initial=0.0) < 0):
-        raise ValueError("RDP curve values must be finite and nonnegative")
+    return bool(np.isinf(top * grid.max() if curves.ndim == 2 else top)
+                or np.fmin.reduce(curves, axis=None, initial=0.0) < 0)
 
 
 def dp_matrix_from_curves(curves: np.ndarray, delta: float,
@@ -383,8 +393,9 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
-    _check_rank(curves)
-    _check_curve_values(curves, grid)
+    _check_form(curves, grid)
+    if _has_bad_values(curves, grid):
+        raise ValueError(_BAD_VALUES)
     penalty = math.log(1.0 / delta) / (grid - 1.0)
     eps = np.full(curves.shape[:2], np.inf)
     zero = np.ones(curves.shape[:2], dtype=bool)
@@ -396,48 +407,81 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     return eps
 
 
-def pwp_rows_from_curves(curves: np.ndarray, structure: GroupStructure,
+def pwp_rows_from_curves(curves_by_epoch, structure: GroupStructure,
                          threat_model: str, delta: float,
                          alpha_grid=DEFAULT_ALPHA_GRID) -> np.ndarray:
-    """(P, 3) per-set rows ``eps_rdp, alpha_star, eps_dp`` from group-set
-    pair curves: a (P, P, G) tensor or the delay coefficients K.
+    """(T, P, 3) per-set rows ``eps_rdp, alpha_star, eps_dp`` of T epochs,
+    from an iterable of each epoch's group-set pair curves: all (P, P)
+    delay coefficients K, or all (P, P, G) tensors.
 
-    Row a is the pointwise envelope of set a's curves over the set-level
-    mask ``admissible_observer_sets`` at the best order, that order, and
-    the converted DP bound.  Every worker of set a has this envelope over
-    its admissible observers: the max is exact, so the bits are those of a
-    max over worker pairs; worker n reads row ``group_set_of_worker[n]``.
-    A set with no admissible observer gets a NaN row, as its heatmap cells
-    are trusted.  Identically-zero envelopes convert to an exact 0.  Curves
-    that do not hold one cell per set pair are refused, and so, as by
-    ``dp_matrix_from_curves``, are curves of another rank, a tensor that
-    does not align with the grid and curves with a negative or non-finite
-    value.
+    Row [t, a] is the pointwise envelope of set a's curves at epoch t + 1 of
+    the iterable over the set-level mask ``admissible_observer_sets`` at the
+    best order, that order, and the converted DP bound.  Every worker of set
+    a has this envelope over its admissible observers: the max is exact, so
+    the bits are those of a max over worker pairs; worker n reads column
+    ``group_set_of_worker[n]``.  A set with no admissible observer gets NaN
+    rows, as its heatmap cells are trusted.  Identically-zero envelopes
+    convert to an exact 0.
+
+    delta, the grid and the threat model are checked once per call.  Each
+    epoch's curves are checked and reduced to their envelopes, (P,) for K
+    and (P, G) for a tensor, so an iterator of epochs is never held as a
+    (T, P, P) stack.  The conversion then runs once over all epochs, one
+    order at a time on (T, P) temporaries, so K never takes a (T, P, G)
+    array.  An empty iterable gives (0, P, 3).
+    Refused: a bare array (iterating a (P, P, G) tensor yields (P, G)
+    slices, which pass as K when G == P), K and tensors mixed across
+    epochs, curves that do not hold one cell per set pair, an undefined
+    cell among admissible observers and, as by ``dp_matrix_from_curves``,
+    curves of another rank, a tensor that does not align with the grid and
+    a negative or non-finite curve value.
     """
     _check_delta(delta)
     grid = np.array(_check_grid(alpha_grid))
     _check_threat_model(threat_model)
-    _check_rank(curves)
+    if isinstance(curves_by_epoch, np.ndarray):
+        raise ValueError("curves_by_epoch must be an iterable of epochs' "
+                         "curves, not an array")
     mask = structure.admissible_observer_sets[threat_model]
-    if curves.shape[:2] != mask.shape:
-        raise ValueError("curves must hold one cell per pair of group sets")
-    # For K the envelope of the curves alpha * K is max(K) * alpha bit for
-    # bit, because rounding alpha * x is monotone in x.
-    envelopes = np.max(curves, axis=1, initial=-np.inf,
-                       where=mask if curves.ndim == 2 else mask[:, :, None])
-    if curves.ndim == 2:
-        envelopes = envelopes[:, None] * grid
+    envelopes, rank, bad_values = [], None, False
+    for curves in curves_by_epoch:
+        _check_form(curves, grid)
+        if curves.shape[:2] != mask.shape:
+            raise ValueError("curves must hold one cell per pair of group sets")
+        if rank is None:
+            rank = curves.ndim
+        elif curves.ndim != rank:
+            raise ValueError("curves must be K at every epoch or a tensor at "
+                             "every epoch")
+        bad_values = bad_values or _has_bad_values(curves, grid)
+        envelopes.append(np.max(curves, axis=1, initial=-np.inf,
+                                where=mask if rank == 2 else mask[:, :, None]))
+    # (T, P) for K, whose curves' envelope is max(K) * alpha bit for bit
+    # because rounding alpha * x is monotone in x; (T, P, G) for tensors.
+    envelopes = np.stack(envelopes) if envelopes else np.empty((0, len(mask)))
     observed = mask.any(axis=1)
-    if np.isnan(envelopes[observed]).any():
+    # An undefined cell among admissible observers outranks a bad value.
+    if np.isnan(envelopes)[:, observed].any():
         raise ValueError("undefined pair among admissible observers")
-    _check_curve_values(curves, grid)
-    candidates = envelopes + math.log(1.0 / delta) / (grid - 1.0)
-    eps = np.min(candidates, axis=-1)
-    best = np.argmin(candidates, axis=-1)
-    eps[np.all(envelopes == 0.0, axis=-1)] = 0.0
-    rows = np.stack([envelopes[np.arange(best.size), best], grid[best], eps],
-                    axis=1)
-    rows[~observed] = np.nan
+    if bad_values:
+        raise ValueError(_BAD_VALUES)
+    # One order at a time on (T, P) temporaries, as in dp_matrix_from_curves.
+    penalty = math.log(1.0 / delta) / (grid - 1.0)
+    eps = np.full(envelopes.shape[:2], np.inf)
+    best = np.zeros(envelopes.shape[:2], dtype=np.intp)
+    zero = np.ones(envelopes.shape[:2], dtype=bool)
+    for g, alpha in enumerate(grid):
+        curve = envelopes * alpha if envelopes.ndim == 2 else envelopes[..., g]
+        candidate = curve + penalty[g]
+        better = candidate < eps  # strict: the first best order wins
+        np.copyto(eps, candidate, where=better)
+        np.copyto(best, g, where=better)
+        zero &= curve == 0.0
+    eps[zero] = 0.0
+    eps_rdp = (envelopes * grid[best] if envelopes.ndim == 2 else
+               np.take_along_axis(envelopes, best[..., None], -1)[..., 0])
+    rows = np.stack([eps_rdp, grid[best], eps], axis=-1)
+    rows[:, ~observed] = np.nan
     return rows
 
 

@@ -339,10 +339,10 @@ def _float_texts(values) -> np.ndarray:
 
 
 def _pwp_blocks(epochs, workers: np.ndarray, rows: np.ndarray,
-                set_tables) -> list[str]:
+                set_rows: np.ndarray) -> list[str]:
     """pwp.csv text as one block of lines per epoch t of ``epochs``.
 
-    ``set_tables[k]`` ((P, 3)) holds epoch ``epochs[k]``'s ``eps_rdp,
+    ``set_rows[k]`` ((P, 3)) holds epoch ``epochs[k]``'s ``eps_rdp,
     alpha_star, eps_dp`` per group set, and worker ``workers[r]`` reads set
     ``rows[r]``: each set's text is built once per epoch and gathered to
     its workers.  All epochs' floats are formatted in one call.
@@ -352,7 +352,7 @@ def _pwp_blocks(epochs, workers: np.ndarray, rows: np.ndarray,
     prefixes = [f"{w}," for w in workers.tolist()]
     rows = rows.tolist()
     blocks = []
-    for t, texts in zip(epochs, _float_texts(set_tables).tolist()):
+    for t, texts in zip(epochs, _float_texts(set_rows).tolist()):
         suffixes = [",".join(row) for row in texts]
         blocks.append(f"{t}," + f"\n{t},".join(
             map(operator.add, prefixes, map(suffixes.__getitem__, rows))))
@@ -391,36 +391,44 @@ def _run_accounting(config: ExperimentConfig, structure: GroupStructure,
     """Emit pwp.csv and the heatmaps, whose text is built per group set and
     gathered to workers; raises AccountingPreconditionError on precondition
     failures so the caller can record them without touching training
-    output."""
-    grid = config.alpha_grid
-    epochs = sorted({*range(1, config.epochs + 1), *config.heatmap_epochs})
-    if config.bound == "degradation" and epochs:
+    output.
+
+    The sweep covers the horizon, the last epoch of training or of a
+    heatmap; at horizon 0 no sweep is built.  Each heatmap epoch's curves
+    are converted on their own; then one ``pwp_rows_from_curves`` call
+    consumes the T epochs' curves one at a time.
+    """
+    grid, T = config.alpha_grid, config.epochs
+    horizon = max((T, *config.heatmap_epochs))
+    header = "epoch,worker,eps_rdp,alpha_star,eps_dp"
+    if not horizon:
+        _write_lines(out / "pwp.csv", header, [])
+        return ["pwp.csv"]
+    if config.bound == "degradation":
         beta = smoothness_bound(train_set.features)
-        sweep = accountant.thm2_curve_sweep(structure, hp, beta, epochs[-1],
-                                            grid)
+        sweep = accountant.thm2_curve_sweep(structure, hp, beta, horizon, grid)
     else:  # (P, P) coefficients K standing for the linear curves alpha * K
         sweep = accountant.delay_sweep(structure, hp)
 
     owner = structure.group_set_of_worker
     defined = structure.admissible_observer_sets[config.threat_model]
-    workers = np.flatnonzero(defined.any(axis=1)[owner])  # observed workers
     written: list[str] = []
-    set_tables: list[np.ndarray] = []
-    for t in epochs:
-        curves = sweep.at(t)  # group-set pairs; gathered only as text
-        if t <= config.epochs:
-            set_tables.append(accountant.pwp_rows_from_curves(
-                curves, structure, config.threat_model, config.delta, grid))
-        if t in config.heatmap_epochs:
-            matrix = accountant.dp_matrix_from_curves(curves, config.delta,
-                                                      grid)
-            name = f"heatmap_epoch_{t}.csv"
-            _write_lines(out / name, "n,i,eps",
-                         _heatmap_blocks(matrix, owner, ~defined))
-            written.append(name)
-    _write_lines(out / "pwp.csv", "epoch,worker,eps_rdp,alpha_star,eps_dp",
-                 _pwp_blocks(range(1, config.epochs + 1), workers,
-                             owner[workers], set_tables))
+    for t in config.heatmap_epochs:
+        matrix = accountant.dp_matrix_from_curves(sweep.at(t), config.delta,
+                                                  grid)
+        name = f"heatmap_epoch_{t}.csv"
+        _write_lines(out / name, "n,i,eps",
+                     _heatmap_blocks(matrix, owner, ~defined))
+        written.append(name)
+    # After the heatmaps: their text sets the run's peak memory, which
+    # the envelope pass would otherwise raise.
+    set_rows = accountant.pwp_rows_from_curves(
+        map(sweep.at, range(1, T + 1)), structure, config.threat_model,
+        config.delta, grid)
+    workers = np.flatnonzero(defined.any(axis=1)[owner])  # observed workers
+    _write_lines(out / "pwp.csv", header,
+                 _pwp_blocks(range(1, T + 1), workers, owner[workers],
+                             set_rows))
     written.append("pwp.csv")
     return written
 

@@ -62,7 +62,7 @@ def _pwp_rows(structure: GroupStructure, hp: HyperParams, t: int,
               delta: float) -> tuple[np.ndarray, np.ndarray]:
     curves = acc.delay_sweep(structure, hp).at(t)
     return worker_rows(structure, hp.threat_model, acc.pwp_rows_from_curves(
-        curves, structure, hp.threat_model, delta))
+        [curves], structure, hp.threat_model, delta)[0])
 
 
 def _dp_matrix(structure: GroupStructure, hp: HyperParams, t: int,

@@ -703,7 +703,8 @@ def test_admissible_adversaries_by_threat_model():
         assert np.array_equal(worker_mask(st, tm), observer_mask(st, tm))
     with pytest.raises(ValueError,
                        match=r"^threat_model must be one of \('tm1', 'tm2'\)$"):
-        acc.pwp_rows_from_curves(np.zeros((3, 3, 1)), st, "tm3", 1e-5, (2.0,))
+        acc.pwp_rows_from_curves([np.zeros((3, 3, 1))], st, "tm3", 1e-5,
+                                 (2.0,))
 
 
 def test_privacy_matrix_agrees_with_scalar_bounds():
@@ -892,10 +893,11 @@ def test_delay_reports_are_equivariant_under_relabeling(case, data):
                          acc.dp_matrix_from_curves(K, 1e-5)))
         observed, table = worker_rows(
             structure, hp.threat_model,
-            acc.pwp_rows_from_curves(K, structure, hp.threat_model, 1e-5))
+            acc.pwp_rows_from_curves([K], structure, hp.threat_model,
+                                     1e-5)[0])
         renamed_observed, renamed_table = worker_rows(
             renamed, hp.threat_model, acc.pwp_rows_from_curves(
-                renamed_K, renamed, hp.threat_model, 1e-5))
+                [renamed_K], renamed, hp.threat_model, 1e-5)[0])
         assert renamed_observed.tolist() == sorted(workers[observed].tolist())
         # row r of got is renamed worker workers[observed[r]]
         got = renamed_table[np.searchsorted(renamed_observed,
@@ -942,7 +944,7 @@ def test_an_infinite_order_is_refused():
         with pytest.raises(ValueError, match=r"^alpha_grid\[1\] must be finite$"):
             acc.dp_matrix_from_curves(K, 1e-5, (2.0, math.inf))
         with pytest.raises(ValueError, match=r"^alpha_grid\[1\] must be finite$"):
-            acc.pwp_rows_from_curves(K, st, "tm1", 1e-5, (2.0, math.inf))
+            acc.pwp_rows_from_curves([K], st, "tm1", 1e-5, (2.0, math.inf))
     with pytest.raises(ValueError, match=r"^alpha_grid\[0\] must exceed 1$"):
         acc.dp_matrix_from_curves(K, 1e-5, (-math.inf, 2.0))
 
@@ -964,7 +966,7 @@ def test_pwp_bounds_and_curve_assembly_agree():
     grid = list(acc.DEFAULT_ALPHA_GRID)
     curves = acc.delay_sweep(st, hp).at(t)
     workers, table = worker_rows(st, hp.threat_model, acc.pwp_rows_from_curves(
-        curves, st, hp.threat_model, delta))
+        [curves], st, hp.threat_model, delta)[0])
     assert workers.tolist() == list(range(8))
     for n, (eps_rdp, alpha_star, eps_dp) in zip(workers.tolist(),
                                                  table.tolist()):
@@ -990,7 +992,8 @@ def test_pwp_bounds_contract():
         curves = acc.delay_sweep(structure, params).at(t)
         return worker_rows(structure, params.threat_model,
                            acc.pwp_rows_from_curves(
-                               curves, structure, params.threat_model, 1e-5))
+                               [curves], structure, params.threat_model,
+                               1e-5)[0])
 
     workers, table = rows_at(st, hp, 1)
     assert workers.dtype == np.int64 and table.dtype == np.float64
@@ -1008,12 +1011,12 @@ def test_pwp_bounds_contract():
     workers, table = rows_at(gl, make_hp(1, threat_model="tm2"), 9)
     assert workers.dtype == np.int64 and workers.shape == (0,)
     assert table.dtype == np.float64 and table.shape == (0, 3)
-    set_rows = acc.pwp_rows_from_curves(np.full((1, 1), np.nan), gl, "tm2",
-                                        1e-5)
+    set_rows = acc.pwp_rows_from_curves([np.full((1, 1), np.nan)], gl,
+                                        "tm2", 1e-5)[0]
     assert set_rows.shape == (1, 3) and np.isnan(set_rows).all()
     # curves over worker pairs are refused where the sets are fewer
     with pytest.raises(ValueError, match="one cell per pair of group sets"):
-        acc.pwp_rows_from_curves(np.zeros((10, 10)), SHARED_SETS_STRING,
+        acc.pwp_rows_from_curves([np.zeros((10, 10))], SHARED_SETS_STRING,
                                  "tm1", 1e-5)
 
 
@@ -1139,7 +1142,7 @@ def test_pwp_envelope_over_admissible_observers():
     grid = (2.0, 4.0, 8.0)
     curves = np.arange(27, dtype=float).reshape(3, 3, 3)
     np.einsum("nng->ng", curves)[:] = np.nan  # the diagonal is undefined
-    set_rows = acc.pwp_rows_from_curves(curves, st, "tm1", 1e-5, grid)
+    set_rows = acc.pwp_rows_from_curves([curves], st, "tm1", 1e-5, grid)[0]
     assert set_rows.shape == (3, 3)  # one row per group set
     workers, table = worker_rows(st, "tm1", set_rows)
     assert workers.tolist() == [0, 1, 2]
@@ -1155,26 +1158,26 @@ def test_pwp_envelope_over_admissible_observers():
     # admissible observer and is omitted
     curves[0, 1] = curves[1, 0] = curves[1, 2] = curves[2, 1] = np.nan
     workers, table = worker_rows(st, "tm2", acc.pwp_rows_from_curves(
-        curves, st, "tm2", 1e-5, grid))
+        [curves], st, "tm2", 1e-5, grid)[0])
     assert workers.tolist() == [0, 2]
     eps_rdp, alpha_star, _ = table[0].tolist()
     assert eps_rdp == curves[0, 2, grid.index(alpha_star)]
     # an undefined cell among admissible observers is a fault
     curves[0, 2, 1] = np.nan
     with pytest.raises(ValueError, match="undefined pair among admissible observers"):
-        acc.pwp_rows_from_curves(curves, st, "tm2", 1e-5, grid)
+        acc.pwp_rows_from_curves([curves], st, "tm2", 1e-5, grid)
     with pytest.raises(ValueError):
-        acc.pwp_rows_from_curves(curves, st, "tm3", 1e-5, grid)
+        acc.pwp_rows_from_curves([curves], st, "tm3", 1e-5, grid)
 
 
-@pytest.mark.parametrize("algorithm, threat_model", [
+SET_ROW_RUNS = pytest.mark.parametrize("algorithm, threat_model", [
     ("dpogl", "tm1"), ("dpogl", "tm2"), ("dpogl_plus", "tm2")])
-def test_pwp_rows_are_set_rows_with_the_same_workers_every_epoch(
-        algorithm, threat_model):
-    """What the pwp.csv writer relies on: at every epoch the rows name the
-    same workers, and every worker of a group set has a bit-equal row.
-    Delay runs include a worker in three groups next to a one-worker set;
-    the degradation run is a string whose sets hold several workers."""
+
+
+def _set_row_sweeps(algorithm, threat_model):
+    """``(structure, sweep)`` over epochs 1..12: delay sweeps with a worker
+    in three groups next to a one-worker set and on an RI ring, and a
+    degradation sweep on a string whose sets hold several workers."""
     def hp_of(structure):
         return make_hp(structure.num_groups, epochs=12, algorithm=algorithm,
                        threat_model=threat_model)
@@ -1184,13 +1187,23 @@ def test_pwp_rows_are_set_rows_with_the_same_workers_every_epoch(
     cases = [(st, acc.delay_sweep(st, hp_of(st))) for st in delay]
     cases.append((SHARED_SETS_STRING, acc.thm2_curve_sweep(
         SHARED_SETS_STRING, hp_of(SHARED_SETS_STRING), 1.4, 12)))
-    for structure, sweep in cases:
+    return cases
+
+
+@SET_ROW_RUNS
+def test_pwp_rows_are_set_rows_with_the_same_workers_every_epoch(
+        algorithm, threat_model):
+    """What the pwp.csv writer relies on: at every epoch the rows name the
+    same workers, and every worker of a group set has a bit-equal row.
+    Delay runs include a worker in three groups next to a one-worker set;
+    the degradation run is a string whose sets hold several workers."""
+    for structure, sweep in _set_row_sweeps(algorithm, threat_model):
         owner = structure.group_set_of_worker
         first = None
         for t in range(1, 13):
             workers, table = worker_rows(
                 structure, threat_model, acc.pwp_rows_from_curves(
-                    sweep.at(t), structure, threat_model, 1e-5))
+                    [sweep.at(t)], structure, threat_model, 1e-5)[0])
             if first is None:
                 first = workers
                 assert workers.size
@@ -1201,6 +1214,54 @@ def test_pwp_rows_are_set_rows_with_the_same_workers_every_epoch(
                 assert (rows == rows[0]).all()
         shared = np.bincount(owner[first])
         assert shared.max() > 1, "no set holds two observed workers"
+
+
+@SET_ROW_RUNS
+def test_batched_pwp_rows_equal_one_epoch_calls_bitwise(algorithm,
+                                                        threat_model):
+    """Row t - 1 of one call over epochs 1..12 is bit for bit the row of a
+    one-epoch call at t: the stacked conversion runs the same element-wise
+    operations.  The epochs are fed as an iterator, as the harness does."""
+    for structure, sweep in _set_row_sweeps(algorithm, threat_model):
+        batched = acc.pwp_rows_from_curves(
+            map(sweep.at, range(1, 13)), structure, threat_model, 1e-5)
+        assert batched.shape == (12, len(structure.group_sets), 3)
+        for t in range(1, 13):
+            single = acc.pwp_rows_from_curves([sweep.at(t)], structure,
+                                              threat_model, 1e-5)
+            assert single.shape == (1, *batched.shape[1:])
+            assert batched[t - 1].tobytes() == single[0].tobytes()
+
+
+def test_pwp_rows_refuse_a_bare_array_and_mixed_forms():
+    """The curves come as an iterable of epochs.  A bare array is refused:
+    iterating a (P, P, G) tensor yields (P, G) slices, which pass as K when
+    G == P.  K and tensors mixed across epochs are refused in either order.
+    No epoch gives (0, P, 3) rows; delta, grid and threat model are still
+    checked."""
+    st = generate_structure("RI", 6, 3)
+    P = len(st.group_sets)
+    grid = tuple(float(a) for a in range(2, P + 2))  # G == P
+    K = acc.delay_sweep(st, make_hp(3)).at(5)
+    tensor = K[..., None] * np.array(grid)
+    for bare in (K, tensor, np.stack([K, K])):
+        with pytest.raises(ValueError, match="iterable of epochs' curves"):
+            acc.pwp_rows_from_curves(bare, st, "tm1", 1e-5, grid)
+    for mixed in ([K, tensor], [tensor, K]):
+        with pytest.raises(ValueError, match="K at every epoch or a tensor"):
+            acc.pwp_rows_from_curves(iter(mixed), st, "tm1", 1e-5, grid)
+    both = acc.pwp_rows_from_curves([tensor, tensor], st, "tm1", 1e-5, grid)
+    assert both.tobytes() == acc.pwp_rows_from_curves(
+        (K, K), st, "tm1", 1e-5, grid).tobytes()
+    for tm in ("tm1", "tm2"):
+        empty = acc.pwp_rows_from_curves(iter(()), st, tm, 1e-5)
+        assert empty.shape == (0, P, 3) and empty.dtype == np.float64
+    with pytest.raises(ValueError, match="delta"):
+        acc.pwp_rows_from_curves([], st, "tm1", 0.0)
+    with pytest.raises(ValueError, match="alpha_grid"):
+        acc.pwp_rows_from_curves([], st, "tm1", 1e-5, ())
+    with pytest.raises(ValueError, match="threat_model"):
+        acc.pwp_rows_from_curves([], st, "tm3", 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -1301,7 +1362,7 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 acc.dp_matrix_from_curves(curves, delta, grid)
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                acc.pwp_rows_from_curves(curves, structure, threat_model,
+                acc.pwp_rows_from_curves([curves], structure, threat_model,
                                          delta, grid)
     else:
         assert acc.dp_matrix_from_curves(K, delta, grid).tobytes() == want.tobytes()
@@ -1311,7 +1372,7 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
             worker_cells(structure, threat_model, tensor), mask, delta, grid)
         assert _pwp_bits(*worker_rows(
             structure, threat_model, acc.pwp_rows_from_curves(
-                K, structure, threat_model, delta, grid))) == _bits(want)
+                [K], structure, threat_model, delta, grid)[0])) == _bits(want)
     a, b = divmod(cell % K.size, K.shape[1])
     if structure.admissible_observer_sets[threat_model][a, b]:
         # a negative cell among admissible observers is refused by both
@@ -1320,8 +1381,8 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             acc.dp_matrix_from_curves(negative, delta, grid)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            acc.pwp_rows_from_curves(negative, structure, threat_model, delta,
-                                     grid)
+            acc.pwp_rows_from_curves([negative], structure, threat_model,
+                                     delta, grid)
         # an undefined cell among admissible observers is refused by both paths
         K[a, b] = np.nan
         with pytest.raises(ValueError, match="undefined pair"):
@@ -1329,7 +1390,8 @@ def test_coefficient_reductions_match_tensor_reductions_bitwise(case, cell):
                                                K[..., None] * np.array(grid)),
                                   mask, delta, grid)
         with pytest.raises(ValueError, match="undefined pair"):
-            acc.pwp_rows_from_curves(K, structure, threat_model, delta, grid)
+            acc.pwp_rows_from_curves([K], structure, threat_model, delta,
+                                     grid)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -1362,14 +1424,14 @@ def test_curve_tensor_must_align_with_the_grid():
         with pytest.raises(ValueError, match="align with the alpha grid"):
             acc.dp_matrix_from_curves(curves, 1e-5)
         with pytest.raises(ValueError, match="align with the alpha grid"):
-            acc.pwp_rows_from_curves(curves, structure, "tm1", 1e-5)
+            acc.pwp_rows_from_curves([curves], structure, "tm1", 1e-5)
     P = len(structure.group_sets)
     for curves in (np.ones(()), np.ones(4), np.ones(P),
                    np.ones((P, P, 2, len(acc.DEFAULT_ALPHA_GRID)))):
         with pytest.raises(ValueError, match=r"^curves must be \(P, P\)"):
             acc.dp_matrix_from_curves(curves, 1e-5)
         with pytest.raises(ValueError, match=r"^curves must be \(P, P\)"):
-            acc.pwp_rows_from_curves(curves, structure, "tm1", 1e-5)
+            acc.pwp_rows_from_curves([curves], structure, "tm1", 1e-5)
 
 
 def test_heatmap_conversion_of_a_tensor_holds_per_order_temporaries():

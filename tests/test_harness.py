@@ -219,8 +219,8 @@ def test_pwp_csv_matches_accountant(tmp_path):
         curves = sweep.at(t)
         workers, table = worker_rows(
             structure, hp.threat_model, acc.pwp_rows_from_curves(
-                curves, structure, hp.threat_model, config.delta,
-                config.alpha_grid))
+                [curves], structure, hp.threat_model, config.delta,
+                config.alpha_grid)[0])
         want = [(w, *row) for w, row in zip(workers.tolist(), table.tolist())]
         assert by_epoch[t] == want  # 17 significant digits round-trip
 
@@ -276,6 +276,50 @@ def test_artifacts_with_no_row(tmp_path):
         "gl_tm2", threat_model="tm2", heatmap_epochs=[],
         structure={"kind": "GL", "num_workers": 4, "num_groups": 1})
     assert trusted_world == {"pwp.csv": PWP_HEADER}
+
+
+@pytest.mark.parametrize("bound", ["delay", "degradation"])
+def test_nothing_to_account_builds_no_sweep(tmp_path, bound):
+    """With T = 0 and no heatmap epoch no bound is evaluated, so no sweep
+    is built and no precondition applies: sigma = 1e200 (whose delay weight
+    underflows to 0) leaves pwp.csv as its header and no accounting_error,
+    under either bound."""
+    config = make_config(
+        tmp_path, epochs=0, heatmap_epochs=[], bound=bound, sigma=1e200,
+        participation=1.0,
+        structure={"num_workers": 5, "members_of_group": [[0, 1, 2],
+                                                          [2, 3, 4]]})
+    manifest = run_experiment(config, with_training=False)
+    assert manifest["accounting_error"] is None
+    assert manifest["outputs"] == ["pwp.csv"]
+    assert (tmp_path / "out" / "pwp.csv").read_bytes() == PWP_HEADER
+
+
+@pytest.mark.parametrize("bound", ["delay", "degradation"])
+def test_pwp_rows_come_from_one_call_per_run(tmp_path, monkeypatch, bound):
+    """All T epochs' pwp.csv rows come from one ``pwp_rows_from_curves``
+    call, fed an iterator of epochs rather than a stack of curves; heatmap
+    epochs inside and past T are converted on their own."""
+    calls = []
+    batched = acc.pwp_rows_from_curves
+
+    def counted(curves_by_epoch, *args, **kwargs):
+        assert not isinstance(curves_by_epoch, (list, tuple, np.ndarray))
+        rows = batched(curves_by_epoch, *args, **kwargs)
+        calls.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(acc, "pwp_rows_from_curves", counted)
+    config = make_config(
+        tmp_path, bound=bound, participation=1.0, heatmap_epochs=[4, 9],
+        structure={"num_workers": 5, "members_of_group": [[0, 1, 2],
+                                                          [2, 3, 4]]})
+    manifest = run_experiment(config, with_training=False)
+    assert manifest["accounting_error"] is None
+    assert manifest["outputs"] == ["heatmap_epoch_4.csv",
+                                   "heatmap_epoch_9.csv", "pwp.csv"]
+    assert calls == [(config.epochs, 3, 3)]  # sets {0, 1}, {2}, {3, 4}
+    assert len(read_lines(tmp_path / "out" / "pwp.csv")) == 1 + 6 * 5
 
 
 def test_account_only_skips_training(tmp_path):
@@ -420,7 +464,7 @@ def test_delta_with_infinite_reciprocal_is_refused(tmp_path, capsys):
         with pytest.raises(ValueError, match="delta"):
             acc.dp_matrix_from_curves(K, delta)
         with pytest.raises(ValueError, match="delta"):
-            acc.pwp_rows_from_curves(K, topology.GroupStructure(2, [[0], [1]]),
+            acc.pwp_rows_from_curves([K], topology.GroupStructure(2, [[0], [1]]),
                                      "tm1", delta)
         with pytest.raises(ValueError, match="delta"):
             orc.rdp_to_dp([0.5], delta, (2.0,))
