@@ -1,6 +1,7 @@
 """Multinomial logistic model: gradient correctness, padding and smoothness."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -44,6 +45,61 @@ def test_loss_broadcasts_labels_over_a_model_stack():
     assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
 
+def _max_shifted_log_softmax(logits):
+    """The reference: the shift is numpy's max over the class axis."""
+    shifted = logits - logits.max(-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _same_bits(a, b):
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+EXTREMES = np.array([0.0, -0.0, 1.0, -1.0, 40.0, -40.0, 800.0, -800.0, np.inf,
+                     -np.inf, np.nan, 1e308, -1e308, 5e-324])
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 4, 5, 8, 9, 17, 100])
+def test_argmax_shift_equals_max_shift_bitwise(num_classes):
+    """``_log_softmax`` shifts by the argmax element; it equals the max
+    shift bit for bit, NaN positions included, on rows drawn from signed
+    zeros, infinities, NaN, huge, tiny and ordinary values (so ties, ±0 max
+    ties among them, are common), and on Gaussian rows at several scales."""
+    r = rng(num_classes)
+    batches = [r.choice(EXTREMES, size=(6, 5, num_classes)) for _ in range(40)]
+    batches += [scale * r.standard_normal((6, 5, num_classes))
+                for scale in (0.0, 1e-300, 1.0, 30.0, 1e3, 1e300)]
+    batches += [r.choice(EXTREMES, size=num_classes),
+                r.choice(EXTREMES, size=(1, num_classes))]
+    # Both sides overflow on purpose: x - max overflows to -inf when the max
+    # is 1e308 and x is -1e308 ("overflow encountered in subtract"), and
+    # inf - inf or NaN rows give NaN ("invalid value encountered").
+    with np.errstate(over="ignore", invalid="ignore"):
+        for logits in batches:
+            assert _same_bits(models._log_softmax(logits), _max_shifted_log_softmax(logits))
+
+
+def test_gradient_is_bitwise_on_a_zero_max_tie(monkeypatch):
+    """Rows whose max is a tie of +0 and -0: ``np.max`` shifts by the last
+    zero and ``argmax`` by the first, yet ``gradient`` keeps every bit.
+    BLAS products do not give -0 logits, so the logits are set directly."""
+    r = rng(7)
+    x = models.augment(r.standard_normal((4, 5, 2)))
+    y = r.integers(0, 3, size=(4, 5))
+    theta = r.standard_normal((4, models.param_dim(2, 3)))
+    logits = -np.abs(r.standard_normal((4, 5, 3)))
+    logits[..., 0], logits[..., 1] = 0.0, -0.0
+    logits[1, :, :2] = -0.0, 0.0
+    logits[2, :, 1:] = 0.0, -0.0
+    monkeypatch.setattr(models, "_logits", lambda *args: logits.copy())
+    got = models.gradient(theta, x, *models.targets(y, 3))
+    monkeypatch.setattr(models, "_log_softmax", _max_shifted_log_softmax)
+    want = models.gradient(theta, x, *models.targets(y, 3))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_gradient_matches_finite_differences():
     r = rng(1)
     x = models.augment(r.standard_normal((9, 3)))
@@ -75,8 +131,24 @@ def test_predict_and_accuracy_agree():
     x = models.augment(r.standard_normal((30, 2)))
     y = r.integers(0, 2, size=30)
     theta = r.standard_normal(models.param_dim(2, 2))
-    preds = models.predict(theta, x, 2)
+    preds = np.argmax(x @ theta.reshape(2, -1).T, axis=-1)
     assert models.accuracy(theta, x, y, 2) == (preds == y).mean()
+
+
+def test_a_model_with_a_nan_logit_scores_nan_accuracy():
+    """A diverged model has no prediction: ``argmax`` would pick its first
+    NaN column on every row and score that class's share.  Only the model
+    with the NaN weight reads NaN; the others keep their bits."""
+    r = rng(6)
+    x = models.augment(r.standard_normal((30, 3)))
+    y = r.integers(0, 4, size=30)
+    theta = r.standard_normal((3, models.param_dim(3, 4)))
+    clean = models.accuracy(theta, x, y, 4)
+    theta[1, 5] = np.nan
+    got = models.accuracy(theta, x, y, 4)
+    assert np.isnan(got[1]) and not np.isnan(clean).any()
+    assert np.array_equal(got[[0, 2]].view(np.uint64), clean[[0, 2]].view(np.uint64))
+    assert np.isnan(models.accuracy(theta[1], x, y, 4))
 
 
 def test_smoothness_bound_dominates_observed_curvature():
@@ -100,7 +172,8 @@ def test_smoothness_bound_dominates_observed_curvature():
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(seed=hs.integers(0, 2 ** 32 - 1), dims=hs.integers(1, 6),
-       num_classes=hs.integers(2, 5), scale=hs.sampled_from([0.0, 0.3, 4.0]),
+       num_classes=hs.sampled_from([2, 3, 4, 5, 32, 100]),
+       scale=hs.sampled_from([0.0, 0.3, 4.0]),
        zero_column=hs.booleans(), one_label=hs.booleans())
 def test_padded_gradient_is_bitwise(seed, dims, num_classes, scale, zero_column,
                                     one_label):
