@@ -396,15 +396,29 @@ def dp_matrix_from_curves(curves: np.ndarray, delta: float,
     _check_form(curves, grid)
     if _has_bad_values(curves, grid):
         raise ValueError(_BAD_VALUES)
+    return _convert(curves, grid, delta)[0]
+
+
+def _convert(curves: np.ndarray, grid: np.ndarray, delta: float,
+             track_best: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The DP bound of each cell of ``curves`` (rank 2: the linear curves
+    alpha * K; rank 3: one order per slice of the last axis) and, if
+    ``track_best``, the index of its best order, one order at a time on
+    temporaries of the first two axes.  The first best order wins; NaN
+    propagates; identically-zero curves convert to an exact 0."""
     penalty = math.log(1.0 / delta) / (grid - 1.0)
     eps = np.full(curves.shape[:2], np.inf)
+    best = np.zeros(curves.shape[:2], dtype=np.intp) if track_best else None
     zero = np.ones(curves.shape[:2], dtype=bool)
     for g, alpha in enumerate(grid):
         curve = curves * alpha if curves.ndim == 2 else curves[..., g]
-        np.minimum(eps, curve + penalty[g], out=eps)  # NaN propagates
+        candidate = curve + penalty[g]
+        if track_best:
+            np.copyto(best, g, where=candidate < eps)
+        np.minimum(eps, candidate, out=eps)
         zero &= curve == 0.0
     eps[zero] = 0.0
-    return eps
+    return eps, best
 
 
 def pwp_rows_from_curves(curves_by_epoch, structure: GroupStructure,
@@ -465,19 +479,7 @@ def pwp_rows_from_curves(curves_by_epoch, structure: GroupStructure,
         raise ValueError("undefined pair among admissible observers")
     if bad_values:
         raise ValueError(_BAD_VALUES)
-    # One order at a time on (T, P) temporaries, as in dp_matrix_from_curves.
-    penalty = math.log(1.0 / delta) / (grid - 1.0)
-    eps = np.full(envelopes.shape[:2], np.inf)
-    best = np.zeros(envelopes.shape[:2], dtype=np.intp)
-    zero = np.ones(envelopes.shape[:2], dtype=bool)
-    for g, alpha in enumerate(grid):
-        curve = envelopes * alpha if envelopes.ndim == 2 else envelopes[..., g]
-        candidate = curve + penalty[g]
-        better = candidate < eps  # strict: the first best order wins
-        np.copyto(eps, candidate, where=better)
-        np.copyto(best, g, where=better)
-        zero &= curve == 0.0
-    eps[zero] = 0.0
+    eps, best = _convert(envelopes, grid, delta, track_best=True)
     eps_rdp = (envelopes * grid[best] if envelopes.ndim == 2 else
                np.take_along_axis(envelopes, best[..., None], -1)[..., 0])
     rows = np.stack([eps_rdp, grid[best], eps], axis=-1)

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,213 +47,185 @@ _REQUIRED = object()
 BOUND_METHODS = ("delay", "degradation")
 
 
-def _pluck(raw: dict, key: str, default=_REQUIRED):
-    if key not in raw:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required field '{key}'")
-        return default
-    return raw[key]
-
-
-def _as_int(value, label: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{label}' must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"field '{label}' must be >= {minimum}")
-    return value
-
-
-def _as_number(value, label: str, minimum: float | None = None,
-               exclusive: bool = False, allow_inf: bool = False) -> float:
-    if value == "inf" and allow_inf:
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{label}' must be a number")
-    v = float(value)
-    if math.isnan(v):
-        raise ConfigError(f"field '{label}' must not be NaN")
-    if math.isinf(v) and not allow_inf:
-        raise ConfigError(f"field '{label}' must be finite")
-    if minimum is not None:
-        if exclusive and v <= minimum:
-            raise ConfigError(f"field '{label}' must be > {minimum}")
-        if not exclusive and v < minimum:
-            raise ConfigError(f"field '{label}' must be >= {minimum}")
-    return v
-
-
-def _as_choice(value, label: str, choices) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(f"field '{label}' must be one of {sorted(choices)}")
-    return value
-
-
-def _per_group(value, label: str, element):
-    """A scalar or a per-group list; lengths are checked later against M."""
-    if isinstance(value, list):
-        if not value:
-            raise ConfigError(f"field '{label}' must not be an empty list")
-        return tuple(element(v, f"{label}[{k}]") for k, v in enumerate(value))
-    return element(value, label)
-
-
-def _reject_unknown(raw: dict, allowed, where: str = "") -> None:
-    unknown = sorted(set(raw) - set(allowed))
+def _read(raw, rules: dict, label: str) -> dict:
+    """The JSON object ``raw`` (``label``, '' at the top) parsed by ``rules``,
+    field -> (check, default) in order; an absent field takes its default,
+    unless ``_REQUIRED``, through ``check(value, label)``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"field '{label}' must be an object" if label
+                          else "config must be a JSON object")
+    prefix = f"{label}." if label else ""
+    unknown = sorted(set(raw) - set(rules))
     if unknown:
-        raise ConfigError(f"unknown field '{where}{unknown[0]}'")
+        raise ConfigError(f"unknown field '{prefix}{unknown[0]}'")
+    parsed = {}
+    for name, (check, default) in rules.items():
+        if name not in raw and default is _REQUIRED:
+            raise ConfigError(f"missing required field '{name}'")
+        parsed[name] = check(raw.get(name, default), prefix + name)
+    return parsed
 
 
-def _parse_structure(raw) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("field 'structure' must be an object")
-    if "members_of_group" in raw:
-        _reject_unknown(raw, {"members_of_group", "num_workers", "kind"},
-                        "structure.")
-        num_workers = _as_int(_pluck(raw, "num_workers"),
-                              "structure.num_workers", minimum=1)
-        members = raw["members_of_group"]
-        if (not isinstance(members, list) or not members
-                or not all(isinstance(g, list) for g in members)):
-            raise ConfigError("field 'structure.members_of_group' must be a "
-                              "non-empty list of worker-id lists")
-        groups = [[_as_int(w, f"structure.members_of_group[{m}][{j}]", 0)
-                   for j, w in enumerate(g)] for m, g in enumerate(members)]
-        kind = raw.get("kind")
-        if kind is not None and not isinstance(kind, str):
-            raise ConfigError("field 'structure.kind' must be a string")
+def _integer(minimum: int | None = None):
+    def check(value, label: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"field '{label}' must be an integer")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"field '{label}' must be >= {minimum}")
+        return value
+    return check
+
+
+def _number(minimum: float | None = None, above: float | None = None,
+            below: float | None = None, allow_inf: bool = False):
+    def check(value, label: str) -> float:
+        if value == "inf" and allow_inf:
+            return math.inf
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"field '{label}' must be a number")
         try:
-            built = GroupStructure(num_workers, groups)
-        except ValueError as exc:
-            raise ConfigError(f"structure: {exc}") from exc
-        return {"kind": kind, "num_workers": num_workers,
-                "members_of_group": [sorted(g) for g in built.members_of_group]}
-    _reject_unknown(raw, {"kind", "num_workers", "num_groups"}, "structure.")
-    kind = _as_choice(_pluck(raw, "kind"), "structure.kind", STRUCTURE_KINDS)
-    num_workers = _as_int(_pluck(raw, "num_workers"), "structure.num_workers",
-                          minimum=1)
-    num_groups = _as_int(_pluck(raw, "num_groups"), "structure.num_groups",
-                         minimum=1)
-    if kind != "LB":  # LB membership depends on the realized data partition
-        try:
-            generate_structure(kind, num_workers, num_groups)
-        except ValueError as exc:
-            raise ConfigError(f"structure: {exc}") from exc
-    return {"kind": kind, "num_workers": num_workers, "num_groups": num_groups}
+            v = float(value)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf if value > 0 else -math.inf
+        if math.isnan(v):
+            raise ConfigError(f"field '{label}' must not be NaN")
+        if math.isinf(v) and not allow_inf:
+            raise ConfigError(f"field '{label}' must be finite")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"field '{label}' must be >= {minimum}")
+        if above is not None and v <= above:
+            raise ConfigError(f"field '{label}' must be > {above}")
+        if below is not None and v >= below:
+            raise ConfigError(f"field '{label}' must be < {below}")
+        return v
+    return check
 
 
-def _parse_data(raw) -> dict:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("field 'data' must be an object")
-    common = {
-        "test_fraction": _as_number(_pluck(raw, "test_fraction", 0.2),
-                                    "data.test_fraction", minimum=0.0),
-        "dirichlet_beta": _as_number(_pluck(raw, "dirichlet_beta", 0.1),
-                                     "data.dirichlet_beta", minimum=0.0,
-                                     exclusive=True),
-    }
-    if common["test_fraction"] >= 1.0:
-        raise ConfigError("field 'data.test_fraction' must be < 1")
-    if raw.get("csv") is not None:
-        _reject_unknown(raw, {"csv", "num_classes", "test_fraction",
-                              "dirichlet_beta"}, "data.")
-        csv = raw["csv"]
-        if not isinstance(csv, str):
-            raise ConfigError("field 'data.csv' must be a path string")
-        num_classes = raw.get("num_classes")
-        if num_classes is not None:
-            num_classes = _as_int(num_classes, "data.num_classes", minimum=2)
-        return {"csv": csv, "num_classes": num_classes, **common}
-    _reject_unknown(raw, {"csv", "num_classes", "dims", "per_class",
-                          "test_fraction", "dirichlet_beta"}, "data.")
-    return {
-        "csv": None,
-        "num_classes": _as_int(_pluck(raw, "num_classes", 4),
-                               "data.num_classes", minimum=2),
-        "dims": _as_int(_pluck(raw, "dims", 8), "data.dims", minimum=1),
-        "per_class": _as_int(_pluck(raw, "per_class", 150),
-                             "data.per_class", minimum=1),
-        **common,
-    }
+def _text(what: str, accept=None):
+    """A string rule; ``accept``, a predicate, narrows it to ``what``."""
+    def check(value, label: str) -> str:
+        if not isinstance(value, str) or (accept and not accept(value)):
+            raise ConfigError(f"field '{label}' must be {what}")
+        return value
+    return check
+
+
+def _optional(check):
+    return lambda value, label: None if value is None else check(value, label)
+
+
+def _as_given(value, label: str):  # HyperParams checks the value
+    return value
+
+
+def _list(element):
+    def check(value, label: str) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"field '{label}' must be a list")
+        return [element(v, f"{label}[{k}]") for k, v in enumerate(value)]
+    return check
+
+
+def _per_group(element):
+    """A scalar or a per-group list; lengths are checked later against M."""
+    def check(value, label: str):
+        if value == []:
+            raise ConfigError(f"field '{label}' must not be an empty list")
+        return (tuple(_list(element)(value, label))
+                if isinstance(value, list) else element(value, label))
+    return check
+
+
+def _alpha_grid(value, label: str) -> tuple:
+    return tuple(accountant.DEFAULT_ALPHA_GRID if value is None  # or absent
+                 else _list(_number())(value, label))
+
+
+def _epoch_set(value, label: str) -> tuple:
+    return tuple(sorted(set(_list(_integer(1))(value, label))))
+
+
+def _members(value, label: str) -> list:
+    if not (isinstance(value, list) and value
+            and all(isinstance(g, list) for g in value)):
+        raise ConfigError(f"field '{label}' must be a non-empty list of "
+                          "worker-id lists")
+    return _list(_list(_integer(0)))(value, label)
+
+
+_EXPLICIT = {"kind": (_optional(_text("a string")), None),
+             "num_workers": (_integer(1), _REQUIRED),
+             "members_of_group": (_members, _REQUIRED)}
+_GENERATED = {"kind": (_text(f"one of {sorted(STRUCTURE_KINDS)}",
+                             STRUCTURE_KINDS.__contains__), _REQUIRED),
+              "num_workers": (_integer(1), _REQUIRED),
+              "num_groups": (_integer(1), _REQUIRED)}
+_SPLIT = {"test_fraction": (_number(0.0, below=1), 0.2),
+          "dirichlet_beta": (_number(above=0.0), 0.1)}
+_CSV = (_optional(_text("a path string")), None)
+_CSV_DATA = {"csv": _CSV, "num_classes": (_optional(_integer(2)), None),
+             **_SPLIT}
+_SYNTHETIC = {"csv": _CSV, "num_classes": (_integer(2), 4),
+              "dims": (_integer(1), 8), "per_class": (_integer(1), 150),
+              **_SPLIT}
+
+
+def _structure(value, label: str) -> dict:
+    """Explicit if it holds ``members_of_group``, else generated."""
+    explicit = isinstance(value, dict) and "members_of_group" in value
+    s = _read(value, _EXPLICIT if explicit else _GENERATED, label)
+    try:
+        if explicit:
+            built = GroupStructure(s["num_workers"], s["members_of_group"])
+            s["members_of_group"] = [sorted(g) for g in built.members_of_group]
+        elif s["kind"] != "LB":  # LB depends on the realized data partition
+            generate_structure(s["kind"], s["num_workers"], s["num_groups"])
+    except (ValueError, OverflowError) as exc:  # OverflowError: N > ssize_t
+        raise ConfigError(f"structure: {exc}") from exc
+    return s
+
+
+def _data(value, label: str) -> dict:
+    """A CSV file if ``csv`` is set, else synthetic; null is ``{}``."""
+    value = {} if value is None else value
+    csv = isinstance(value, dict) and value.get("csv") is not None
+    return _read(value, _CSV_DATA if csv else _SYNTHETIC, label)
+
+
+def _rule(check, default=_REQUIRED):
+    return field(metadata={"rule": (check, default)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated, default-resolved experiment description."""
+    """Fully validated, default-resolved experiment description.  Each field
+    carries its JSON rule and default; value ranges of the run parameters
+    are ``HyperParams``' and the accountant's."""
 
-    seed: int
-    algorithm: str
-    threat_model: str
-    epochs: int
-    inter_group_period: int
-    local_iterations: int
-    learning_rate: float
-    batch_size: int
-    clip: float | tuple
-    sigma: float | tuple
-    participation: float | tuple
-    delta: float
-    bound: str
-    alpha_grid: tuple
-    heatmap_epochs: tuple
-    output_dir: str
-    structure: dict
-    data: dict
+    seed: int = _rule(_integer(), 0)
+    algorithm: str = _rule(_as_given, "dpogl")
+    threat_model: str = _rule(_as_given, "tm1")
+    epochs: int = _rule(_integer())
+    inter_group_period: int = _rule(_integer(), 10)
+    local_iterations: int = _rule(_integer(), 10)
+    learning_rate: float = _rule(_number(), 0.1)
+    batch_size: int = _rule(_integer(), 8)
+    clip: float | tuple = _rule(_per_group(_number(allow_inf=True)), 0.05)
+    sigma: float | tuple = _rule(_per_group(_number()), 2.0)
+    participation: float | tuple = _rule(_per_group(_number()), 0.7)
+    delta: float = _rule(_number(), 1e-5)
+    bound: str = _rule(_text(f"one of {sorted(BOUND_METHODS)}",
+                             BOUND_METHODS.__contains__), "delay")
+    alpha_grid: tuple = _rule(_alpha_grid, None)
+    heatmap_epochs: tuple = _rule(_epoch_set, [])
+    output_dir: str = _rule(_text("a path string", bool), "results")
+    structure: dict = _rule(_structure)
+    data: dict = _rule(_data, None)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        _reject_unknown(raw, _TOP_LEVEL_KEYS)
-        structure = _parse_structure(_pluck(raw, "structure"))
-
-        def clip_entry(v, label):
-            return _as_number(v, label, allow_inf=True)
-
-        grid_raw = _pluck(raw, "alpha_grid", None)
-        if grid_raw is None:
-            alpha_grid = tuple(accountant.DEFAULT_ALPHA_GRID)
-        else:
-            if not isinstance(grid_raw, list):
-                raise ConfigError("field 'alpha_grid' must be a list")
-            alpha_grid = tuple(_as_number(a, f"alpha_grid[{k}]")
-                               for k, a in enumerate(grid_raw))
-        heat_raw = _pluck(raw, "heatmap_epochs", [])
-        if not isinstance(heat_raw, list):
-            raise ConfigError("field 'heatmap_epochs' must be a list")
-        heatmap_epochs = tuple(sorted({
-            _as_int(t, f"heatmap_epochs[{k}]", minimum=1)
-            for k, t in enumerate(heat_raw)}))
-        output_dir = _pluck(raw, "output_dir", "results")
-        if not isinstance(output_dir, str) or not output_dir:
-            raise ConfigError("field 'output_dir' must be a path string")
-
-        config = cls(
-            seed=_as_int(_pluck(raw, "seed", 0), "seed"),
-            algorithm=_pluck(raw, "algorithm", "dpogl"),
-            threat_model=_pluck(raw, "threat_model", "tm1"),
-            epochs=_as_int(_pluck(raw, "epochs"), "epochs"),
-            inter_group_period=_as_int(_pluck(raw, "inter_group_period", 10),
-                                       "inter_group_period"),
-            local_iterations=_as_int(_pluck(raw, "local_iterations", 10),
-                                     "local_iterations"),
-            learning_rate=_as_number(_pluck(raw, "learning_rate", 0.1),
-                                     "learning_rate"),
-            batch_size=_as_int(_pluck(raw, "batch_size", 8), "batch_size"),
-            clip=_per_group(_pluck(raw, "clip", 0.05), "clip", clip_entry),
-            sigma=_per_group(_pluck(raw, "sigma", 2.0), "sigma", _as_number),
-            participation=_per_group(_pluck(raw, "participation", 0.7),
-                                     "participation", _as_number),
-            delta=_as_number(_pluck(raw, "delta", 1e-5), "delta"),
-            bound=_as_choice(_pluck(raw, "bound", "delay"), "bound",
-                             BOUND_METHODS),
-            alpha_grid=alpha_grid,
-            heatmap_epochs=heatmap_epochs,
-            output_dir=output_dir,
-            structure=structure,
-            data=_parse_data(raw.get("data")),
-        )
+        config = cls(**_read(raw, {f.name: f.metadata["rule"]
+                                   for f in fields(cls)}, ""))
         try:  # value ranges are the trainer's and the accountant's rules
             _hyper_params(config)
             accountant._check_delta(config.delta)
@@ -277,9 +249,6 @@ class ExperimentConfig:
         text = json.dumps(self.normalized(), sort_keys=True,
                           separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-_TOP_LEVEL_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _hyper_params(config: ExperimentConfig) -> HyperParams:

@@ -49,13 +49,16 @@ class GroupStructure:
                 raise ValueError(f"group {m} contains out-of-range worker ids")
             norm.append(mem)
         object.__setattr__(self, "members_of_group", tuple(norm))
+        listed = set().union(*norm)
+        if len(listed) < self.num_workers:  # found without a list of N workers
+            span = min(self.num_workers, len(listed) + 10)
+            orphans = [w for w in range(span) if w not in listed][:10]
+            more = ", ..." if self.num_workers - len(listed) > 10 else ""
+            raise ValueError(f"workers belong to no group: {orphans}{more}")
         gof: list[list[int]] = [[] for _ in range(self.num_workers)]
         for m, mem in enumerate(norm):
             for w in mem:
                 gof[w].append(m)
-        orphans = [w for w, groups in enumerate(gof) if not groups]
-        if orphans:
-            raise ValueError(f"workers belong to no group: {orphans}")
         object.__setattr__(self, "groups_of_worker", tuple(tuple(g) for g in gof))
 
     @property

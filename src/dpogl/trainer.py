@@ -45,9 +45,10 @@ class HyperParams:
     """Validated run parameters; per-group fields broadcast from scalars.
 
     ``learning_rate`` must be finite and > 0, each group's ``sigma`` finite
-    and >= 0.  ``clip=inf`` together with ``sigma=0`` is the documented
-    noise-free diagnostic mode; the accountant refuses such configurations,
-    the trainer runs them.
+    and >= 0, and each group with ``sigma > 0`` must have a finite noise std
+    sqrt(W) * clip * sigma (W is ``mechanism_window``).  ``clip=inf``
+    together with ``sigma=0`` is the documented noise-free diagnostic mode;
+    the accountant refuses such configurations, the trainer runs them.
     """
 
     num_groups: int
@@ -90,6 +91,10 @@ class HyperParams:
                 raise ValueError(f"{name} of group {bad[0]} must {rule}")
         if np.any(np.isinf(self.clip) & (self.sigma > 0)):
             raise ValueError("clip=inf with sigma>0 leaves the noise scale undefined")
+        root_w = math.sqrt(self.mechanism_window)  # Python floats: no numpy warning
+        for m, (c, s) in enumerate(zip(self.clip.tolist(), self.sigma.tolist())):
+            if s > 0 and not math.isfinite(root_w * (c * s)):
+                raise ValueError(f"noise std sqrt(W) * clip * sigma of group {m} must be finite")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         _check_threat_model(self.threat_model)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -88,6 +89,24 @@ def test_defaults_are_resolved(tmp_path):
     (dict(data={"num_classes": 1}), "data.num_classes"),
     (dict(data={"test_fraction": 1.0}), "data.test_fraction"),
     (dict(data={"dirichlet_beta": 0.0}), "data.dirichlet_beta"),
+    (dict(structure=[]), "'structure'"),
+    (dict(data=5), "'data'"),
+    (dict(structure={**BASE["structure"], "extra": 1}), "structure.extra"),
+    (dict(data={**BASE["data"], "extra": 1}), "data.extra"),
+    (dict(structure={"num_workers": 3, "members_of_group": [[0, -1]]}),
+     "structure.members_of_group[0][1]"),
+    (dict(structure={"num_workers": 3, "members_of_group": [1]}),
+     "'structure.members_of_group'"),
+    (dict(data={"csv": 3}), "data.csv"),
+    (dict(alpha_grid=2.0), "'alpha_grid'"),
+    (dict(heatmap_epochs=4), "'heatmap_epochs'"),
+    (dict(output_dir=""), "output_dir"),
+    (dict(clip=[]), "'clip' must not be an empty list"),
+    (dict(structure={"kind": "RI", "num_groups": 3}), "'num_workers'"),
+    # integers beyond the float or the index range are refused, not raised
+    (dict(learning_rate=10**400), "'learning_rate' must be finite"),
+    (dict(structure={**BASE["structure"], "num_workers": 10**400}),
+     "structure:"),
 ])
 def test_field_level_diagnostics(tmp_path, mutation, fragment):
     raw = raw_config(tmp_path, **mutation)
@@ -101,7 +120,7 @@ def test_field_level_diagnostics(tmp_path, mutation, fragment):
     ("batch_size", 0), ("learning_rate", 0.0), ("clip", 0.0),
     ("sigma", -0.5), ("participation", 0.0), ("participation", 1.5),
     ("algorithm", "x"), ("delta", 0.0), ("delta", 1e-320),
-    ("alpha_grid", [2.0, 1.0]),
+    ("alpha_grid", [2.0, 1.0]), ("clip", 1e308),  # c * sigma overflows
 ])
 def test_config_ranges_are_the_library_rules(tmp_path, field, value):
     """A config refuses a value with the very text of the library type that
@@ -117,6 +136,15 @@ def test_config_ranges_are_the_library_rules(tmp_path, field, value):
             hp = harness._hyper_params(make_config(tmp_path))
             dataclasses.replace(hp, **{field: value})
     assert str(config_err.value) == str(library_err.value)
+
+
+def test_noise_std_bound_counts_the_mechanism_window(tmp_path):
+    """c * sigma is finite, but sqrt(W) * c * sigma is not once W = 4."""
+    plus = dict(algorithm="dpogl_plus", threat_model="tm2",
+                inter_group_period=4, clip=1e308, sigma=1.5)
+    assert make_config(tmp_path, **{**plus, "inter_group_period": 1})
+    with pytest.raises(ConfigError, match="noise std .* group 0"):
+        make_config(tmp_path, **plus)
 
 
 def test_missing_required_fields(tmp_path):
@@ -165,6 +193,82 @@ def test_config_hash_ignores_output_dir_only(tmp_path):
     assert c.config_hash() == a.config_hash()
     d = make_config(tmp_path, seed=4)
     assert d.config_hash() != a.config_hash()
+
+
+# The fuzz edits field names taken from the rule tables themselves, so a new
+# field cannot escape it; "extra" stands for an unknown name at each level.
+FUZZ_FIELDS = {
+    None: [f.name for f in dataclasses.fields(ExperimentConfig)],
+    "structure": sorted({*harness._EXPLICIT, *harness._GENERATED}),
+    "data": sorted({*harness._CSV_DATA, *harness._SYNTHETIC}),
+}
+FUZZ_BASES = [
+    BASE,
+    {"epochs": 4, "structure": {"num_workers": 3,
+                                "members_of_group": [[1, 0], [1, 2]]},
+     "data": {"csv": "d.csv", "num_classes": 2}, "clip": "inf", "sigma": 0.0},
+]
+FUZZ_VALUES = [
+    True, False, None, -1, 0, 1, 2, 3, 7, 10**400, 0.0, 0.5, 1.5, -0.5,
+    1e-320, 1e308, math.nan, math.inf, -math.inf, "inf", "RI", "LB", "ZZ",
+    "dpogl_plus", "tm2", "degradation", "", "d.csv", [], [1], [2.0, 1.0],
+    [0.5, 0.5, 0.5], [[0, 1], [1, 2]], [[0, -1]], {}, {"a": 1},
+]
+FUZZ_EDITS = hs.lists(hs.sampled_from(list(FUZZ_FIELDS)).flatmap(
+    lambda level: hs.tuples(
+        hs.just(level), hs.sampled_from(FUZZ_FIELDS[level] + ["extra"]),
+        hs.none() | hs.sampled_from(range(len(FUZZ_VALUES))))),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(base=hs.sampled_from(FUZZ_BASES), edits=FUZZ_EDITS)
+def test_config_boundary_fuzz(base, edits):
+    """Only ConfigError leaves from_dict, and an accepted config's
+    normalized content plus output_dir, through JSON, reloads to an equal
+    config with the same hash."""
+    raw = json.loads(json.dumps(base))
+    for level, name, k in edits:  # k None removes the field
+        target = raw
+        if level is not None:
+            if not isinstance(raw.get(level), dict):
+                raw[level] = {}
+            target = raw[level]
+        if k is None:
+            target.pop(name, None)
+        else:
+            target[name] = json.loads(json.dumps(FUZZ_VALUES[k]))
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    text = json.dumps({**config.normalized(), "output_dir": config.output_dir})
+    reloaded = ExperimentConfig.from_dict(json.loads(text))
+    assert reloaded == config
+    assert reloaded.config_hash() == config.config_hash()
+
+
+def test_readme_configuration_table_is_the_field_table():
+    """README lists every field in order with its rule's default: a
+    backticked JSON value, '—' for a required field, a word for null."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", section, re.M)
+    defaults = {f.name: f.metadata["rule"][1]
+                for f in dataclasses.fields(ExperimentConfig)}
+    assert [name for name, _ in rows] == list(defaults)
+    for name, text in rows:
+        if text == "—":
+            assert defaults[name] is harness._REQUIRED, name
+        elif text.startswith("`"):
+            assert json.loads(text.strip("`")) == defaults[name], name
+        else:
+            assert defaults[name] is None, name
+    synthetic = re.search(r"synthetic Gaussian class blobs by default —\s*`"
+                          r"(\{.*?\})`", section, re.S).group(1)
+    assert json.loads(synthetic) == {
+        name: default for name, (_, default) in harness._SYNTHETIC.items()
+        if name != "csv"}
 
 
 def read_lines(path):

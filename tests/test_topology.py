@@ -38,6 +38,12 @@ def test_structure_validation_errors():
         GroupStructure(3, [[0, -1]])
     with pytest.raises(ValueError):  # worker 2 in no group
         GroupStructure(3, [[0, 1]])
+    # The first ten orphans are named, found without a list of all workers.
+    with pytest.raises(ValueError, match=r"no group: \[2, 4\]$"):
+        GroupStructure(5, [[0, 1], [1, 3]])
+    with pytest.raises(ValueError, match=r"no group: \[2, 3, 4, 5, 6, 7, 8, "
+                                         r"9, 10, 11\], \.\.\.$"):
+        GroupStructure(10**6, [[0, 1]])
 
 
 def test_adjacency_and_distances_on_a_chain():
