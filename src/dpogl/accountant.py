@@ -28,17 +28,21 @@ delay epoch costs one (P, M) @ (M, P) product, O(P * M * P), and no
 a set pair depends only on its class: the targeted set's groups and, for
 each, the nearest group of the observer's set.  ``thm2_curve_sweep`` builds
 one per-run table of mu factors indexed by (firing epoch, group), and fills
-each class's attenuated block budgets in place, once for all epochs up to
-the horizon: B block slots per source, the count that a source at distance
-1 delivers by the horizon, with padding slots never delivered.  An epoch's
-(P, P, G) tensor is then a sum over the blocks delivered by that epoch,
-vectorised across classes, and a gather.  So the cost grows with set pairs
-x epochs and classes x blocks, not with worker pairs x epochs, and memory
-with classes x blocks.  ``pwp_rows_from_curves`` takes every epoch of a run
-in one call: delta, the grid, the threat model and the conversion penalty
-once, a masked max per epoch as the curves stream in, and one conversion
-of all epochs' envelopes, order by order on (T, P) temporaries.  Workers
-appear only when the text is written.
+the attenuated block budgets of every class's block-delivering slots in one
+vectorised pass, once for all epochs up to the horizon: one product per
+path hop over a (slots, B, G) array, where B, the count of block slots per
+source, is what a source at distance 1 delivers by the horizon, with
+padding slots never delivered.  An epoch's (P, P, G) tensor is then a sum
+over the blocks delivered by that epoch, vectorised across classes, and a
+gather.  Every epoch of one S-epoch block period has the same delivered
+blocks, so ``Thm2Sweep.over`` sums them once per period for a run of its
+epochs, and gathers one epoch at a time.  So the cost grows with set pairs
+x epochs and classes x blocks x block periods, not with worker pairs x
+epochs, and memory with classes x blocks.  ``pwp_rows_from_curves`` takes
+every epoch of a run in one call: delta, the grid, the threat model and the
+conversion penalty once, a masked max per epoch as the curves stream in,
+and one conversion of all epochs' envelopes, order by order on (T, P)
+temporaries.  Workers appear only when the text is written.
 
 Both bounds follow one block rule, ``_delivered_blocks``: by epoch t a
 source rho >= 1 hops away has delivered max(0, floor((t-1)/S) - rho + 1)
@@ -48,7 +52,9 @@ simulator delivers: ``oracles.propagation_oracle_counts`` unrolls it.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,26 +202,40 @@ class Thm2Sweep:
 
     def at(self, t: int) -> np.ndarray:
         """(P, P, G) curve tensor of group-set pairs at epoch t; NaN marks
-        set pairs outside the threat model.
+        set pairs outside the threat model.  A one-epoch ``over``."""
+        return next(self.over((t,)))
+
+    def over(self, epochs) -> Iterator[np.ndarray]:
+        """``at(t)`` of each epoch of ``epochs``, in order; every epoch is
+        checked before the first tensor is yielded.
 
         Each cell takes the steps of a straight per-pair sum: sources in
         sorted order, blocks in delivery order.  Padding adds exact zeros,
-        which leave every (nonnegative) partial sum unchanged.
+        which leave every (nonnegative) partial sum unchanged.  The epochs
+        of one S-epoch block period share their delivered blocks, so a run
+        of consecutive such epochs is summed in one (C + 1, n, G) total,
+        each epoch's adds in that order, and gathered to set pairs one epoch
+        at a time.
         """
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"epoch {t} is outside the sweep's 1..{self.horizon}")
+        epochs = list(epochs)
+        for t in epochs:
+            if not 1 <= t <= self.horizon:
+                raise ValueError(f"epoch {t} is outside the sweep's 1..{self.horizon}")
         C, K, B = self.terms.shape[:3]
-        blocks = _delivered_blocks(t, self.period, self.rho)
-        total = np.zeros((C + 1, self.shared.shape[-1]))
-        for k in range(K):
-            total[:C] += self.shared[:, k] * (t - 1)
-            for b in range(B):
-                delivered = np.flatnonzero(blocks[:, k] > b)
-                if not delivered.size:
-                    break  # later blocks arrive later still
-                total[delivered] += self.terms[delivered, k, b]
-        total[C] = np.nan  # class -1: undefined cells
-        return total[self.classes]
+        for _, run in itertools.groupby(epochs, lambda t: (t - 1) // self.period):
+            t = np.array(list(run))[:, None]  # (n, 1): epochs of the run
+            blocks = _delivered_blocks(t[0, 0], self.period, self.rho)  # all its epochs'
+            total = np.zeros((C + 1, len(t), self.shared.shape[-1]))
+            for k in range(K):
+                total[:C] += self.shared[:, k, None] * (t - 1)
+                for b in range(B):
+                    delivered = np.flatnonzero(blocks[:, k] > b)
+                    if not delivered.size:
+                        break  # later blocks arrive later still
+                    total[delivered] += self.terms[delivered, k, b, None]
+            total[C] = np.nan  # class -1: undefined cells
+            for i in range(len(t)):
+                yield total[:, i][self.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +283,10 @@ class DelaySweep:
         K[self.undefined] = np.nan
         return K
 
+    def over(self, epochs) -> Iterator[np.ndarray]:
+        """``at(t)`` of each epoch of ``epochs``, in order."""
+        return map(self.at, epochs)
+
 
 def delay_sweep(structure: GroupStructure, hp: HyperParams) -> DelaySweep:
     """Delay coefficients of every group-set pair at any epoch.
@@ -293,10 +317,14 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     checks are those of ``lsi_recursion``, which runs before any per-group
     array is indexed by the structure.  Set pairs are grouped by class (the
     targeted set's groups and the nearest group of the observer's set to
-    each); each class's block budgets are computed once for all epochs from
-    one (horizon + 1, M, G) table of mu factors indexed by (firing epoch,
-    group).  ``at(t)`` gives epoch t's (P, P, G) tensor.  Cells are NaN
-    where ``delay_sweep``'s are.
+    each); the block budgets of every class are computed once for all
+    epochs from one (horizon + 1, M, G) table of mu factors indexed by
+    (firing epoch, group).  Each block-delivering slot is recorded with its
+    source and path, and all slots' budgets are filled together: hop j, in
+    ascending order, multiplies its mu factor into a (slots, B, G) array,
+    each product in the order of a loop over one slot's blocks.
+    ``at(t)`` gives epoch t's (P, P, G) tensor and ``over(epochs)`` the
+    tensors of many epochs.  Cells are NaN where ``delay_sweep``'s are.
 
     A shared source group adds its full-participation budget per epoch.
     Block w from another source group carries S / W such budgets times one
@@ -334,30 +362,48 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     shared = np.zeros((*shape, alphas.size))
     rho_of_slot = np.full(shape, math.inf)
     terms = np.zeros((*shape, num_blocks, alphas.size))
+    targeted = np.zeros((shape[0], structure.num_groups), dtype=bool)  # (C, M)
+    paths: dict[tuple, list] = {}
+    slots = []  # (class, slot, source, path) of each block-delivering slot
     for c, (groups_n, destinations) in enumerate(class_index):
+        targeted[c, list(groups_n)] = True
         for k, (m_src, m_dst) in enumerate(zip(groups_n, destinations)):
             if m_src == m_dst:  # shared group: every mechanism is observed
                 shared[c, k] = budgets[m_src]
                 continue
-            rho = int(dist[m_src, m_dst])
-            # On a string the shortest path is unique: it holds the groups
-            # whose distances from source and destination sum to rho, and
-            # hop j is the one at distance j from the source.
-            on_path = np.flatnonzero(dist[m_src] + dist[m_dst] == rho)
-            path = on_path[np.argsort(dist[m_src, on_path])]
-            w = np.arange(1, _delivered_blocks(horizon, S, rho) + 1)
-            factor = np.ones((w.size, alphas.size))
-            for j in range(1, rho + 1):
-                # The targeted worker's groups do not attenuate.  The
-                # observer reads its own group (hop rho) at the crossing
-                # epoch, where no mechanism fires when W > 1; any other hop
-                # reads the close of the window that holds the crossing.
-                if path[j] in groups_n or (j == rho and W > 1):
-                    continue
-                fired = -(-(S * (w + j - 1) + 1) // W) * W
-                factor = factor * mu[fired, path[j]]
-            rho_of_slot[c, k] = rho
-            terms[c, k, :w.size] = per_block * budgets[m_src] * factor
+            if (m_src, m_dst) not in paths:
+                # On a string the shortest path is unique: it holds the
+                # groups whose distances from source and destination sum to
+                # rho, and hop j is the one at distance j from the source.
+                rho = dist[m_src, m_dst]
+                on_path = np.flatnonzero(dist[m_src] + dist[m_dst] == rho)
+                paths[m_src, m_dst] = on_path[np.argsort(dist[m_src, on_path])].tolist()
+            path = paths[m_src, m_dst]
+            rho_of_slot[c, k] = len(path) - 1
+            slots.append((c, k, m_src, path))
+    if slots:
+        cs, ks, sources, slot_paths = zip(*slots)
+        rho = rho_of_slot[cs, ks]  # (L,) over the L block-delivering slots
+        hop = np.zeros((len(slots), int(rho.max()) + 1), dtype=np.intp)
+        for s, path in enumerate(slot_paths):
+            hop[s, :len(path)] = path
+        w = np.arange(1, num_blocks + 1)
+        factor = np.ones((len(slots), num_blocks, alphas.size))
+        for j in range(1, hop.shape[1]):
+            # The targeted worker's groups do not attenuate, nor do the
+            # padding hops past rho.  The observer reads its own group (hop
+            # rho) at the crossing epoch, where no mechanism fires when
+            # W > 1; any other hop reads the close of the window that holds
+            # the crossing.  Only blocks past a slot's count cross after
+            # the horizon, and those are zeroed below.
+            skip = targeted[cs, hop[:, j]] | (j > rho) | ((j == rho) & (W > 1))
+            fired = np.minimum(-(-(S * (w + j - 1) + 1) // W) * W, horizon)
+            factor = np.where(skip[:, None, None], factor,
+                              factor * mu[fired, hop[:, j, None]])
+        delivered = w <= _delivered_blocks(horizon, S, rho)[:, None]  # (L, B)
+        terms[cs, ks] = np.where(delivered[..., None],
+                                 (per_block * budgets[list(sources), None]) * factor,
+                                 0.0)
     return Thm2Sweep(horizon, S, classes, shared, rho_of_slot, terms)
 
 

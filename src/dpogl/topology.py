@@ -10,6 +10,7 @@ groups along adjacency hops, which is what the privacy accountant exploits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -162,6 +163,27 @@ def _contiguous_segments(num_workers: int, num_groups: int) -> list[list[int]]:
     return segments
 
 
+def _check_kind_rules(kind: str, num_workers: int, num_groups: int) -> None:
+    """The rules of ``generate_structure`` that need no build: a known kind,
+    1 <= N <= sys.maxsize (a worker id is an index), M >= 1, one group for
+    GL, and at least one worker per group for CL and RI.  LB's own rules
+    need the label map."""
+    if kind not in STRUCTURE_KINDS:
+        raise ValueError(f"unknown structure kind {kind!r}; expected one of {STRUCTURE_KINDS}")
+    if num_workers < 1:
+        raise ValueError("num_workers must be >= 1")
+    if num_workers > sys.maxsize:
+        raise ValueError(f"num_workers must be <= {sys.maxsize}, the index range")
+    if num_groups < 1:
+        raise ValueError("num_groups must be >= 1")
+    if kind == "GL" and num_groups != 1:
+        raise ValueError("GL uses a single group; pass num_groups=1")
+    if kind == "CL" and num_workers < num_groups:
+        raise ValueError("CL needs at least one worker per cluster")
+    if kind == "RI" and num_workers < num_groups:
+        raise ValueError("RI needs at least one worker per group")
+
+
 def generate_structure(kind: str, num_workers: int, num_groups: int,
                        labels_of_worker: dict[int, set[int]] | None = None) -> GroupStructure:
     """Build one of the named structures.
@@ -173,16 +195,8 @@ def generate_structure(kind: str, num_workers: int, num_groups: int,
         one worker (the highest-indexed worker of each group, i.e. the first
         worker of the next segment).
     """
-    if kind not in STRUCTURE_KINDS:
-        raise ValueError(f"unknown structure kind {kind!r}; expected one of {STRUCTURE_KINDS}")
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    if num_groups < 1:
-        raise ValueError("num_groups must be >= 1")
-
+    _check_kind_rules(kind, num_workers, num_groups)
     if kind == "GL":
-        if num_groups != 1:
-            raise ValueError("GL uses a single group; pass num_groups=1")
         members = (tuple(range(num_workers)),)
     elif kind == "LB":
         if labels_of_worker is None:
@@ -200,12 +214,8 @@ def generate_structure(kind: str, num_workers: int, num_groups: int,
                              "or check the label map")
         members = tuple(tuple(sorted(g)) for g in groups)
     elif kind == "CL":
-        if num_workers < num_groups:
-            raise ValueError("CL needs at least one worker per cluster")
         members = tuple(tuple(seg) for seg in _contiguous_segments(num_workers, num_groups))
     else:  # RI
-        if num_workers < num_groups:
-            raise ValueError("RI needs at least one worker per group")
         segments = _contiguous_segments(num_workers, num_groups)
         ring = []
         for m, seg in enumerate(segments):

@@ -1074,6 +1074,11 @@ def test_thm2_curve_matrix_matches_pairwise_calls():
         (chain(3), {"inter_group_period": 8, "epochs": 2}),
         (chain(3), {"inter_group_period": 8, "epochs": 2,
                     "threat_model": "tm2"}),
+        # sources of one class at unequal rho, and hops through the
+        # targeted worker's other group, under W = 1 and W = S
+        (chain(5), {"epochs": 12}),
+        (chain(5), {"epochs": 12, "algorithm": "dpogl_plus",
+                    "threat_model": "tm2"}),
     ]
     for structure, overrides in cases:
         _check_sweep_against_pairs(structure, make_hp(structure.num_groups,
@@ -1108,6 +1113,23 @@ def _check_sweep_against_pairs(structure, hp):
                     _thm2_reference(structure, hp, inv_hbar, n, i, t, alphas))
     with pytest.raises(ValueError):
         sweep.at(horizon + 1)
+    _check_over_against_at(sweep)
+
+
+def _check_over_against_at(sweep):
+    """``over`` yields ``at``'s tensors bit for bit, whatever the order of
+    the epochs, and checks every epoch before it yields one."""
+    h, S = sweep.horizon, sweep.period
+    mixed = [S + 1, 1, S, S, h, 2 * S + 1, 2, h, 1, S + 1, S + 2]
+    for epochs in (range(1, h + 1), [t for t in mixed if t <= h], []):
+        got = list(sweep.over(epochs))
+        assert len(got) == len(epochs)
+        for tensor, t in zip(got, epochs):
+            assert np.array_equal(tensor, sweep.at(t), equal_nan=True)
+    for bad in (0, h + 1):
+        tensors = sweep.over([1, 2, bad])
+        with pytest.raises(ValueError, match=f"outside the sweep's 1..{h}"):
+            next(tensors)
 
 
 def test_one_rounding_of_the_mechanism_variance():

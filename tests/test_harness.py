@@ -184,6 +184,45 @@ def test_explicit_structure_and_inf_clip(tmp_path):
                                          "members_of_group": [[0, 5]]})
 
 
+def test_generated_structures_are_checked_without_a_build(tmp_path):
+    """A generated structure is checked by its kind's rules alone: a GL
+    config of a million workers loads without a tuple per worker, and each
+    rule still refuses with the text of ``generate_structure``."""
+    tracemalloc.start()
+    try:
+        config = make_config(tmp_path, structure={
+            "kind": "GL", "num_workers": 10**6, "num_groups": 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.structure["num_workers"] == 10**6
+    assert peak < 10 * 2**20
+    for kind, n, m in (("GL", 4, 2), ("CL", 2, 3), ("RI", 2, 3),
+                       ("RI", 10**400, 3)):
+        with pytest.raises(ValueError) as library_err:
+            generate_structure(kind, n, m)
+        with pytest.raises(ConfigError) as config_err:
+            make_config(tmp_path, structure={"kind": kind, "num_workers": n,
+                                             "num_groups": m})
+        assert str(config_err.value) == f"structure: {library_err.value}"
+
+
+def test_loading_a_config_does_not_import_hashlib():
+    """OpenSSL's import is a quarter of dpogl's own, so ``hashlib`` waits
+    for the first ``config_hash`` call."""
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dpogl; "
+         "c = dpogl.ExperimentConfig.from_dict({'epochs': 2, 'structure': "
+         "{'kind': 'RI', 'num_workers': 6, 'num_groups': 3}}); "
+         "assert '_hashlib' not in sys.modules, 'imported by from_dict'; "
+         "c.config_hash(); assert '_hashlib' in sys.modules"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert result.returncode == 0, result.stderr
+
+
 def test_config_hash_ignores_output_dir_only(tmp_path):
     a = make_config(tmp_path)
     b = ExperimentConfig.from_dict(raw_config(tmp_path / "elsewhere"))
@@ -424,6 +463,34 @@ def test_pwp_rows_come_from_one_call_per_run(tmp_path, monkeypatch, bound):
                                    "heatmap_epoch_9.csv", "pwp.csv"]
     assert calls == [(config.epochs, 3, 3)]  # sets {0, 1}, {2}, {3, 4}
     assert len(read_lines(tmp_path / "out" / "pwp.csv")) == 1 + 6 * 5
+
+
+def test_degradation_epochs_come_from_one_over_call(tmp_path, monkeypatch):
+    """pwp.csv takes all T epochs of the degradation sweep from one
+    ``Thm2Sweep.over`` call, and each heatmap epoch is one ``at`` call,
+    itself a one-epoch ``over``."""
+    calls = []
+    over, at = acc.Thm2Sweep.over, acc.Thm2Sweep.at
+
+    def counted_over(self, epochs):
+        epochs = list(epochs)
+        calls.append(("over", epochs))
+        return over(self, epochs)
+
+    def counted_at(self, t):
+        calls.append(("at", t))
+        return at(self, t)
+
+    monkeypatch.setattr(acc.Thm2Sweep, "over", counted_over)
+    monkeypatch.setattr(acc.Thm2Sweep, "at", counted_at)
+    config = make_config(
+        tmp_path, bound="degradation", participation=1.0, heatmap_epochs=[4, 9],
+        structure={"num_workers": 5, "members_of_group": [[0, 1, 2],
+                                                          [2, 3, 4]]})
+    manifest = run_experiment(config, with_training=False)
+    assert manifest["accounting_error"] is None
+    assert calls == [("at", 4), ("over", [4]), ("at", 9), ("over", [9]),
+                     ("over", list(range(1, config.epochs + 1)))]
 
 
 def test_account_only_skips_training(tmp_path):
