@@ -14,7 +14,7 @@ from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
                    stratified_split, worker_labels)
 from .harness import ConfigError, ExperimentConfig, run_experiment
 from .topology import STRUCTURE_KINDS, GroupStructure, generate_structure
-from .trainer import EpochMetrics, HyperParams, TrainingResult, run_training
+from .trainer import HyperParams, epoch_metrics, run_training
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "stratified_split", "worker_labels",
     "ConfigError", "ExperimentConfig", "run_experiment",
     "STRUCTURE_KINDS", "GroupStructure", "generate_structure",
-    "EpochMetrics", "HyperParams", "TrainingResult", "run_training",
+    "HyperParams", "epoch_metrics", "run_training",
     "__version__",
 ]

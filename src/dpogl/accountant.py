@@ -313,16 +313,19 @@ def thm2_curve_sweep(structure: GroupStructure, hp: HyperParams, beta: float,
     """Degradation-aware curves of every group-set pair at any epoch
     1..horizon; strings only.
 
-    Preconditions are checked once; the group-count, horizon and beta
-    checks are those of ``lsi_recursion``, which runs before any per-group
-    array is indexed by the structure.  Set pairs are grouped by class (the
-    targeted set's groups and the nearest group of the observer's set to
-    each); the block budgets of every class are computed once for all
-    epochs from one (horizon + 1, M, G) table of mu factors indexed by
-    (firing epoch, group).  Each block-delivering slot is recorded with its
-    source and path, and all slots' budgets are filled together: hop j, in
-    ascending order, multiplies its mu factor into a (slots, B, G) array,
-    each product in the order of a loop over one slot's blocks.
+    The grid, the per-group budgets, full participation and the mechanism
+    variances (``_lsi_preconditions``) are checked first, then the string
+    shape.  ``lsi_recursion`` then checks the group count, the horizon and
+    beta, and runs ``_lsi_preconditions`` a second time, an O(M) pass, all
+    before any per-group array is indexed by the structure.  Set pairs are
+    grouped by class (the targeted set's groups and the nearest group of the
+    observer's set to each); the block budgets of every class are computed
+    once for all epochs from one (horizon + 1, M, G) table of mu factors
+    indexed by (firing epoch, group).  Each block-delivering slot is
+    recorded with its source and path, and all slots' budgets are filled
+    together: hop j, in ascending order, multiplies its mu factor into a
+    (slots, B, G) array, each product in the order of a loop over one slot's
+    blocks.
     ``at(t)`` gives epoch t's (P, P, G) tensor and ``over(epochs)`` the
     tensors of many epochs.  Cells are NaN where ``delay_sweep``'s are.
 

@@ -35,7 +35,7 @@ from .data import (Dataset, dirichlet_partition, load_csv, make_synthetic,
 from .models import smoothness_bound
 from .topology import (STRUCTURE_KINDS, GroupStructure, _check_kind_rules,
                        generate_structure)
-from .trainer import HyperParams, run_training
+from .trainer import HyperParams, epoch_metrics, run_training
 
 
 class ConfigError(ValueError):
@@ -417,13 +417,11 @@ def run_experiment(config: ExperimentConfig, with_training: bool = True
     hp = _hyper_params(config)
     outputs: list[str] = []
     if with_training:
-        result = run_training(structure, hp, train_set, partition,
-                              test_set if len(test_set) else None)
-        texts = _float_texts([(m.avg_train_loss, m.avg_test_acc)
-                              for m in result.metrics]).tolist()
+        trajectory = run_training(structure, hp, train_set, partition)
+        texts = _float_texts(epoch_metrics(structure, trajectory, train_set,
+                                           partition, test_set)).tolist()
         _write_lines(out / "metrics.csv", "epoch,avg_train_loss,avg_test_acc",
-                     [f"{m.epoch},{loss},{acc}"
-                      for m, (loss, acc) in zip(result.metrics, texts)])
+                     [f"{t},{loss},{acc}" for t, (loss, acc) in enumerate(texts, 1)])
         outputs.append("metrics.csv")
     accounting_error = None
     try:

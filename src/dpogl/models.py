@@ -37,29 +37,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
     The shift is each row's ``argmax`` element, gathered from the flat
     array, not ``logits.max(axis=-1)``: numpy reduces a short last axis
-    through its ufunc reduce machinery once per row (about 50 ns a row at 4
-    classes), while ``argmax`` runs one arg loop over the whole array.  The
-    result is bit for bit the max-shifted one.  ``argmax`` picks the first
-    maximal element and counts NaN as maximal, so the shift has the max's
-    value, NaN included.  It can differ only in the sign of a zero max that
-    ties (``np.max`` of ``[+0, -0]`` is the last zero, ``argmax`` the
-    first); then two entries give exp(±0) = 1, the log-sum is at least
-    log 2 > 0, and ±0 - lse is the same -lse.
-
-    Whole function, max shift -> argmax shift, in µs (1 BLAS thread, 2-vCPU
-    VM, numpy 2.4.6) on logits of C classes and leading shape (43, 8), a
-    gradient step's jobs by batch rows, or (120, 100), a metrics pass's rows
-    by epochs:
-
-    ====  ===============  ==================
-    C     (43, 8)          (120, 100)
-    ====  ===============  ==================
-    2     47.1 -> 34.5     1,459 -> 1,053
-    4     56.2 -> 39.9     1,963 -> 1,322
-    32    108 -> 82.9      8,085 -> 7,704
-    100   201 -> 184       14,396 -> 12,866
-    1000  1,646 -> 1,616
-    ====  ===============  ==================
+    through its ufunc reduce machinery once per row, while ``argmax`` runs
+    one arg loop over the whole array.  The result is bit for bit the
+    max-shifted one.  ``argmax`` picks the first maximal element and counts
+    NaN as maximal, so the shift has the max's value, NaN included.  It can
+    differ only in the sign of a zero max that ties (``np.max`` of
+    ``[+0, -0]`` is the last zero, ``argmax`` the first); then two entries
+    give exp(±0) = 1, the log-sum is at least log 2 > 0, and ±0 - lse is
+    the same -lse.
     """
     top = logits.argmax(axis=-1)
     top += np.arange(0, logits.size, logits.shape[-1]).reshape(top.shape)

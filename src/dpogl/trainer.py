@@ -225,37 +225,25 @@ def local_train(starts: np.ndarray, plans: list[np.ndarray], design: np.ndarray,
     return out
 
 
-@dataclass
-class EpochMetrics:
-    epoch: int
-    avg_train_loss: float
-    avg_test_acc: float
+def epoch_metrics(structure: GroupStructure, trajectory: np.ndarray, train: Dataset,
+                  partition: list[np.ndarray], test: Dataset | None = None
+                  ) -> np.ndarray:
+    """(T, 2) average train loss and test accuracy of the personalised models
+    after each epoch, from the (T + 1, M, v) ``trajectory`` of ``run_training``.
 
-
-@dataclass
-class TrainingResult:
-    trajectory: np.ndarray  # (T + 1, M, v): the models before epoch 1, then after each epoch
-    metrics: list[EpochMetrics]
-
-
-def _run_metrics(structure: GroupStructure, thetas: np.ndarray, design: np.ndarray,
-                 train: Dataset, partition: list[np.ndarray], test: Dataset | None
-                 ) -> list[EpochMetrics]:
-    """Each epoch's average train loss and test accuracy of the personalised
-    models, from ``thetas``, the (T, M, v) models after epochs 1..T;
-    ``design`` is the train features with the bias column.
-
-    One pass per group set scores its models of all T epochs at once: one
-    product over the rows of its shards of size >= 2, one stacked
-    ``models.loss`` over its 1-row shards (1-row products, as each alone)
-    and one ``models.accuracy``.  Each shard's mean and both worker averages
-    are then taken for all epochs over C-contiguous last axes, in worker
-    order: bit for bit the per-epoch, per-worker values.  Memory grows with
-    T times the train and test rows.
+    The accuracy column is NaN when ``test`` is None or has no rows, the loss
+    column when no worker holds a row.  One pass per group set scores its
+    models of all T epochs at once: one product over the rows of its shards
+    of size >= 2, one stacked ``models.loss`` over its 1-row shards (1-row
+    products, as each alone) and one ``models.accuracy``.  Each shard's mean
+    and both worker averages are then taken for all epochs over C-contiguous
+    last axes, in worker order: bit for bit the per-epoch, per-worker values.
+    Memory grows with T times the train and test rows.
     """
+    thetas, design = trajectory[1:], models.augment(train.features)
     T, C, labels = len(thetas), train.num_classes, train.labels
     if not T:
-        return []
+        return np.empty((0, 2))
     owner = structure.group_set_of_worker
     sizes = np.array([len(shard) for shard in partition])
     shards = [(workers, np.array([partition[n] for n in workers]))
@@ -291,7 +279,7 @@ def _run_metrics(structure: GroupStructure, thetas: np.ndarray, design: np.ndarr
     nonempty = np.flatnonzero(sizes)
     loss = losses.take(nonempty, axis=1).mean(axis=-1) if len(nonempty) else [math.nan] * T
     acc = accs.take(owner, axis=1).mean(axis=-1) if test_xy is not None else [math.nan] * T
-    return [EpochMetrics(t, float(a), float(b)) for t, (a, b) in enumerate(zip(loss, acc), 1)]
+    return np.column_stack([loss, acc])
 
 
 def _group_keys(num_groups: int, epochs: range) -> np.ndarray:
@@ -300,9 +288,10 @@ def _group_keys(num_groups: int, epochs: range) -> np.ndarray:
 
 
 def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
-                 partition: list[np.ndarray], test: Dataset | None = None
-                 ) -> TrainingResult:
-    """Simulate T epochs; deterministic given (structure, hp, data, seed).
+                 partition: list[np.ndarray]) -> np.ndarray:
+    """Simulate T epochs and return the (T + 1, M, v) trajectory: row 0 holds
+    the zero init and row t the models after epoch t.  Deterministic given
+    (structure, hp, data, seed); ``epoch_metrics`` scores it.
 
     Workers are sampled per group at window starts and stay fixed for the
     window; no draw depends on the models, so each purpose's streams are
@@ -312,9 +301,7 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
     every group's raw update, or at the window's last epoch its mechanism on
     top of the window-start model: each row clipped at its group's sqrt(W) c,
     each group's rows summed in worker order from +0.0 (zero padding leaves
-    such a sum unchanged), plus one noise draw of std sqrt(W) c sigma.  The
-    epochs write the (T + 1, M, v) trajectory in place, and one metrics pass
-    after the loop scores every epoch from it (``_run_metrics``).
+    such a sum unchanged), plus one noise draw of std sqrt(W) c sigma.
     """
     _check_group_count(structure, hp)
     if len(partition) != structure.num_workers:
@@ -366,5 +353,4 @@ def run_training(structure: GroupStructure, hp: HyperParams, train: Dataset,
                 [mechanism_noise(next(noise), v, std) for std in stds])
             theta = anchor + sums / scale
         trajectory[t] = theta
-    return TrainingResult(trajectory, _run_metrics(structure, trajectory[1:], design, train,
-                                                   partition, test))
+    return trajectory

@@ -22,7 +22,7 @@ from dpogl.harness import ExperimentConfig, run_experiment
 from dpogl.rng import derive_stream
 from dpogl.topology import (GroupStructure, build_adjacency, distance_matrix,
                             generate_structure)
-from dpogl.trainer import HyperParams, clip_update, run_training
+from dpogl.trainer import HyperParams, clip_update, epoch_metrics, run_training
 from pair_cells import worker_cells, worker_rows
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "desk_default.json"
@@ -270,7 +270,7 @@ def test_criterion_07_mechanism_clip_and_noise_statistics():
     empty = [np.array([], dtype=int) for _ in range(4)]
     hp = _hp(1, inter_group_period=1, local_iterations=1, epochs=250,
              clip=0.5, sigma=1.0, seed=11)
-    trajectory = np.array(run_training(structure, hp, data, empty).trajectory)
+    trajectory = run_training(structure, hp, data, empty)
     draws = np.diff(trajectory[:, 0, :], axis=0).ravel() * 4.0
     assert draws.size == 100_000
     target = (0.5 * 1.0) ** 2
@@ -279,8 +279,7 @@ def test_criterion_07_mechanism_clip_and_noise_statistics():
     hp_plus = _hp(1, algorithm="dpogl_plus", threat_model="tm2",
                   inter_group_period=4, local_iterations=1, epochs=1000,
                   clip=0.5, sigma=1.0, seed=12)
-    trajectory = np.array(
-        run_training(structure, hp_plus, data, empty).trajectory)
+    trajectory = run_training(structure, hp_plus, data, empty)
     jumps = (trajectory[4::4, 0, :] - trajectory[:-4:4, 0, :]).ravel() * 4.0
     assert jumps.size == 100_000
     target_plus = 4 * (0.5 * 1.0) ** 2
@@ -332,10 +331,10 @@ def test_criterion_08_noiseless_single_group_reduces_to_fedavg():
         partition = dirichlet_partition(data, 6, 0.5, seed)
         hp = _hp(1, epochs=20, inter_group_period=5, local_iterations=5,
                  batch_size=4, clip=float("inf"), sigma=0.0, seed=seed)
-        result = run_training(structure, hp, data, partition)
+        trajectory = run_training(structure, hp, data, partition)
         reference = _fedavg_reference(structure, hp, data, partition)
-        assert len(result.trajectory) == len(reference) == 21
-        for ours, oracle in zip(result.trajectory, reference):
+        assert len(trajectory) == len(reference) == 21
+        for ours, oracle in zip(trajectory, reference):
             assert np.array_equal(ours[0], oracle)
     assert time.monotonic() - start < 30.0
     _report(8, "with noise and clipping off, one group reproduces plain "
@@ -358,8 +357,9 @@ def test_criterion_09_grouped_training_fits_local_data_better():
             hp = _hp(m, epochs=100, inter_group_period=10,
                      local_iterations=10, learning_rate=0.1, batch_size=8,
                      clip=0.5, sigma=1.3, seed=seed)
-            result = run_training(structure, hp, train, partition)
-            losses[kind] = result.metrics[-1].avg_train_loss
+            trajectory = run_training(structure, hp, train, partition)
+            losses[kind] = epoch_metrics(structure, trajectory, train,
+                                         partition)[-1, 0]
         final_losses.append((losses["RI"], losses["GL"]))
         wins += losses["RI"] <= losses["GL"]
     elapsed = time.monotonic() - start

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -630,8 +631,8 @@ def test_observer_group_changes_inside_its_window():
     labels = train.labels.copy()
     labels[partition[0]] = (labels[partition[0]] + 1) % train.num_classes
     flipped = Dataset(train.features, labels, train.num_classes)
-    base = run_training(TWO_GROUP_STRING, hp, train, partition).trajectory
-    other = run_training(TWO_GROUP_STRING, hp, flipped, partition).trajectory
+    base = run_training(TWO_GROUP_STRING, hp, train, partition)
+    other = run_training(TWO_GROUP_STRING, hp, flipped, partition)
     changed = [t for t in range(hp.epochs + 1)
                if not np.array_equal(base[t][1], other[t][1])]
     assert changed[0] == 4 and is_intergroup_epoch(4, 3)
@@ -1533,6 +1534,37 @@ def _accountant_imports(source):
     return taken - ALLOWED_FROM_ACCOUNTANT
 
 
+def _unsilenced_errstates(source):
+    """Line numbers of the ``errstate(`` calls in ``source`` whose comment
+    block directly above does not open with ``# Silenced: <condition>``."""
+    lines = source.splitlines()
+    bad = []
+    for k, line in enumerate(lines):
+        if "errstate(" not in line:
+            continue
+        top = k
+        while top and lines[top - 1].lstrip().startswith("#"):
+            top -= 1
+        if top == k or not re.fullmatch(r"# Silenced: \S.*", lines[top].strip()):
+            bad.append(k + 1)
+    return bad
+
+
+def test_every_errstate_names_what_it_silences():
+    """A numpy floating-point warning is silenced only under a comment that
+    names the condition, so that no warning disappears unexplained."""
+    for path in sorted(Path(dpogl.__file__).parent.glob("*.py")):
+        assert _unsilenced_errstates(path.read_text(encoding="utf-8")) == [], path.name
+    site = "    with np.errstate(all=\"ignore\"):\n        x = 1 / y\n"
+    for above, bad in [("", [1]),
+                       ("    # the quotient may overflow\n", [2]),
+                       ("    # Silenced:\n", [2]),
+                       ("    # Silenced: 1 / 0 (inf)\n\n", [3]),
+                       ("    # Silenced: 1 / 0 (inf), caught below\n", []),
+                       ("    # Silenced: 1 / 0 (inf), caught\n    # just below.\n", [])]:
+        assert _unsilenced_errstates(above + site) == bad, above
+
+
 def test_oracles_import_no_pipeline_rule():
     """``oracles`` takes only the precondition error and the default grid
     from ``accountant``, so the references cannot call a pipeline rule."""
@@ -1569,6 +1601,6 @@ def test_accountant_reexports_three_oracles():
 
 
 def test_no_oracle_is_exported():
-    assert len(dpogl.__all__) == 23
+    assert len(dpogl.__all__) == 22
     assert not REFERENCES & set(dpogl.__all__)
     assert "oracles" not in dpogl.__all__

@@ -107,6 +107,7 @@ def test_defaults_are_resolved(tmp_path):
     (dict(learning_rate=10**400), "'learning_rate' must be finite"),
     (dict(structure={**BASE["structure"], "num_workers": 10**400}),
      "structure:"),
+    (dict(data={"test_fraction": -0.1}), "data.test_fraction"),
 ])
 def test_field_level_diagnostics(tmp_path, mutation, fragment):
     raw = raw_config(tmp_path, **mutation)
@@ -121,6 +122,7 @@ def test_field_level_diagnostics(tmp_path, mutation, fragment):
     ("sigma", -0.5), ("participation", 0.0), ("participation", 1.5),
     ("algorithm", "x"), ("delta", 0.0), ("delta", 1e-320),
     ("alpha_grid", [2.0, 1.0]), ("clip", 1e308),  # c * sigma overflows
+    ("seed", -1),
 ])
 def test_config_ranges_are_the_library_rules(tmp_path, field, value):
     """A config refuses a value with the very text of the library type that
@@ -735,6 +737,15 @@ def test_csv_dataset_source(tmp_path):
     manifest = run_experiment(config)
     assert manifest["accounting_error"] is None
     assert "metrics.csv" in manifest["outputs"]
+    # a declared class with no row: nothing to split or partition for it,
+    # and every epoch is still scored
+    path = write_config(tmp_path, epochs=2,
+                        structure={"kind": "GL", "num_workers": 4, "num_groups": 1},
+                        data={"csv": str(csv_path), "num_classes": 3})
+    assert cli_main(["run", str(path)]) == 0
+    rows = read_lines(tmp_path / "out" / "metrics.csv")[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1021,7 @@ def test_cli_run_and_account(tmp_path, capsys):
     assert "pwp.csv" in out and "manifest.json" in out
 
 
-def test_cli_overrides(tmp_path):
+def test_cli_overrides(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli_main(["account", str(path), "--out", str(tmp_path / "o2"),
                      "--heatmap-epochs", "2,5", "--threat", "tm2"]) == 0
@@ -1023,6 +1034,12 @@ def test_cli_overrides(tmp_path):
     with pytest.raises(SystemExit) as exit_info:  # no such flag
         cli_main(["account", str(path), "--variant", "as_printed"])
     assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert cli_main(["account", str(path), "--out", str(tmp_path / "o4"),
+                     "--heatmap-epochs", "2,x"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: --heatmap-epochs must be comma-separated integers\n")
+    assert not (tmp_path / "o4").exists()
 
 
 def test_cli_env_seed_override(tmp_path, monkeypatch):
@@ -1059,6 +1076,10 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
     latin_csv.write_bytes(b"0.5,1.0,0\n\xe9,2.0,1\n")
     bad_value = tmp_path / "bad_value.csv"
     bad_value.write_text("0.5,1.0,0\nx,2.0,1\n")
+    one_column = tmp_path / "one_column.csv"
+    one_column.write_text("0\n1\n0\n1\n")
+    one_class = tmp_path / "one_class.csv"  # and no data.num_classes
+    one_class.write_text("".join(f"{k * 0.5},{k},0\n" for k in range(8)))
     for command in ("run", "account"):
         for csv in (tmp_path / "absent.csv", latin_csv):
             path = write_config(tmp_path, data={"csv": str(csv)})
@@ -1069,6 +1090,12 @@ def test_cli_rejects_bad_configs(tmp_path, capsys):
         path = write_config(tmp_path, data={"csv": str(bad_value)})
         assert cli_main([command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        for csv, message in (
+                (one_column, "CSV rows need at least one feature column plus a label"),
+                (one_class, "need at least two classes")):
+            path = write_config(tmp_path, data={"csv": str(csv)})
+            assert cli_main([command, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         # neither is an LB structure that the partition cannot build
         path = write_config(tmp_path, structure={
             "kind": "LB", "num_workers": 6, "num_groups": 3})

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from dpogl import models
-from dpogl.data import make_synthetic
+from dpogl.data import Dataset, make_synthetic
 from dpogl.rng import _philox_keys, derive_stream
 from dpogl.topology import GroupStructure, generate_structure
 from dpogl.trainer import (HyperParams, _batch_plan, clip_update, is_intergroup_epoch,
-                           local_train, mechanism_noise, personalize,
+                           epoch_metrics, local_train, mechanism_noise, personalize,
                            poisson_sample, run_training)
 
 
@@ -366,10 +366,10 @@ def test_epoch_dpogl_matches_manual_composition():
                    seed=21, epochs=3)
     v = models.param_dim(2, 2)
     partition = [np.arange(0, 8), np.arange(8, 16), np.arange(16, 24)]
-    result = run_training(st, hp, ds, partition)
-    snapshot = result.trajectory[2]  # the models entering epoch 3
+    trajectory = run_training(st, hp, ds, partition)
+    snapshot = trajectory[2]  # the models entering epoch 3
     epoch, group = 3, 1  # (3-1) % 2 == 0: inter-group epoch
-    got = result.trajectory[3][group]
+    got = trajectory[3][group]
 
     sampled = poisson_sample(st.members_of_group[group], 0.8,
                              derive_stream(21, "sampling", group, epoch))
@@ -394,11 +394,11 @@ def test_epoch_dpoglplus_window_mechanism():
                    inter_group_period=2, epochs=4, sigma=0.9, clip=0.4, seed=5)
     v = models.param_dim(2, 2)
     partition = [np.arange(0, 8), np.arange(8, 16), np.arange(16, 24)]
-    result = run_training(st, hp, ds, partition)
-    theta = result.trajectory[0]
+    trajectory = run_training(st, hp, ds, partition)
+    theta = trajectory[0]
     # epoch 1 opens the window: raw (unclipped, noise-free) update; the
     # window-start model theta[0] is the anchor of the window's mechanism
-    out1 = result.trajectory[1][0]
+    out1 = trajectory[1][0]
     anchor = theta[0].copy()
     sampled = poisson_sample(st.members_of_group[0], 1.0,
                              derive_stream(5, "sampling", 0, 1))
@@ -414,8 +414,8 @@ def test_epoch_dpoglplus_window_mechanism():
     scale = 1.0 * len(st.members_of_group[0])
     assert np.array_equal(out1, theta[0] + raw / scale)
     # epoch 2 closes the window: clip per worker at sqrt(S)*c, noise once
-    snapshot2 = result.trajectory[1]
-    out2 = result.trajectory[2][0]
+    snapshot2 = trajectory[1]
+    out2 = trajectory[2][0]
     delta_sum = np.zeros(v)
     for n in sampled:  # the window keeps epoch 1's sample
         x0 = snapshot2[0].copy()  # epoch 2 is not an inter-group epoch
@@ -495,12 +495,12 @@ def test_run_training_matches_per_worker_reference(name):
         assert set() in sampled and {2} in sampled and {4} in sampled
     if name == "dpogl_plus_last_window_open":
         assert hp.epochs % hp.mechanism_window != 0
-    result = run_training(structure, hp, train, partition, test)
+    ours = run_training(structure, hp, train, partition)
     trajectory, metrics = _reference_training(structure, hp, train, partition, test)
-    assert len(result.trajectory) == len(trajectory) == hp.epochs + 1
-    for ours, oracle in zip(result.trajectory, trajectory):
-        assert np.array_equal(ours, oracle)
-    assert np.array_equal([(m.avg_train_loss, m.avg_test_acc) for m in result.metrics],
+    assert len(ours) == len(trajectory) == hp.epochs + 1
+    for theta, oracle in zip(ours, trajectory):
+        assert np.array_equal(theta, oracle)
+    assert np.array_equal(epoch_metrics(structure, ours, train, partition, test),
                           metrics, equal_nan=True)
     assert all(math.isnan(acc) for _, acc in metrics) == (test is None)
 
@@ -516,7 +516,7 @@ def test_each_purpose_is_keyed_once_per_run(monkeypatch):
     monkeypatch.setattr("dpogl.rng._philox_keys", counted)
     for name in ("shards_below_batch", "dpogl_plus_period_3"):
         calls.clear()
-        assert len(run_training(*_reference_case(name)).trajectory) > 4
+        assert len(run_training(*_reference_case(name)[:4])) > 4
         assert len(calls) <= 3, calls
 
 
@@ -537,13 +537,13 @@ def test_epoch_metrics_match_per_worker_loop():
     for sizes in (np.random.default_rng(16).integers(0, 9, size=24).tolist(), mixed,
                   [0] * 24):
         partition = _consecutive_shards(sizes)
-        result = run_training(st, hp, ds, partition, test)
-        for theta, got in zip(result.trajectory[1:], result.metrics):
+        trajectory = run_training(st, hp, ds, partition)
+        metrics = epoch_metrics(st, trajectory, ds, partition, test)
+        for theta, got in zip(trajectory[1:], metrics):
             want = _reference_metrics(st, theta, ds, partition, test)
-            assert np.array_equal(np.array([got.avg_train_loss, got.avg_test_acc]).view(np.uint64),
-                                  np.array(want).view(np.uint64))
-        assert all(math.isnan(m.avg_train_loss) for m in result.metrics) == (sum(sizes) == 0)
-        assert all(0 <= m.avg_test_acc <= 1 for m in result.metrics)
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+        assert all(math.isnan(loss) for loss in metrics[:, 0]) == (sum(sizes) == 0)
+        assert all(0 <= acc <= 1 for acc in metrics[:, 1])
 
 
 def test_metrics_pass_does_not_grow_with_epochs(monkeypatch):
@@ -566,7 +566,9 @@ def test_metrics_pass_does_not_grow_with_epochs(monkeypatch):
     scored = []
     for epochs in (4, 8):
         calls.update(dict.fromkeys(calls, 0))
-        run_training(structure, dataclasses.replace(hp, epochs=epochs), train, partition, test)
+        trajectory = run_training(structure, dataclasses.replace(hp, epochs=epochs), train,
+                                  partition)
+        epoch_metrics(structure, trajectory, train, partition, test)
         assert calls["gradient"] > 0
         scored.append((calls["_log_softmax"] - calls["gradient"], calls["loss"],
                        calls["accuracy"]))
@@ -598,7 +600,7 @@ def _shard_size_metrics(structure, theta, train, partition, test):
                                   "two_word_seed_and_noise_free_group", "no_test_set",
                                   "sizes_one_and_zero"])
 def test_whole_array_metrics_match_shard_size_losses(name):
-    """``_run_metrics``, as ``run_training`` reports it, equals one stacked
+    """``epoch_metrics`` of a ``run_training`` trajectory equals one stacked
     ``models.loss`` per shard size and epoch bit for bit: one product per
     group set over its rows for every epoch, then each size's (T, k, size)
     mean.  The last case has shards of sizes 1 and 0 and no test set."""
@@ -607,12 +609,12 @@ def test_whole_array_metrics_match_shard_size_losses(name):
         partition, test = _consecutive_shards([1, 0, 4, 1, 0, 2]), None
     else:
         structure, hp, train, partition, test = _reference_case(name)
-    result = run_training(structure, hp, train, partition, test)
-    for theta, got in zip(result.trajectory[1:], result.metrics):
+    trajectory = run_training(structure, hp, train, partition)
+    metrics = epoch_metrics(structure, trajectory, train, partition, test)
+    for theta, got in zip(trajectory[1:], metrics):
         want = _shard_size_metrics(structure, theta, train, partition, test)
-        assert np.array_equal(np.array([got.avg_train_loss, got.avg_test_acc]).view(np.uint64),
-                              np.array(want).view(np.uint64))
-    assert all(math.isnan(m.avg_test_acc) for m in result.metrics) == (test is None)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    assert all(math.isnan(acc) for acc in metrics[:, 1]) == (test is None)
 
 
 def test_dpoglplus_with_period_one_equals_dpogl():
@@ -630,7 +632,7 @@ def test_dpoglplus_with_period_one_equals_dpogl():
                                    threat_model="tm2", inter_group_period=1,
                                    epochs=5, participation=0.7, seed=3),
                      ds, partition)
-    for ta, tb in zip(a.trajectory, b.trajectory):
+    for ta, tb in zip(a, b):
         assert np.array_equal(ta, tb)
 
 
@@ -640,18 +642,17 @@ def test_run_training_contract_and_determinism():
     idx = np.arange(len(ds))
     partition = [idx[k::4] for k in range(4)]
     hp = simple_hp(num_groups=2, epochs=3, seed=12)
-    out = run_training(st, hp, ds, partition, test=ds)
-    assert len(out.trajectory) == 4
-    assert all(theta.shape == (2, models.param_dim(2, 2))
-               for theta in out.trajectory)
-    assert np.array_equal(out.trajectory[0], np.zeros((2, models.param_dim(2, 2))))
-    assert [m.epoch for m in out.metrics] == [1, 2, 3]
-    assert all(np.isfinite(m.avg_train_loss) for m in out.metrics)
-    again = run_training(st, hp, ds, partition, test=ds)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(out.trajectory, again.trajectory, strict=True))
-    none = run_training(st, dataclasses.replace(hp, epochs=0), ds, partition, test=ds)
-    assert len(none.trajectory) == 1 and none.metrics == []
+    out = run_training(st, hp, ds, partition)
+    assert len(out) == 4
+    assert all(theta.shape == (2, models.param_dim(2, 2)) for theta in out)
+    assert np.array_equal(out[0], np.zeros((2, models.param_dim(2, 2))))
+    metrics = epoch_metrics(st, out, ds, partition, test=ds)
+    assert metrics.shape == (3, 2)
+    assert all(np.isfinite(loss) for loss in metrics[:, 0])
+    again = run_training(st, hp, ds, partition)
+    assert all(np.array_equal(a, b) for a, b in zip(out, again, strict=True))
+    none = run_training(st, dataclasses.replace(hp, epochs=0), ds, partition)
+    assert len(none) == 1 and epoch_metrics(st, none, ds, partition, test=ds).shape == (0, 2)
     with pytest.raises(ValueError):
         run_training(st, simple_hp(num_groups=3), ds, partition)
     with pytest.raises(ValueError):
@@ -665,5 +666,9 @@ def test_training_without_test_set_reports_nan_accuracy():
     st = GroupStructure(2, [[0, 1]])
     partition = [np.arange(0, 10), np.arange(10, 20)]
     hp = simple_hp(num_groups=1, epochs=2)
-    out = run_training(st, hp, ds, partition, test=None)
-    assert all(math.isnan(m.avg_test_acc) for m in out.metrics)
+    out = run_training(st, hp, ds, partition)
+    acc = epoch_metrics(st, out, ds, partition, test=None)[:, 1]
+    assert len(acc) == 2 and all(math.isnan(a) for a in acc)
+    no_rows = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), 2)
+    assert np.array_equal(epoch_metrics(st, out, ds, partition, test=no_rows),
+                          epoch_metrics(st, out, ds, partition), equal_nan=True)
